@@ -68,7 +68,8 @@ fn assert_bit_identical(a: &InferenceResult, b: &InferenceResult, rows: u32, col
 }
 
 /// Differential sample check: the generic and AVX2 kernel paths produce
-/// bit-equal sums and gradients on a sweep of the `ln v` clamp range.
+/// bit-equal sums, gradients and curvatures on a sweep of the `ln v` clamp
+/// range.
 /// Trivially true (and reported as such) on hosts without AVX2.
 fn kernels_equal_sample() -> (bool, bool) {
     let Some(wide) = BatchKernels::with_path(KernelPath::Avx2) else {
@@ -85,11 +86,11 @@ fn kernels_equal_sample() -> (bool, bool) {
     let sb = wide.gaussian_terms(&ln_v, &k, &mut gb);
     let mut equal =
         sa.to_bits() == sb.to_bits() && ga.iter().zip(&gb).all(|(x, y)| x.to_bits() == y.to_bits());
-    let qa = narrow.quality_terms(0.5, &ln_v, &p, &c, &mut ga);
-    let qb = wide.quality_terms(0.5, &ln_v, &p, &c, &mut gb);
-    equal = equal
-        && qa.to_bits() == qb.to_bits()
-        && ga.iter().zip(&gb).all(|(x, y)| x.to_bits() == y.to_bits());
+    let (mut ha, mut hb) = (vec![0.0; n], vec![0.0; n]);
+    let qa = narrow.quality_terms(0.5, &ln_v, &p, &c, &mut ga, Some(&mut ha));
+    let qb = wide.quality_terms(0.5, &ln_v, &p, &c, &mut gb, Some(&mut hb));
+    let bits_eq = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+    equal = equal && qa.to_bits() == qb.to_bits() && bits_eq(&ga, &gb) && bits_eq(&ha, &hb);
     (equal, true)
 }
 
@@ -157,6 +158,7 @@ fn em_throughput(c: &mut Criterion) {
 
     let st = serial_fit.timings;
     let pt = par_fit.timings;
+    let evals_per_mstep = st.objective_evals as f64 / serial_fit.iterations.max(1) as f64;
     let speedup = hashmap_naive / csr_seq;
     let em_speedup = csr_seq / csr_par;
     let estep_speedup = st.estep_ns as f64 / (pt.estep_ns.max(1)) as f64;
@@ -173,13 +175,15 @@ fn em_throughput(c: &mut Criterion) {
     );
     println!(
         "  kernel path {} (avx2 differential check: {}), serial breakdown: estep {:.1} ms, \
-         mstep {:.1} ms ({} objective evals), elbo {:.1} ms; parallel: estep {:.1} ms \
-         ({estep_speedup:.2}x), mstep {:.1} ms ({mstep_speedup:.2}x)",
+         mstep {:.1} ms ({} objective evals over {} iterations, {evals_per_mstep:.1} per \
+         M-step), elbo {:.1} ms; parallel: estep {:.1} ms ({estep_speedup:.2}x), mstep {:.1} \
+         ms ({mstep_speedup:.2}x)",
         kernels().path().name(),
         if avx2_checked { "ran" } else { "no avx2 host" },
         st.estep_ns as f64 / 1e6,
         st.mstep_ns as f64 / 1e6,
         st.objective_evals,
+        serial_fit.iterations,
         st.elbo_ns as f64 / 1e6,
         pt.estep_ns as f64 / 1e6,
         pt.mstep_ns as f64 / 1e6,
@@ -191,10 +195,11 @@ fn em_throughput(c: &mut Criterion) {
         )
     };
     let json = format!(
-        "{{\n  \"benchmark\": \"em_throughput\",\n  \"dataset\": {{\"rows\": 1000, \"columns\": 10, \"answers\": {}}},\n  \"results_ns_per_inference\": {{\n    \"csr_sequential\": {csr_seq:.0},\n    \"csr_parallel_estep\": {csr_par:.0},\n    \"csr_parallel\": {csr_par:.0},\n    \"hashmap_naive\": {hashmap_naive:.0}\n  }},\n  \"kernel_breakdown\": {{\n    \"serial\": {},\n    \"parallel\": {}\n  }},\n  \"kernel_path\": \"{}\",\n  \"kernels_equal\": {kernels_equal},\n  \"avx2_differential_checked\": {avx2_checked},\n  \"serial_parallel_bit_identical\": {bit_identical},\n  \"threads\": {},\n  \"csr_speedup_over_naive\": {speedup:.3},\n  \"em_speedup_parallel_over_serial\": {em_speedup:.3},\n  \"estep_speedup\": {estep_speedup:.3},\n  \"mstep_speedup\": {mstep_speedup:.3},\n  \"estimates_equal_within\": 1e-9\n}}\n",
+        "{{\n  \"benchmark\": \"em_throughput\",\n  \"dataset\": {{\"rows\": 1000, \"columns\": 10, \"answers\": {}}},\n  \"results_ns_per_inference\": {{\n    \"csr_sequential\": {csr_seq:.0},\n    \"csr_parallel_estep\": {csr_par:.0},\n    \"csr_parallel\": {csr_par:.0},\n    \"hashmap_naive\": {hashmap_naive:.0}\n  }},\n  \"kernel_breakdown\": {{\n    \"serial\": {},\n    \"parallel\": {}\n  }},\n  \"em_iterations\": {},\n  \"evals_per_mstep\": {evals_per_mstep:.2},\n  \"kernel_path\": \"{}\",\n  \"kernels_equal\": {kernels_equal},\n  \"avx2_differential_checked\": {avx2_checked},\n  \"serial_parallel_bit_identical\": {bit_identical},\n  \"threads\": {},\n  \"csr_speedup_over_naive\": {speedup:.3},\n  \"em_speedup_parallel_over_serial\": {em_speedup:.3},\n  \"estep_speedup\": {estep_speedup:.3},\n  \"mstep_speedup\": {mstep_speedup:.3},\n  \"estimates_equal_within\": 1e-9\n}}\n",
         d.answers.len(),
         phase_json(&st),
         phase_json(&pt),
+        serial_fit.iterations,
         kernels().path().name(),
         pt.threads,
     );

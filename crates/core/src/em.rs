@@ -7,10 +7,12 @@
 //! projection.
 //!
 //! **Identifiability.** The likelihood only sees the product
-//! `α_i β_j φ_u`, which leaves a two-dimensional scale ambiguity. After every
-//! M-step the geometric means of `α` and `β` are renormalised to 1 and the
-//! scale is pushed into `φ`, so reported difficulties are relative and
-//! `φ_u` is the absolute per-worker variance.
+//! `α_i β_j φ_u`, which leaves a two-dimensional scale ambiguity. Inside EM
+//! only the MAP priors pin it, and every M-step moves to their maximum along
+//! it in closed form ([`gauge_step`]). Once EM stops, the geometric means of
+//! `α` and `β` are renormalised to 1 and the scale is pushed into `φ`, so
+//! reported difficulties are relative and `φ_u` is the absolute per-worker
+//! variance.
 
 #![allow(clippy::needless_range_loop)] // index loops here walk several parallel arrays
 use crate::model::{cat_answer_ln_likelihood, quality_from_ln_variance_fast};
@@ -20,7 +22,6 @@ use std::sync::Mutex;
 use std::time::Instant;
 use tcrowd_stat::batch::{kernels, BatchKernels};
 use tcrowd_stat::normal::Normal;
-use tcrowd_stat::optimize::{gradient_ascent_with, AscentOptions};
 use tcrowd_stat::{clamp_prob, EPS};
 
 /// Options controlling the EM loop.
@@ -31,7 +32,7 @@ pub struct EmOptions {
     pub max_iters: usize,
     /// Relative ELBO-improvement threshold for convergence (the paper uses
     /// 1e-5 on parameter changes; an ELBO criterion is equivalent in practice
-    /// and cheaper to evaluate).
+    /// and cheaper to evaluate). `0` disables it.
     pub tol: f64,
     /// Optional parameter-change convergence criterion: also stop once the
     /// largest absolute change of any log-parameter across one EM iteration
@@ -90,8 +91,6 @@ pub struct EmOptions {
     /// thread per available core. Thread count never affects the fitted
     /// numbers, only wall-clock.
     pub threads: usize,
-    /// Inner gradient-ascent configuration for the M-step.
-    pub mstep: AscentOptions,
 }
 
 impl Default for EmOptions {
@@ -109,37 +108,21 @@ impl Default for EmOptions {
             parallel_estep: cfg!(feature = "parallel"),
             parallel_mstep: cfg!(feature = "parallel"),
             threads: 0,
-            mstep: AscentOptions {
-                initial_step: 0.25,
-                max_iters: 25,
-                tol: 1e-8,
-                max_backtracks: 25,
-                growth: 1.4,
-            },
         }
     }
 }
 
 impl EmOptions {
-    /// Preset for fixed-point-accurate fits: tight parameter-change
-    /// criterion, tight inner ascent, generous iteration caps. Far slower
-    /// than the default and unnecessary for production estimates — use it
-    /// when two runs must land on the *same* optimum to high precision
-    /// (the warm-vs-cold 1e-6 agreement contract shared by the sim
-    /// regression suite and `bench_refresh`).
+    /// Preset for fixed-point-accurate fits: stop on the parameter-change
+    /// criterion alone, with a generous iteration cap. Far slower than the
+    /// default and unnecessary for production estimates — use it when two
+    /// runs must land on the *same* optimum to high precision (the
+    /// warm-vs-cold 1e-6 agreement contract shared by the sim regression
+    /// suite and `bench_refresh`). The ELBO criterion is off: near the
+    /// optimum it stops a warm and a cold run at different points of the
+    /// same flat approach.
     pub fn deep_convergence() -> Self {
-        EmOptions {
-            tol: 1e-14,
-            param_tol: 3e-8,
-            max_iters: 600,
-            mstep: AscentOptions {
-                tol: 1e-13,
-                max_iters: 80,
-                max_backtracks: 30,
-                ..EmOptions::default().mstep
-            },
-            ..Default::default()
-        }
+        EmOptions { tol: 0.0, param_tol: 3e-9, max_iters: 600, ..Default::default() }
     }
 }
 
@@ -303,12 +286,13 @@ pub(crate) struct EmState {
 pub struct EmTimings {
     /// Total E-step time, nanoseconds.
     pub estep_ns: u64,
-    /// Total M-step (gradient ascent) time, nanoseconds.
+    /// Total M-step (block-coordinate Newton) time, nanoseconds.
     pub mstep_ns: u64,
     /// Total ELBO-evaluation time, nanoseconds.
     pub elbo_ns: u64,
-    /// Number of M-step objective/gradient evaluations across the run — the
-    /// multiplier that makes the batch-kernel evaluation the hot loop.
+    /// Number of M-step objective passes (value, gradient and curvature of
+    /// every answer term) across the run — the multiplier that makes the
+    /// batch-kernel evaluation the hot loop.
     pub objective_evals: u64,
     /// Threads the parallel phases were split across (1 = serial).
     pub threads: usize,
@@ -598,10 +582,9 @@ pub(crate) fn e_step_with(ws: &Workspace, state: &mut EmState, pool: Option<&Wor
 const MSTEP_CHUNK: usize = 4096;
 
 /// Reusable buffer set for one EM run: the per-answer caches, the staging
-/// arrays the batch kernels read/write, and the parameter pack buffer.
-/// Allocated once per `run_em_from` (sized by the workspace's SoA runs) —
-/// pre-PR-6 the M-step allocated two full-length cache `Vec`s per call and
-/// a gradient `Vec` per objective evaluation.
+/// arrays the batch kernels read/write, and the per-parameter block
+/// buffers of the Newton M-step. Allocated once per `run_em_from` (sized by
+/// the workspace's SoA runs).
 pub(crate) struct EmScratch {
     /// Continuous answers: `K = (a − T^µ)² + T^φ` (rebuilt per posterior).
     cont_k: Vec<f64>,
@@ -612,11 +595,40 @@ pub(crate) struct EmScratch {
     /// Staging: per-answer effective `ln v` under the evaluated parameters.
     cont_ln_v: Vec<f64>,
     cat_ln_v: Vec<f64>,
-    /// Staging: per-answer `∂term/∂ln v` written by the kernels.
+    /// Per-answer derivatives written by the latest evaluation.
+    eval: AnswerDerivs,
+    /// Per-answer derivatives at the M-step's accepted point; swapped with
+    /// [`Self::eval`] whenever a trial point is accepted.
+    cur: AnswerDerivs,
+    /// Block buffers: per-parameter gradient, curvature and Newton step,
+    /// and the block's values before the step.
+    grad: Vec<f64>,
+    curv: Vec<f64>,
+    step: Vec<f64>,
+    base: Vec<f64>,
+}
+
+/// Per-answer derivatives of the objective with respect to `ln v` at one
+/// parameter point. The Gaussian curvature needs no buffer: it is
+/// `-(g + ½)`.
+#[derive(Default)]
+struct AnswerDerivs {
     cont_g: Vec<f64>,
     cat_g: Vec<f64>,
-    /// Packed-parameter buffer for the gradient-ascent start point.
-    x: Vec<f64>,
+    cat_h: Vec<f64>,
+}
+
+impl AnswerDerivs {
+    /// Size for the runs; the curvature buffer only when asked for, so an
+    /// EM run that never reaches an M-step (`evaluate_seeded`) allocates
+    /// no more than the ELBO needs. A no-op once sized.
+    fn size_for(&mut self, runs: &MStepRuns, curv: bool) {
+        self.cont_g.resize(runs.cont_row.len(), 0.0);
+        self.cat_g.resize(runs.cat_row.len(), 0.0);
+        if curv {
+            self.cat_h.resize(runs.cat_row.len(), 0.0);
+        }
+    }
 }
 
 impl EmScratch {
@@ -629,9 +641,12 @@ impl EmScratch {
             cat_c: vec![0.0; nk],
             cont_ln_v: vec![0.0; nc],
             cat_ln_v: vec![0.0; nk],
-            cont_g: vec![0.0; nc],
-            cat_g: vec![0.0; nk],
-            x: Vec::new(),
+            eval: AnswerDerivs::default(),
+            cur: AnswerDerivs::default(),
+            grad: Vec::new(),
+            curv: Vec::new(),
+            step: Vec::new(),
+            base: Vec::new(),
         }
     }
 }
@@ -675,6 +690,8 @@ struct ChunkTask<'a> {
     aux2: &'a [f64],
     ln_v: &'a mut [f64],
     g: &'a mut [f64],
+    /// Cat only, and only when curvature is asked for: its output.
+    h: &'a mut [f64],
     /// The chunk's objective partial sum, written by the job.
     q: f64,
 }
@@ -711,7 +728,8 @@ fn fill_ln_v(
 /// quality terms over the categorical run, evaluated by the batch kernels
 /// chunk by chunk (optionally across the pool). Returns the summed
 /// objective contribution; per-answer `∂/∂ln v` lands in
-/// `scratch.cont_g` / `scratch.cat_g`.
+/// `scratch.eval.{cont_g, cat_g}`, and with `curv` the categorical
+/// `∂²/∂(ln v)²` in `scratch.eval.cat_h`.
 ///
 /// **Determinism:** chunk boundaries come from [`MSTEP_CHUNK`], each chunk
 /// writes only its own slices, and the partial sums are folded serially in
@@ -724,12 +742,15 @@ fn eval_answers(
     lb: Option<&[f64]>,
     lp: &[f64],
     clamp: Option<f64>,
+    curv: bool,
     kern: BatchKernels,
     scratch: &mut EmScratch,
     pool: Option<&WorkerPool>,
 ) -> f64 {
     let r = &ws.runs;
-    let EmScratch { cont_k, cat_p, cat_c, cont_ln_v, cat_ln_v, cont_g, cat_g, .. } = scratch;
+    let EmScratch { cont_k, cat_p, cat_c, cont_ln_v, cat_ln_v, eval, .. } = scratch;
+    eval.size_for(r, curv);
+    let AnswerDerivs { cont_g, cat_g, cat_h } = eval;
     let mut tasks: Vec<Mutex<ChunkTask>> = Vec::new();
     for (i, (ln_v, g)) in
         cont_ln_v.chunks_mut(MSTEP_CHUNK).zip(cont_g.chunks_mut(MSTEP_CHUNK)).enumerate()
@@ -745,14 +766,17 @@ fn eval_answers(
             aux2: &[],
             ln_v,
             g,
+            h: &mut [],
             q: 0.0,
         }));
     }
+    let mut cat_h_chunks = cat_h.chunks_mut(MSTEP_CHUNK);
     for (i, (ln_v, g)) in
         cat_ln_v.chunks_mut(MSTEP_CHUNK).zip(cat_g.chunks_mut(MSTEP_CHUNK)).enumerate()
     {
         let s = i * MSTEP_CHUNK;
         let e = s + ln_v.len();
+        let h = if curv { cat_h_chunks.next().expect("curvature buffer sized") } else { &mut [] };
         tasks.push(Mutex::new(ChunkTask {
             cat: true,
             rows: &r.cat_row[s..e],
@@ -762,6 +786,7 @@ fn eval_answers(
             aux2: &cat_c[s..e],
             ln_v,
             g,
+            h,
             q: 0.0,
         }));
     }
@@ -770,7 +795,8 @@ fn eval_answers(
         let t = &mut *guard;
         fill_ln_v(la, lb, lp, clamp, t.rows, t.cols, t.workers, t.ln_v);
         t.q = if t.cat {
-            kern.quality_terms(ws.epsilon, t.ln_v, t.aux, t.aux2, t.g)
+            let h = curv.then_some(&mut *t.h);
+            kern.quality_terms(ws.epsilon, t.ln_v, t.aux, t.aux2, t.g, h)
         } else {
             kern.gaussian_terms(t.ln_v, t.aux, t.g)
         };
@@ -787,10 +813,282 @@ fn eval_answers(
     tasks.iter().map(|t| t.lock().expect("mstep chunk mutex").q).sum()
 }
 
-/// M-step (Eq. 5): gradient ascent on the expected complete-data
-/// log-likelihood over the active log-parameters, the objective evaluated
-/// by the batch kernels (optionally across the pool). Returns the number
-/// of objective evaluations the inner ascent performed.
+/// Most Newton sweeps per M-step; a sweep steps φ, then α, then β.
+pub(crate) const MSTEP_SWEEPS: usize = 3;
+
+/// An M-step stops early once a sweep raises its objective by less than
+/// this (absolute).
+pub(crate) const MSTEP_SWEEP_TOL: f64 = 1e-8;
+
+/// Rounding noise of one objective pass, relative to its value: a block
+/// whose predicted gain is smaller cannot be judged by comparing values.
+pub(crate) const MSTEP_NOISE_REL: f64 = 1e-14;
+
+/// Step halvings a block tries before it is left unchanged for the sweep.
+pub(crate) const MSTEP_MAX_BACKTRACKS: usize = 10;
+
+/// One parameter block of the M-step. With the other two fixed, each of a
+/// block's log-parameters touches a disjoint set of answers, so the block
+/// objective separates into one 1-D problem per parameter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Block {
+    /// Worker variances `ln φ_u`.
+    Phi,
+    /// Row difficulties `ln α_i`.
+    Alpha,
+    /// Column difficulties `ln β_j`.
+    Beta,
+}
+
+impl Block {
+    /// The blocks an M-step sweeps, in order: φ always, α and β when
+    /// learned.
+    pub(crate) fn active(opts: &EmOptions) -> impl Iterator<Item = Block> {
+        [
+            Some(Block::Phi),
+            opts.learn_row_difficulty.then_some(Block::Alpha),
+            opts.learn_col_difficulty.then_some(Block::Beta),
+        ]
+        .into_iter()
+        .flatten()
+    }
+
+    /// `(prior strength, prior centre)` of this block's parameters.
+    pub(crate) fn prior(self, opts: &EmOptions, phi_center: f64) -> (f64, f64) {
+        match self {
+            Block::Phi => (opts.phi_prior_strength, phi_center),
+            Block::Alpha | Block::Beta => (opts.difficulty_prior_strength, 0.0),
+        }
+    }
+}
+
+/// The safeguarded 1-D Newton step of one log-parameter from its gradient
+/// and curvature: `-grad/curv` where the curvature is negative, the plain
+/// gradient elsewhere, clipped to `±1` in log space.
+pub(crate) fn newton_step(grad: f64, curv: f64) -> f64 {
+    let step = if curv < 0.0 { -grad / curv } else { grad };
+    step.clamp(-1.0, 1.0)
+}
+
+/// The MAP log-prior of the parameters (see the field docs on
+/// [`EmOptions`]); unlearned difficulty blocks contribute nothing.
+pub(crate) fn log_prior(
+    la: &[f64],
+    lb: &[f64],
+    lp: &[f64],
+    opts: &EmOptions,
+    phi_center: f64,
+) -> f64 {
+    let mut v = 0.0;
+    if opts.learn_row_difficulty {
+        v -= 0.5 * opts.difficulty_prior_strength * la.iter().map(|x| x * x).sum::<f64>();
+    }
+    if opts.learn_col_difficulty {
+        v -= 0.5 * opts.difficulty_prior_strength * lb.iter().map(|x| x * x).sum::<f64>();
+    }
+    v - 0.5
+        * opts.phi_prior_strength
+        * lp.iter().map(|x| (x - phi_center) * (x - phi_center)).sum::<f64>()
+}
+
+/// The closed-form gauge step. The likelihood sees only
+/// `ln v = ln α_i + ln β_j + ln φ_u`, so shifting every `ln α` by `c`, every
+/// `ln β` by `d` and every `ln φ` by `-(c + d)` leaves each answer's term
+/// unchanged: only the priors pin these two directions, and block steps
+/// crawl along them. This moves straight to the priors' maximum along both
+/// (a 2×2 linear solve; one direction when a difficulty block is frozen),
+/// without a pass over the answers. Skipped if it would leave the
+/// `±ln_param_bound` box.
+pub(crate) fn gauge_step(
+    la: &mut [f64],
+    lb: &mut [f64],
+    lp: &mut [f64],
+    opts: &EmOptions,
+    phi_center: f64,
+) {
+    let (learn_a, learn_b) = (opts.learn_row_difficulty, opts.learn_col_difficulty);
+    if !learn_a && !learn_b {
+        return;
+    }
+    let (ld, lf) = (opts.difficulty_prior_strength, opts.phi_prior_strength);
+    let u = lf * lp.len() as f64;
+    let (a11, a22) = (ld * la.len() as f64 + u, ld * lb.len() as f64 + u);
+    let sp = lf * lp.iter().map(|x| x - phi_center).sum::<f64>();
+    let r1 = sp - ld * la.iter().sum::<f64>();
+    let r2 = sp - ld * lb.iter().sum::<f64>();
+    let (c, d) = match (learn_a, learn_b) {
+        (true, true) => {
+            let det = a11 * a22 - u * u;
+            ((r1 * a22 - u * r2) / det, (a11 * r2 - u * r1) / det)
+        }
+        (true, false) => (r1 / a11, 0.0),
+        _ => (0.0, r2 / a22),
+    };
+    let cd = c + d;
+    let bound = opts.ln_param_bound;
+    let inside = |v: &[f64], shift: f64| v.iter().all(|x| (x + shift).abs() <= bound);
+    if !c.is_finite() || !d.is_finite() || !inside(la, c) || !inside(lb, d) || !inside(lp, -cd) {
+        return;
+    }
+    if learn_a {
+        la.iter_mut().for_each(|x| *x += c);
+    }
+    if learn_b {
+        lb.iter_mut().for_each(|x| *x += d);
+    }
+    lp.iter_mut().for_each(|x| *x -= cd);
+}
+
+impl EmState {
+    /// The log-parameters of one M-step block.
+    pub(crate) fn block(&self, block: Block) -> &[f64] {
+        match block {
+            Block::Phi => &self.ln_phi,
+            Block::Alpha => &self.ln_alpha,
+            Block::Beta => &self.ln_beta,
+        }
+    }
+
+    fn block_mut(&mut self, block: Block) -> &mut [f64] {
+        match block {
+            Block::Phi => &mut self.ln_phi,
+            Block::Alpha => &mut self.ln_alpha,
+            Block::Beta => &mut self.ln_beta,
+        }
+    }
+}
+
+/// What one M-step evaluates against: the workspace, the options and the
+/// kernel/pool pair, plus the φ prior's centre.
+pub(crate) struct MStep<'a> {
+    pub ws: &'a Workspace,
+    pub opts: &'a EmOptions,
+    pub kern: BatchKernels,
+    pub pool: Option<&'a WorkerPool>,
+    pub phi_center: f64,
+}
+
+impl MStep<'_> {
+    /// The objective's per-answer part at the state's parameters, clamped
+    /// to the optimiser box; per-answer derivatives (categorical curvature
+    /// included) land in `scratch.eval`.
+    pub(crate) fn data(&self, state: &EmState, scratch: &mut EmScratch) -> f64 {
+        eval_answers(
+            self.ws,
+            self.opts.learn_row_difficulty.then_some(&state.ln_alpha[..]),
+            self.opts.learn_col_difficulty.then_some(&state.ln_beta[..]),
+            &state.ln_phi,
+            Some(self.opts.ln_param_bound),
+            true,
+            self.kern,
+            scratch,
+            self.pool,
+        )
+    }
+
+    /// The objective's prior part at the state's parameters.
+    pub(crate) fn prior(&self, state: &EmState) -> f64 {
+        log_prior(&state.ln_alpha, &state.ln_beta, &state.ln_phi, self.opts, self.phi_center)
+    }
+
+    /// Scatter the per-answer derivatives at the accepted point
+    /// (`scratch.cur`) into one block's per-parameter gradient and
+    /// curvature (`scratch.grad`, `scratch.curv`), priors included.
+    /// Serial, in fixed run order.
+    pub(crate) fn derivatives(&self, block: Block, params: &[f64], scratch: &mut EmScratch) {
+        let r = &self.ws.runs;
+        let (cont_idx, cat_idx) = match block {
+            Block::Phi => (&r.cont_worker, &r.cat_worker),
+            Block::Alpha => (&r.cont_row, &r.cat_row),
+            Block::Beta => (&r.cont_col, &r.cat_col),
+        };
+        let EmScratch { cur, grad, curv, .. } = scratch;
+        grad.clear();
+        grad.resize(params.len(), 0.0);
+        curv.clear();
+        curv.resize(params.len(), 0.0);
+        for (j, &k) in cont_idx.iter().enumerate() {
+            let g = cur.cont_g[j];
+            grad[k as usize] += g;
+            curv[k as usize] -= g + 0.5;
+        }
+        for (j, &k) in cat_idx.iter().enumerate() {
+            grad[k as usize] += cur.cat_g[j];
+            curv[k as usize] += cur.cat_h[j];
+        }
+        let (lam, center) = block.prior(self.opts, self.phi_center);
+        for (k, &x) in params.iter().enumerate() {
+            grad[k] -= lam * (x - center);
+            curv[k] -= lam;
+        }
+    }
+
+    /// One safeguarded Newton step of `block` from the accepted point
+    /// (objective `value`, per-answer part `data`): the per-parameter
+    /// [`newton_step`]s, halved together until the objective improves.
+    /// On success the trial becomes the accepted point; after
+    /// [`MSTEP_MAX_BACKTRACKS`] failed halvings the block is restored.
+    /// Returns the objective passes spent.
+    ///
+    /// A step too small for a value comparison to see (see
+    /// [`MSTEP_NOISE_REL`]) is taken whole when every curvature in the
+    /// block is negative. Without this, fits driven to the fixed point
+    /// (`deep_convergence`) stall where rounding rejects every step.
+    fn block_step(
+        &self,
+        block: Block,
+        state: &mut EmState,
+        scratch: &mut EmScratch,
+        data: &mut f64,
+        value: &mut f64,
+    ) -> usize {
+        self.derivatives(block, state.block(block), scratch);
+        let EmScratch { grad, curv, step, base, .. } = &mut *scratch;
+        step.clear();
+        step.extend(grad.iter().zip(curv.iter()).map(|(&g, &h)| newton_step(g, h)));
+        let slope: f64 = grad.iter().zip(step.iter()).map(|(g, s)| g * s).sum();
+        if slope.is_nan() || slope <= 0.0 {
+            return 0; // stationary block: no ascent direction
+        }
+        // A concave block's Newton gain, ½·slope, that is below the
+        // objective's rounding noise is invisible to a value comparison;
+        // the quadratic model is exact there, so the full step stands.
+        let below_noise =
+            curv.iter().all(|&h| h < 0.0) && 0.5 * slope < MSTEP_NOISE_REL * value.abs();
+        base.clear();
+        base.extend_from_slice(state.block(block));
+        let bound = self.opts.ln_param_bound;
+        let mut t = 1.0;
+        for evals in 1..=MSTEP_MAX_BACKTRACKS + 1 {
+            let params = state.block_mut(block);
+            for ((x, &b), &s) in params.iter_mut().zip(&scratch.base).zip(&scratch.step) {
+                *x = (b + t * s).clamp(-bound, bound);
+            }
+            let trial = self.data(state, scratch);
+            let tv = trial + self.prior(state);
+            if (tv > *value || below_noise) && tv.is_finite() {
+                *data = trial;
+                *value = tv;
+                std::mem::swap(&mut scratch.eval, &mut scratch.cur);
+                return evals;
+            }
+            t *= 0.5;
+        }
+        state.block_mut(block).copy_from_slice(&scratch.base);
+        MSTEP_MAX_BACKTRACKS + 1
+    }
+}
+
+/// M-step (Eq. 5): safeguarded block-coordinate Newton ascent on the
+/// expected complete-data log-likelihood plus the MAP priors, the
+/// objective evaluated by the batch kernels (optionally across the pool).
+///
+/// Each sweep first takes the closed-form [`gauge_step`], then steps the φ,
+/// α and β blocks in turn ([`MStep::block_step`]). An accepted trial's
+/// per-answer derivatives are the next block's, so a block step costs one
+/// objective pass unless it backtracks. At most [`MSTEP_SWEEPS`] sweeps,
+/// fewer once one gains less than [`MSTEP_SWEEP_TOL`]. Returns the number
+/// of objective evaluations.
 fn m_step(
     ws: &Workspace,
     state: &mut EmState,
@@ -800,101 +1098,24 @@ fn m_step(
     pool: Option<&WorkerPool>,
 ) -> usize {
     build_cache(ws, &state.truths, scratch);
-    let learn_a = opts.learn_row_difficulty;
-    let learn_b = opts.learn_col_difficulty;
-    let na = if learn_a { ws.n_rows } else { 0 };
-    let nb = if learn_b { ws.n_cols } else { 0 };
-
-    // Pack the active parameters into the reused buffer.
-    let mut x0 = std::mem::take(&mut scratch.x);
-    x0.clear();
-    if learn_a {
-        x0.extend_from_slice(&state.ln_alpha);
+    let ms =
+        MStep { ws, opts, kern, pool, phi_center: initial_phi(ws.epsilon, opts.init_quality).ln() };
+    let mut data = ms.data(state, scratch);
+    std::mem::swap(&mut scratch.eval, &mut scratch.cur);
+    let mut evals = 1;
+    let mut value = data + ms.prior(state);
+    for _ in 0..MSTEP_SWEEPS {
+        let start = value;
+        gauge_step(&mut state.ln_alpha, &mut state.ln_beta, &mut state.ln_phi, opts, ms.phi_center);
+        value = data + ms.prior(state);
+        for block in Block::active(opts) {
+            evals += ms.block_step(block, state, scratch, &mut data, &mut value);
+        }
+        if value - start < MSTEP_SWEEP_TOL {
+            break;
+        }
     }
-    if learn_b {
-        x0.extend_from_slice(&state.ln_beta);
-    }
-    x0.extend_from_slice(&state.ln_phi);
-
-    let bound = opts.ln_param_bound;
-    let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
-    let lam_phi = opts.phi_prior_strength;
-    let lam_diff = opts.difficulty_prior_strength;
-    let objective = |x: &[f64], grad: &mut [f64]| -> f64 {
-        let (la, rest) = x.split_at(na);
-        let (lb, lp) = rest.split_at(nb);
-        let mut q_val = eval_answers(
-            ws,
-            learn_a.then_some(la),
-            learn_b.then_some(lb),
-            lp,
-            Some(bound),
-            kern,
-            scratch,
-            pool,
-        );
-        // Serial scatter of the per-answer ∂/∂ln v into the parameter
-        // gradient, in fixed run order — `g` is identical for α, β and φ,
-        // and the three scatter targets are disjoint parameter ranges.
-        grad.fill(0.0);
-        let r = &ws.runs;
-        if learn_a {
-            for (j, &row) in r.cont_row.iter().enumerate() {
-                grad[row as usize] += scratch.cont_g[j];
-            }
-            for (j, &row) in r.cat_row.iter().enumerate() {
-                grad[row as usize] += scratch.cat_g[j];
-            }
-        }
-        if learn_b {
-            for (j, &col) in r.cont_col.iter().enumerate() {
-                grad[na + col as usize] += scratch.cont_g[j];
-            }
-            for (j, &col) in r.cat_col.iter().enumerate() {
-                grad[na + col as usize] += scratch.cat_g[j];
-            }
-        }
-        for (j, &w) in r.cont_worker.iter().enumerate() {
-            grad[na + nb + w as usize] += scratch.cont_g[j];
-        }
-        for (j, &w) in r.cat_worker.iter().enumerate() {
-            grad[na + nb + w as usize] += scratch.cat_g[j];
-        }
-        // MAP priors (see field docs on EmOptions).
-        for (i, &v) in la.iter().enumerate() {
-            q_val -= 0.5 * lam_diff * v * v;
-            grad[i] -= lam_diff * v;
-        }
-        for (i, &v) in lb.iter().enumerate() {
-            q_val -= 0.5 * lam_diff * v * v;
-            grad[na + i] -= lam_diff * v;
-        }
-        for (i, &v) in lp.iter().enumerate() {
-            let d = v - phi_center;
-            q_val -= 0.5 * lam_phi * d * d;
-            grad[na + nb + i] -= lam_phi * d;
-        }
-        q_val
-    };
-
-    let result = gradient_ascent_with(objective, &x0, &opts.mstep);
-    scratch.x = x0; // hand the pack buffer back for the next iteration
-    let x = result.params;
-    let (la, rest) = x.split_at(na);
-    let (lb, lp) = rest.split_at(nb);
-    if learn_a {
-        state.ln_alpha.copy_from_slice(la);
-    }
-    if learn_b {
-        state.ln_beta.copy_from_slice(lb);
-    }
-    state.ln_phi.copy_from_slice(lp);
-    for v in
-        state.ln_alpha.iter_mut().chain(state.ln_beta.iter_mut()).chain(state.ln_phi.iter_mut())
-    {
-        *v = v.clamp(-bound, bound);
-    }
-    result.evaluations
+    evals
 }
 
 /// Identifiability polish applied once after EM converges: set the geometric
@@ -936,7 +1157,7 @@ fn renormalize(state: &mut EmState, opts: &EmOptions) -> (f64, f64) {
 /// The per-answer expectation is exactly the [`eval_answers`] sum the
 /// M-step maximises — same kernels, same chunk order — evaluated at the
 /// *state* parameters, unclamped (the optimiser box only applies inside
-/// the ascent). What remains here is the per-cell part: prior expectation
+/// the M-step). What remains here is the per-cell part: prior expectation
 /// and posterior entropy.
 pub(crate) fn compute_elbo(
     ws: &Workspace,
@@ -947,19 +1168,7 @@ pub(crate) fn compute_elbo(
     pool: Option<&WorkerPool>,
 ) -> f64 {
     let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
-    let mut elbo = 0.0;
-    if opts.learn_row_difficulty {
-        elbo -= 0.5
-            * opts.difficulty_prior_strength
-            * state.ln_alpha.iter().map(|v| v * v).sum::<f64>();
-    }
-    if opts.learn_col_difficulty {
-        elbo -=
-            0.5 * opts.difficulty_prior_strength * state.ln_beta.iter().map(|v| v * v).sum::<f64>();
-    }
-    elbo -= 0.5
-        * opts.phi_prior_strength
-        * state.ln_phi.iter().map(|v| (v - phi_center) * (v - phi_center)).sum::<f64>();
+    let mut elbo = log_prior(&state.ln_alpha, &state.ln_beta, &state.ln_phi, opts, phi_center);
     build_cache(ws, &state.truths, scratch);
     elbo += eval_answers(
         ws,
@@ -967,6 +1176,7 @@ pub(crate) fn compute_elbo(
         Some(&state.ln_beta),
         &state.ln_phi,
         None,
+        false,
         kern,
         scratch,
         pool,
@@ -1235,6 +1445,141 @@ mod tests {
                 (a - n).abs() < 1e-4 * (1.0 + n.abs()),
                 "param {k}: analytic {a} vs numeric {n}"
             );
+        }
+    }
+
+    /// A state at the given log-parameters with posteriors from one E-step
+    /// at `ln φ = ln 0.3`.
+    fn state_at(ws: &Workspace, la: Vec<f64>, lb: Vec<f64>, lp: Vec<f64>) -> EmState {
+        let mut state = EmState {
+            ln_alpha: vec![0.0; ws.n_rows],
+            ln_beta: vec![0.0; ws.n_cols],
+            ln_phi: vec![0.3f64.ln(); ws.n_workers],
+            truths: initial_truths(ws),
+            trace: vec![],
+            iterations: 0,
+            converged: false,
+            renorm_shift: (0.0, 0.0),
+            timings: EmTimings::default(),
+        };
+        e_step(ws, &mut state, &EmOptions::default());
+        (state.ln_alpha, state.ln_beta, state.ln_phi) = (la, lb, lp);
+        state
+    }
+
+    fn mstep_for<'a>(ws: &'a Workspace, opts: &'a EmOptions) -> MStep<'a> {
+        let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
+        MStep { ws, opts, kern: kernels(), pool: None, phi_center }
+    }
+
+    #[test]
+    fn mstep_curvature_matches_numeric() {
+        let phis = [0.1, 0.8];
+        let (ws, _, _) = synth_workspace(6, 1, 1, &phis, 5);
+        let opts = EmOptions::default();
+        // Worker 0 is precise enough (x = ε/√(2v) ≈ 5.3–5.8) that its
+        // categorical quality sits on its clamp, where the gradient keeps
+        // the link's slope and a doubted answer's curvature is positive.
+        let la: Vec<f64> = (0..ws.n_rows).map(|i| 0.02 * (i as f64 - 2.5)).collect();
+        let state = state_at(&ws, la, vec![0.03, -0.03], vec![-5.5, 0.3f64.ln()]);
+        let ms = mstep_for(&ws, &opts);
+        let mut scratch = EmScratch::new(&ws);
+        build_cache(&ws, &state.truths, &mut scratch);
+        ms.data(&state, &mut scratch);
+        assert!(!scratch.eval.cont_g.is_empty() && !scratch.eval.cat_g.is_empty());
+        assert!(
+            scratch.eval.cat_h.iter().any(|&h| h > 0.0),
+            "no positive categorical curvature at the test point"
+        );
+        let derivs = |state: &EmState, block: Block, scratch: &mut EmScratch| {
+            ms.data(state, scratch);
+            std::mem::swap(&mut scratch.eval, &mut scratch.cur);
+            ms.derivatives(block, state.block(block), scratch);
+            (scratch.grad.clone(), scratch.curv.clone())
+        };
+        let step = 1e-5;
+        for block in [Block::Phi, Block::Alpha, Block::Beta] {
+            let (_, curv) = derivs(&state, block, &mut scratch);
+            for k in 0..curv.len() {
+                let (mut plus, mut minus) = (state.clone(), state.clone());
+                plus.block_mut(block)[k] += step;
+                minus.block_mut(block)[k] -= step;
+                let (gp, _) = derivs(&plus, block, &mut scratch);
+                let (gm, _) = derivs(&minus, block, &mut scratch);
+                let numeric = (gp[k] - gm[k]) / (2.0 * step);
+                assert!(
+                    (curv[k] - numeric).abs() < 1e-4 * (1.0 + numeric.abs()),
+                    "{block:?}[{k}]: analytic {} vs numeric {numeric}",
+                    curv[k]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gauge_step_keeps_every_ln_v_and_never_lowers_the_mstep_objective() {
+        let (ws, _, _) = synth_workspace(12, 2, 2, &[0.05, 0.3, 1.2], 43);
+        for (learn_a, learn_b) in [(true, true), (true, false), (false, true), (false, false)] {
+            let opts = EmOptions {
+                learn_row_difficulty: learn_a,
+                learn_col_difficulty: learn_b,
+                ..Default::default()
+            };
+            // Off the gauge optimum: difficulties shifted up, variances down.
+            let on = |learn: bool, v: f64| if learn { v } else { 0.0 };
+            let la = (0..ws.n_rows).map(|i| on(learn_a, 0.4 + 0.05 * (i as f64).sin())).collect();
+            let lb = (0..ws.n_cols).map(|j| on(learn_b, 0.3 - 0.1 * j as f64)).collect();
+            let lp = vec![-1.9, -1.1, -0.2];
+            let mut state = state_at(&ws, la, lb, lp);
+            let ln_v = |s: &EmState| -> Vec<f64> {
+                let r = &ws.runs;
+                let (rows, cols, workers) = (
+                    r.cont_row.iter().chain(&r.cat_row),
+                    r.cont_col.iter().chain(&r.cat_col),
+                    r.cont_worker.iter().chain(&r.cat_worker),
+                );
+                rows.zip(cols)
+                    .zip(workers)
+                    .map(|((&i, &j), &u)| {
+                        s.ln_alpha[i as usize] + s.ln_beta[j as usize] + s.ln_phi[u as usize]
+                    })
+                    .collect()
+            };
+            let ms = mstep_for(&ws, &opts);
+            let mut scratch = EmScratch::new(&ws);
+            build_cache(&ws, &state.truths, &mut scratch);
+            let before_v = ln_v(&state);
+            let (data0, prior0) = (ms.data(&state, &mut scratch), ms.prior(&state));
+            let EmState { ln_alpha, ln_beta, ln_phi, .. } = &mut state;
+            gauge_step(ln_alpha, ln_beta, ln_phi, &opts, ms.phi_center);
+            for (a, b) in before_v.iter().zip(ln_v(&state)) {
+                assert!((a - b).abs() <= 1e-12, "ln v moved: {a} -> {b} ({learn_a}, {learn_b})");
+            }
+            let (data1, prior1) = (ms.data(&state, &mut scratch), ms.prior(&state));
+            assert!((data1 - data0).abs() <= 1e-9 * (1.0 + data0.abs()), "{data0} -> {data1}");
+            assert!(prior1 >= prior0, "prior fell: {prior0} -> {prior1} ({learn_a}, {learn_b})");
+            if learn_a || learn_b {
+                assert!(prior1 > prior0 + 1e-3, "no gauge gain ({learn_a}, {learn_b})");
+            }
+            // The closed form lands on the maximum: a second step stays put.
+            let moved = state.clone();
+            let EmState { ln_alpha, ln_beta, ln_phi, .. } = &mut state;
+            gauge_step(ln_alpha, ln_beta, ln_phi, &opts, ms.phi_center);
+            for (a, b) in moved
+                .ln_alpha
+                .iter()
+                .chain(&moved.ln_beta)
+                .chain(&moved.ln_phi)
+                .zip(state.ln_alpha.iter().chain(&state.ln_beta).chain(&state.ln_phi))
+            {
+                assert!((a - b).abs() <= 1e-12, "second gauge step moved {a} -> {b}");
+            }
+            if !learn_a {
+                assert!(state.ln_alpha.iter().all(|v| *v == 0.0));
+            }
+            if !learn_b {
+                assert!(state.ln_beta.iter().all(|v| *v == 0.0));
+            }
         }
     }
 

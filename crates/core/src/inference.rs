@@ -724,6 +724,31 @@ mod tests {
     }
 
     #[test]
+    fn deep_fits_from_warm_and_cold_starts_meet_below_the_rounding_floor() {
+        // `deep_convergence` stops on parameter movement alone. Near the
+        // fixed point the M-step's Newton gains fall below the objective's
+        // rounding noise; unless such steps are still taken, both fits
+        // stall wherever rounding first rejects them, ~1e-7 apart.
+        let d = generate_dataset(
+            &GeneratorConfig { rows: 20, columns: 10, answers_per_task: 5, ..Default::default() },
+            7,
+        );
+        let model =
+            TCrowd::new(TCrowdOptions { em: EmOptions::deep_convergence(), ..Default::default() });
+        let mut prev = AnswerLog::new(d.rows(), d.cols());
+        for a in &d.answers.all()[..d.answers.len() - 50] {
+            prev.push(*a);
+        }
+        let prev_fit = model.infer(&d.schema, &prev);
+        let matrix = d.answers.to_matrix();
+        let warm = model.infer_matrix_warm(&d.schema, &matrix, &prev_fit);
+        let cold = model.infer_matrix(&d.schema, &matrix);
+        assert!(warm.converged && cold.converged);
+        let gap = crate::diagnostics::max_z_discrepancy(&warm, &cold);
+        assert!(gap < 1e-8, "deep warm and cold fits {gap:.3e} apart");
+    }
+
+    #[test]
     fn seeded_restart_equals_warm_restart_exactly() {
         // `infer_matrix_seeded(FitParams::of(prev))` and
         // `infer_matrix_warm(prev)` must be the *same computation* — the

@@ -19,14 +19,16 @@
 //! eliminates.
 
 use super::{EpsilonSpec, InferenceResult, TCrowd};
-use crate::em::{initial_phi, ColKind, EmOptions, EmTimings};
+use crate::em::{
+    gauge_step, initial_phi, log_prior, newton_step, Block, ColKind, EmOptions, EmTimings,
+    MSTEP_MAX_BACKTRACKS, MSTEP_NOISE_REL, MSTEP_SWEEPS, MSTEP_SWEEP_TOL,
+};
 use crate::model::{cat_answer_ln_likelihood, quality_dlnv, quality_from_variance};
 use crate::truth::TruthDist;
 use std::collections::HashMap;
-use tcrowd_stat::clamp_prob;
 use tcrowd_stat::describe::{median, std_dev, zscore_params};
 use tcrowd_stat::normal::Normal;
-use tcrowd_stat::optimize::gradient_ascent;
+use tcrowd_stat::{clamp_prob, EPS};
 use tcrowd_tabular::{AnswerLog, ColumnType, Schema, Value, WorkerId};
 
 const LN_2PI: f64 = 1.8378770664093453;
@@ -181,6 +183,20 @@ impl TCrowd {
     }
 }
 
+/// The log-parameters of one M-step block.
+fn block_of<'a>(
+    block: Block,
+    la: &'a mut [f64],
+    lb: &'a mut [f64],
+    lp: &'a mut [f64],
+) -> &'a mut [f64] {
+    match block {
+        Block::Phi => lp,
+        Block::Alpha => la,
+        Block::Beta => lb,
+    }
+}
+
 #[allow(clippy::type_complexity)]
 fn run_em_reference(
     ws: &RefWorkspace,
@@ -251,16 +267,7 @@ fn run_em_reference(
 
     let elbo_of = |truths: &[TruthDist], la: &[f64], lb: &[f64], lp: &[f64]| -> f64 {
         let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
-        let mut elbo = 0.0;
-        if opts.learn_row_difficulty {
-            elbo -= 0.5 * opts.difficulty_prior_strength * la.iter().map(|v| v * v).sum::<f64>();
-        }
-        if opts.learn_col_difficulty {
-            elbo -= 0.5 * opts.difficulty_prior_strength * lb.iter().map(|v| v * v).sum::<f64>();
-        }
-        elbo -= 0.5
-            * opts.phi_prior_strength
-            * lp.iter().map(|v| (v - phi_center) * (v - phi_center)).sum::<f64>();
+        let mut elbo = log_prior(la, lb, lp, opts, phi_center);
         for row in 0..ws.n_rows as u32 {
             for col in 0..ws.n_cols as u32 {
                 let Some(idx) = ws.by_cell.get(&(row, col)) else { continue };
@@ -301,7 +308,7 @@ fn run_em_reference(
         elbo
     };
 
-    let m_step = |truths: &[TruthDist], la: &mut Vec<f64>, lb: &mut Vec<f64>, lp: &mut Vec<f64>| {
+    let m_step = |truths: &[TruthDist], la: &mut [f64], lb: &mut [f64], lp: &mut [f64]| {
         // Per-answer sufficient statistics (dense, like the seed's cache).
         let mut cont_k = vec![0.0; ws.answers.len()];
         let mut cat_p = vec![0.0; ws.answers.len()];
@@ -320,90 +327,117 @@ fn run_em_reference(
 
         let learn_a = opts.learn_row_difficulty;
         let learn_b = opts.learn_col_difficulty;
-        let na = if learn_a { ws.n_rows } else { 0 };
-        let nb = if learn_b { ws.n_cols } else { 0 };
-        let mut x0 = Vec::with_capacity(na + nb + n_workers);
-        if learn_a {
-            x0.extend_from_slice(la);
-        }
-        if learn_b {
-            x0.extend_from_slice(lb);
-        }
-        x0.extend_from_slice(lp);
-
         let bound = opts.ln_param_bound;
         let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
-        let lam_phi = opts.phi_prior_strength;
-        let lam_diff = opts.difficulty_prior_strength;
-        let objective = |x: &[f64]| -> (f64, Vec<f64>) {
-            let (xa, rest) = x.split_at(na);
-            let (xb, xp) = rest.split_at(nb);
+        // The per-answer objective sum, with each answer's first and second
+        // derivative in ln v written to `g` / `h` (indexed like `answers`).
+        let data_of = |la: &[f64], lb: &[f64], lp: &[f64], g: &mut [f64], h: &mut [f64]| {
             let mut q_val = 0.0;
-            let mut grad = vec![0.0; x.len()];
             for row in 0..ws.n_rows as u32 {
                 for col in 0..ws.n_cols as u32 {
                     let Some(idx) = ws.by_cell.get(&(row, col)) else { continue };
                     for &i in idx {
-                        let a = &ws.answers[i as usize];
+                        let i = i as usize;
+                        let a = &ws.answers[i];
                         let u = ws.worker_index[&a.worker] as usize;
-                        let va = if learn_a { xa[a.row as usize] } else { 0.0 };
-                        let vb = if learn_b { xb[a.col as usize] } else { 0.0 };
-                        let ln_v = (va + vb + xp[u]).clamp(-bound, bound);
+                        let va = if learn_a { la[a.row as usize] } else { 0.0 };
+                        let vb = if learn_b { lb[a.col as usize] } else { 0.0 };
+                        let ln_v = (va + vb + lp[u]).clamp(-bound, bound);
                         let v = ln_v.exp();
-                        let g = match ws.col_kind[a.col as usize] {
+                        match ws.col_kind[a.col as usize] {
                             ColKind::Cont => {
-                                let k = cont_k[i as usize];
-                                q_val += -0.5 * (LN_2PI + ln_v) - k / (2.0 * v);
-                                -0.5 + k / (2.0 * v)
+                                let half_k_over_v = cont_k[i] / (2.0 * v);
+                                q_val += -0.5 * (LN_2PI + ln_v) - half_k_over_v;
+                                g[i] = -0.5 + half_k_over_v;
+                                h[i] = -half_k_over_v;
                             }
                             ColKind::Cat(l) => {
-                                let p = cat_p[i as usize];
+                                let p = cat_p[i];
                                 let q = quality_from_variance(ws.epsilon, v);
                                 q_val += p * q.ln()
                                     + (1.0 - p) * ((1.0 - q) / (l.max(2) - 1) as f64).ln();
                                 let dq = quality_dlnv(ws.epsilon, v);
-                                (p / q - (1.0 - p) / (1.0 - q)) * dq
+                                let x = ws.epsilon / (2.0 * v).sqrt();
+                                let d2q = (x * x - 0.5) * dq;
+                                g[i] = (p / q - (1.0 - p) / (1.0 - q)) * dq;
+                                // q is flat on its clamp; the gradient keeps dq.
+                                let q_slope = if q > EPS && q < 1.0 - EPS { dq } else { 0.0 };
+                                h[i] = (p / q - (1.0 - p) / (1.0 - q)) * d2q
+                                    - (p / (q * q) + (1.0 - p) / ((1.0 - q) * (1.0 - q)))
+                                        * dq
+                                        * q_slope;
                             }
-                        };
-                        if learn_a {
-                            grad[a.row as usize] += g;
                         }
-                        if learn_b {
-                            grad[na + a.col as usize] += g;
-                        }
-                        grad[na + nb + u] += g;
                     }
                 }
             }
-            for (i, &v) in xa.iter().enumerate() {
-                q_val -= 0.5 * lam_diff * v * v;
-                grad[i] -= lam_diff * v;
-            }
-            for (i, &v) in xb.iter().enumerate() {
-                q_val -= 0.5 * lam_diff * v * v;
-                grad[na + i] -= lam_diff * v;
-            }
-            for (i, &v) in xp.iter().enumerate() {
-                let d = v - phi_center;
-                q_val -= 0.5 * lam_phi * d * d;
-                grad[na + nb + i] -= lam_phi * d;
-            }
-            (q_val, grad)
+            q_val
         };
 
-        let result = gradient_ascent(objective, &x0, &opts.mstep);
-        let x = result.params;
-        let (xa, rest) = x.split_at(na);
-        let (xb, xp) = rest.split_at(nb);
-        if learn_a {
-            la.copy_from_slice(xa);
-        }
-        if learn_b {
-            lb.copy_from_slice(xb);
-        }
-        lp.copy_from_slice(xp);
-        for v in la.iter_mut().chain(lb.iter_mut()).chain(lp.iter_mut()) {
-            *v = v.clamp(-bound, bound);
+        // Same schedule as `em::m_step`: gauge step, then one safeguarded
+        // Newton step per block, up to MSTEP_SWEEPS sweeps.
+        let n = ws.answers.len();
+        let (mut g, mut h) = (vec![0.0; n], vec![0.0; n]);
+        let (mut trial_g, mut trial_h) = (vec![0.0; n], vec![0.0; n]);
+        let mut data = data_of(la, lb, lp, &mut g, &mut h);
+        let mut value = data + log_prior(la, lb, lp, opts, phi_center);
+        for _ in 0..MSTEP_SWEEPS {
+            let start = value;
+            gauge_step(la, lb, lp, opts, phi_center);
+            value = data + log_prior(la, lb, lp, opts, phi_center);
+            for block in Block::active(opts) {
+                let params = block_of(block, la, lb, lp);
+                let mut grad = vec![0.0; params.len()];
+                let mut curv = vec![0.0; params.len()];
+                for (i, a) in ws.answers.iter().enumerate() {
+                    let k = match block {
+                        Block::Phi => ws.worker_index[&a.worker] as usize,
+                        Block::Alpha => a.row as usize,
+                        Block::Beta => a.col as usize,
+                    };
+                    grad[k] += g[i];
+                    curv[k] += h[i];
+                }
+                let (lam, center) = block.prior(opts, phi_center);
+                for (k, &x) in params.iter().enumerate() {
+                    grad[k] -= lam * (x - center);
+                    curv[k] -= lam;
+                }
+                let step: Vec<f64> =
+                    grad.iter().zip(&curv).map(|(&gk, &hk)| newton_step(gk, hk)).collect();
+                let slope: f64 = grad.iter().zip(&step).map(|(gk, sk)| gk * sk).sum();
+                if slope.is_nan() || slope <= 0.0 {
+                    continue;
+                }
+                let below_noise =
+                    curv.iter().all(|&hk| hk < 0.0) && 0.5 * slope < MSTEP_NOISE_REL * value.abs();
+                let base = params.to_vec();
+                let mut t = 1.0;
+                let mut accepted = false;
+                for _ in 0..=MSTEP_MAX_BACKTRACKS {
+                    let params = block_of(block, la, lb, lp);
+                    for k in 0..params.len() {
+                        params[k] = (base[k] + t * step[k]).clamp(-bound, bound);
+                    }
+                    let trial = data_of(la, lb, lp, &mut trial_g, &mut trial_h);
+                    let tv = trial + log_prior(la, lb, lp, opts, phi_center);
+                    if (tv > value || below_noise) && tv.is_finite() {
+                        data = trial;
+                        value = tv;
+                        std::mem::swap(&mut g, &mut trial_g);
+                        std::mem::swap(&mut h, &mut trial_h);
+                        accepted = true;
+                        break;
+                    }
+                    t *= 0.5;
+                }
+                if !accepted {
+                    block_of(block, la, lb, lp).copy_from_slice(&base);
+                }
+            }
+            if value - start < MSTEP_SWEEP_TOL {
+                break;
+            }
         }
     };
 

@@ -14,7 +14,8 @@
 //! the "unified quality" contribution. Inference maximises the likelihood of
 //! the observed answers by EM (Algorithm 1): the E-step computes posterior
 //! truth distributions per cell (Eq. 4), the M-step fits `α, β, φ` by
-//! gradient ascent on the expected complete-data log-likelihood (Eq. 5).
+//! block-coordinate Newton ascent on the expected complete-data
+//! log-likelihood (Eq. 5).
 //!
 //! ## Incremental refits (the online loop)
 //!

@@ -538,7 +538,7 @@ fn snapshot_stats(table: &Arc<TableState>, snap: &Snapshot) -> Json {
         ("refresh_lag_answers", Json::from(table.pending())),
         ("last_refit_ms", Json::from(snap.last_refit_ms)),
         // Kernel-phase breakdown of the EM inside that refit (E-step
-        // posteriors vs M-step gradient ascent), from the fit's own timers.
+        // posteriors vs the Newton M-step), from the fit's own timers.
         ("last_estep_ms", Json::from(snap.result.timings.estep_ns as f64 / 1e6)),
         ("last_mstep_ms", Json::from(snap.result.timings.mstep_ns as f64 / 1e6)),
         ("em_threads", Json::from(snap.result.timings.threads)),
@@ -549,6 +549,8 @@ fn snapshot_stats(table: &Arc<TableState>, snap: &Snapshot) -> Json {
         ("refresh_age_ms", Json::from(snap.published_at.elapsed().as_millis() as f64)),
         ("em_iterations", Json::from(snap.result.iterations)),
         ("em_converged", Json::from(snap.result.converged)),
+        // M-step objective passes over the answers in that fit.
+        ("em_objective_evals", Json::from(snap.result.timings.objective_evals as f64)),
         ("uptime_ms", Json::from(table.age_ms() as f64)),
         ("durable", Json::from(table.durable())),
         (

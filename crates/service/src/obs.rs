@@ -17,6 +17,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use tcrowd_core::EmTimings;
 use tcrowd_obs::events::DEFAULT_EVENT_CAPACITY;
 use tcrowd_obs::{Counter, EventRing, Gauge, Histogram, Registry};
 
@@ -136,6 +137,7 @@ pub struct TableObs {
     refit_seconds: Arc<Histogram>,
     estep_seconds: Arc<Histogram>,
     mstep_seconds: Arc<Histogram>,
+    em_objective_evals: Arc<Counter>,
     wal_append_seconds: Arc<Histogram>,
     wal_fsync_seconds: Arc<Histogram>,
     snapshot_persist_seconds: Arc<Histogram>,
@@ -159,6 +161,7 @@ impl TableObs {
             refit_seconds: reg.histogram("tcrowd_refit_seconds", &t),
             estep_seconds: reg.histogram("tcrowd_em_estep_seconds", &t),
             mstep_seconds: reg.histogram("tcrowd_em_mstep_seconds", &t),
+            em_objective_evals: reg.counter("tcrowd_em_objective_evals_total", &t),
             wal_append_seconds: reg.histogram("tcrowd_wal_append_seconds", &t),
             wal_fsync_seconds: reg.histogram("tcrowd_wal_fsync_seconds", &t),
             snapshot_persist_seconds: reg.histogram("tcrowd_snapshot_persist_seconds", &t),
@@ -198,11 +201,13 @@ impl TableObs {
         self.event("ingest_committed", format!("{answers} answers"), request_id);
     }
 
-    /// A published refit: phase timings into the histograms.
-    pub fn observe_refit(&self, total_ns: u64, estep_ns: u64, mstep_ns: u64) {
+    /// A published refit: phase timings into the histograms, M-step
+    /// objective passes into their counter.
+    pub fn observe_refit(&self, total_ns: u64, em: &EmTimings) {
         self.refit_seconds.observe_ns(total_ns);
-        self.estep_seconds.observe_ns(estep_ns);
-        self.mstep_seconds.observe_ns(mstep_ns);
+        self.estep_seconds.observe_ns(em.estep_ns);
+        self.mstep_seconds.observe_ns(em.mstep_ns);
+        self.em_objective_evals.add(em.objective_evals);
     }
 
     /// Update the trust gauges from a just-published snapshot.

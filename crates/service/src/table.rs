@@ -1485,7 +1485,7 @@ impl TableState {
             }
         };
         let last_refit_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let (estep_ns, mstep_ns) = (result.timings.estep_ns, result.timings.mstep_ns);
+        let em_timings = result.timings;
         let trust_view = {
             let reg = lock_recover(&self.trust);
             Arc::new(build_trust_view(
@@ -1528,7 +1528,7 @@ impl TableState {
         };
         self.note_refit_success();
         if published {
-            self.obs.observe_refit((last_refit_ms * 1e6) as u64, estep_ns, mstep_ns);
+            self.obs.observe_refit((last_refit_ms * 1e6) as u64, &em_timings);
             let snap = self.snapshot();
             let suspects =
                 snap.trust.workers.iter().filter(|s| s.state == TrustState::Suspect).count();

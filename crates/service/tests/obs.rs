@@ -64,6 +64,12 @@ fn metrics_exposition_covers_every_subsystem_and_lints_clean() {
         assert!(text.contains(&format!("# TYPE {h} histogram")), "{h} typed\n{text}");
         assert!(text.contains(&format!("{h}_count{{table=\"obs\"}} 1")), "{h} observed\n{text}");
     }
+    // ...and its M-step objective passes landed in their counter.
+    let evals = text
+        .lines()
+        .find_map(|l| l.strip_prefix("tcrowd_em_objective_evals_total{table=\"obs\"} "))
+        .unwrap_or_else(|| panic!("no objective-evals counter\n{text}"));
+    assert!(evals.parse::<u64>().unwrap() > 0, "{text}");
     // Durability timings: the acked append and the published snapshot were
     // timed (fsync too, under FsyncPolicy::Always).
     assert!(text.contains("tcrowd_wal_append_seconds_count{table=\"obs\"} 1"), "{text}");
@@ -187,6 +193,7 @@ fn stats_schema_is_exhaustive() {
         "refresh_age_ms",
         "em_iterations",
         "em_converged",
+        "em_objective_evals",
         "uptime_ms",
         "durable",
         "store_snapshot_epoch",

@@ -157,23 +157,23 @@ unsafe fn hermite_pd(nodes: *const f64, x: __m256d) -> __m256d {
     )
 }
 
-/// Wide quality pair: `(q, dq/d ln v)` lanes, mirroring
-/// `lane::quality_pair_lane`.
+/// Wide quality link: `(x, q, dq/d ln v)` lanes, mirroring
+/// `lane::quality_link_lane`.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn quality_pair_pd(
+unsafe fn quality_link_pd(
     erf_nodes: *const f64,
     gauss_nodes: *const f64,
     scaled_eps: __m256d,
     ln_v: __m256d,
-) -> (__m256d, __m256d) {
+) -> (__m256d, __m256d, __m256d) {
     let x = _mm256_mul_pd(scaled_eps, exp_pd(_mm256_mul_pd(splat(-0.5), ln_v)));
     let wide = _mm256_cmp_pd::<_CMP_GE_OQ>(x, splat(lane::GRID_X_MAX));
     let e = _mm256_blendv_pd(hermite_pd(erf_nodes, x), splat(1.0), wide);
     let q = _mm256_min_pd(_mm256_max_pd(e, splat(EPS)), splat(1.0 - EPS));
     let gs = _mm256_blendv_pd(hermite_pd(gauss_nodes, x), _mm256_setzero_pd(), wide);
     let dq = _mm256_mul_pd(_mm256_mul_pd(splat(FRAC_2_SQRT_PI), gs), _mm256_mul_pd(x, splat(-0.5)));
-    (q, dq)
+    (x, q, dq)
 }
 
 /// See [`super::BatchKernels::gaussian_terms`].
@@ -214,6 +214,30 @@ pub(crate) unsafe fn quality_terms(
     p: &[f64],
     c: &[f64],
     grad: &mut [f64],
+    curv: Option<&mut [f64]>,
+) -> f64 {
+    match curv {
+        Some(h) => quality_terms_impl::<true>(scaled_eps, ln_v, p, c, grad, h),
+        None => quality_terms_impl::<false>(scaled_eps, ln_v, p, c, grad, &mut []),
+    }
+}
+
+/// [`quality_terms`] with the curvature output compiled in (`CURV`) or out.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. `p`, `c` and `grad` must be at least
+/// `ln_v.len()` long, and so must `curv` when `CURV` is set: the wide loop
+/// loads and stores through raw pointers up to that length
+/// ([`super::BatchKernels::quality_terms`] asserts the lengths).
+#[target_feature(enable = "avx2")]
+unsafe fn quality_terms_impl<const CURV: bool>(
+    scaled_eps: f64,
+    ln_v: &[f64],
+    p: &[f64],
+    c: &[f64],
+    grad: &mut [f64],
+    curv: &mut [f64],
 ) -> f64 {
     let erf_nodes = crate::lut::erf_nodes_flat();
     let gauss_nodes = crate::lut::gauss_nodes_flat();
@@ -228,7 +252,7 @@ pub(crate) unsafe fn quality_terms(
         let lv = _mm256_loadu_pd(ln_v.as_ptr().add(i));
         let pv = _mm256_loadu_pd(p.as_ptr().add(i));
         let cv = _mm256_loadu_pd(c.as_ptr().add(i));
-        let (q, dq) = quality_pair_pd(erf_ptr, gauss_ptr, eps_v, lv);
+        let (x, q, dq) = quality_link_pd(erf_ptr, gauss_ptr, eps_v, lv);
         let omq = _mm256_sub_pd(splat(1.0), q);
         let omp = _mm256_sub_pd(splat(1.0), pv);
         let lq = ln_pd(q);
@@ -237,15 +261,34 @@ pub(crate) unsafe fn quality_terms(
         let term =
             _mm256_sub_pd(_mm256_add_pd(_mm256_mul_pd(pv, lq), _mm256_mul_pd(omp, lomq)), cv);
         // (p/q - (1-p)/(1-q)) · dq
-        let g = _mm256_mul_pd(_mm256_sub_pd(_mm256_div_pd(pv, q), _mm256_div_pd(omp, omq)), dq);
+        let a = _mm256_div_pd(pv, q);
+        let b = _mm256_div_pd(omp, omq);
+        let g = _mm256_mul_pd(_mm256_sub_pd(a, b), dq);
         vacc = _mm256_add_pd(vacc, term);
         _mm256_storeu_pd(grad.as_mut_ptr().add(i), g);
+        if CURV {
+            // q' = dq off the clamp, 0 on it
+            let live = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_GT_OQ>(q, splat(EPS)),
+                _mm256_cmp_pd::<_CMP_LT_OQ>(q, splat(1.0 - EPS)),
+            );
+            let q_slope = _mm256_and_pd(live, dq);
+            // (x² - ½)·g - (a/q + b/(1-q))·(dq·q')
+            let h = _mm256_sub_pd(
+                _mm256_mul_pd(_mm256_sub_pd(_mm256_mul_pd(x, x), splat(0.5)), g),
+                _mm256_mul_pd(
+                    _mm256_add_pd(_mm256_div_pd(a, q), _mm256_div_pd(b, omq)),
+                    _mm256_mul_pd(dq, q_slope),
+                ),
+            );
+            _mm256_storeu_pd(curv.as_mut_ptr().add(i), h);
+        }
         i += 4;
     }
     let mut acc = [0.0f64; 4];
     _mm256_storeu_pd(acc.as_mut_ptr(), vacc);
     for l in 0..(n - n4) {
-        let (term, g) = lane::quality_term_lane(
+        let (term, g, h) = lane::quality_term_lane(
             erf_nodes,
             gauss_nodes,
             scaled_eps,
@@ -255,6 +298,9 @@ pub(crate) unsafe fn quality_terms(
         );
         acc[l] += term;
         grad[n4 + l] = g;
+        if CURV {
+            curv[n4 + l] = h;
+        }
     }
     super::generic::combine(acc)
 }
@@ -270,7 +316,7 @@ pub(crate) unsafe fn quality_pairs(scaled_eps: f64, ln_v: &[f64], q: &mut [f64],
     let mut i = 0;
     while i < n4 {
         let lv = _mm256_loadu_pd(ln_v.as_ptr().add(i));
-        let (qv, dv) = quality_pair_pd(erf_nodes.as_ptr(), gauss_nodes.as_ptr(), eps_v, lv);
+        let (_, qv, dv) = quality_link_pd(erf_nodes.as_ptr(), gauss_nodes.as_ptr(), eps_v, lv);
         _mm256_storeu_pd(q.as_mut_ptr().add(i), qv);
         _mm256_storeu_pd(dq.as_mut_ptr().add(i), dv);
         i += 4;

@@ -43,6 +43,22 @@ pub(crate) fn quality_terms(
     p: &[f64],
     c: &[f64],
     grad: &mut [f64],
+    curv: Option<&mut [f64]>,
+) -> f64 {
+    match curv {
+        Some(h) => quality_terms_impl::<true>(scaled_eps, ln_v, p, c, grad, h),
+        None => quality_terms_impl::<false>(scaled_eps, ln_v, p, c, grad, &mut []),
+    }
+}
+
+/// [`quality_terms`] with the curvature output compiled in (`CURV`) or out.
+fn quality_terms_impl<const CURV: bool>(
+    scaled_eps: f64,
+    ln_v: &[f64],
+    p: &[f64],
+    c: &[f64],
+    grad: &mut [f64],
+    curv: &mut [f64],
 ) -> f64 {
     let erf_nodes = crate::lut::erf_nodes_flat();
     let gauss_nodes = crate::lut::gauss_nodes_flat();
@@ -52,7 +68,7 @@ pub(crate) fn quality_terms(
     let mut i = 0;
     while i < n4 {
         for l in 0..4 {
-            let (term, g) = lane::quality_term_lane(
+            let (term, g, h) = lane::quality_term_lane(
                 erf_nodes,
                 gauss_nodes,
                 scaled_eps,
@@ -62,11 +78,14 @@ pub(crate) fn quality_terms(
             );
             acc[l] += term;
             grad[i + l] = g;
+            if CURV {
+                curv[i + l] = h;
+            }
         }
         i += 4;
     }
     for l in 0..(n - n4) {
-        let (term, g) = lane::quality_term_lane(
+        let (term, g, h) = lane::quality_term_lane(
             erf_nodes,
             gauss_nodes,
             scaled_eps,
@@ -76,6 +95,9 @@ pub(crate) fn quality_terms(
         );
         acc[l] += term;
         grad[n4 + l] = g;
+        if CURV {
+            curv[n4 + l] = h;
+        }
     }
     combine(acc)
 }

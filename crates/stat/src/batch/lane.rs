@@ -206,9 +206,27 @@ pub(crate) fn gaussian_lane(ln_v: f64, k: f64) -> (f64, f64) {
     (term, g)
 }
 
-/// Categorical quality pair: `q = clamp(erf(ε/√(2v)))` and `dq/d ln v`.
+/// Categorical quality link: the argument `x = ε/√(2v)`, the quality
+/// `q = clamp(erf(x))` and `dq/d ln v`.
 ///
 /// `scaled_eps` is `ε/√2`, hoisted out of the loop by the caller.
+#[inline(always)]
+pub(crate) fn quality_link_lane(
+    erf_nodes: &[f64],
+    gauss_nodes: &[f64],
+    scaled_eps: f64,
+    ln_v: f64,
+) -> (f64, f64, f64) {
+    let x = scaled_eps * exp_lane(-0.5 * ln_v);
+    let wide = x >= GRID_X_MAX;
+    let e = if wide { 1.0 } else { hermite_lane(erf_nodes, x) };
+    let q = fmin(fmax(e, EPS), 1.0 - EPS);
+    let gs = if wide { 0.0 } else { hermite_lane(gauss_nodes, x) };
+    let dq = FRAC_2_SQRT_PI * gs * (x * -0.5);
+    (x, q, dq)
+}
+
+/// Categorical quality pair: `q = clamp(erf(ε/√(2v)))` and `dq/d ln v`.
 #[inline(always)]
 pub(crate) fn quality_pair_lane(
     erf_nodes: &[f64],
@@ -216,19 +234,21 @@ pub(crate) fn quality_pair_lane(
     scaled_eps: f64,
     ln_v: f64,
 ) -> (f64, f64) {
-    let x = scaled_eps * exp_lane(-0.5 * ln_v);
-    let wide = x >= GRID_X_MAX;
-    let e = if wide { 1.0 } else { hermite_lane(erf_nodes, x) };
-    let q = fmin(fmax(e, EPS), 1.0 - EPS);
-    let gs = if wide { 0.0 } else { hermite_lane(gauss_nodes, x) };
-    let dq = FRAC_2_SQRT_PI * gs * (x * -0.5);
+    let (_, q, dq) = quality_link_lane(erf_nodes, gauss_nodes, scaled_eps, ln_v);
     (q, dq)
 }
 
-/// Categorical per-answer objective term and gradient: given the posterior
-/// hit probability `p` and the precomputed miss constant
-/// `c = (1-p)·ln(L-1)`, returns
-/// `(p·ln q + (1-p)·ln(1-q) - c,  (p/q - (1-p)/(1-q))·dq)`.
+/// Categorical per-answer objective term and its first two derivatives:
+/// given the posterior hit probability `p` and the precomputed miss
+/// constant `c = (1-p)·ln(L-1)`, returns
+/// `(p·ln q + (1-p)·ln(1-q) - c,  g,  h)` with
+/// `g = (p/q - (1-p)/(1-q))·dq` and `h = dg/d ln v`. Since
+/// `d²q/d(ln v)² = (x² - ½)·dq`,
+/// `h = (x² - ½)·g - (p/q² + (1-p)/(1-q)²)·dq·q'`, where `q' = dq` unless
+/// `q` sits on its clamp. There `q` is constant but `g` keeps the link's
+/// slope, so `h = (x² - ½)·g` — positive for an answer the posterior
+/// doubts from a worker that precise. Callers that do not need `h` drop it
+/// and the optimiser removes its arithmetic.
 #[inline(always)]
 pub(crate) fn quality_term_lane(
     erf_nodes: &[f64],
@@ -237,15 +257,19 @@ pub(crate) fn quality_term_lane(
     ln_v: f64,
     p: f64,
     c: f64,
-) -> (f64, f64) {
-    let (q, dq) = quality_pair_lane(erf_nodes, gauss_nodes, scaled_eps, ln_v);
+) -> (f64, f64, f64) {
+    let (x, q, dq) = quality_link_lane(erf_nodes, gauss_nodes, scaled_eps, ln_v);
     let omq = 1.0 - q;
     let omp = 1.0 - p;
     let lq = ln_lane(q);
     let lomq = ln_lane(omq);
     let term = (p * lq + omp * lomq) - c;
-    let g = (p / q - omp / omq) * dq;
-    (term, g)
+    let a = p / q;
+    let b = omp / omq;
+    let g = (a - b) * dq;
+    let q_slope = if q > EPS && q < 1.0 - EPS { dq } else { 0.0 };
+    let h = (x * x - 0.5) * g - (a / q + b / omq) * (dq * q_slope);
+    (term, g, h)
 }
 
 #[cfg(test)]

@@ -113,7 +113,12 @@ impl BatchKernels {
     /// `p[i]` and precomputed miss constant `c[i] = (1-p[i])·ln(L-1)`,
     /// writes `(p/q - (1-p)/(1-q))·dq/d ln v` into `grad[i]` and returns
     /// `Σ p·ln q + (1-p)·ln(1-q) - c`, where `q = erf(ε/√(2v))` clamped
-    /// into `(EPS, 1-EPS)`.
+    /// into `(EPS, 1-EPS)`. With `curv`, also writes `d grad[i]/d ln v`
+    /// into `curv[i]`, using `d²q/d(ln v)² = (x² - ½)·dq/d ln v` with
+    /// `x = ε/√(2v)`; where `q` sits on its clamp the gradient keeps the
+    /// link's slope, and the curvature is that gradient's derivative. (The
+    /// Gaussian terms need no such output: their curvature is
+    /// `-(grad + ½)`.)
     pub fn quality_terms(
         &self,
         epsilon: f64,
@@ -121,18 +126,22 @@ impl BatchKernels {
         p: &[f64],
         c: &[f64],
         grad: &mut [f64],
+        curv: Option<&mut [f64]>,
     ) -> f64 {
         assert_eq!(ln_v.len(), p.len());
         assert_eq!(ln_v.len(), c.len());
         assert_eq!(ln_v.len(), grad.len());
+        if let Some(h) = &curv {
+            assert_eq!(ln_v.len(), h.len());
+        }
         debug_assert!(epsilon > 0.0, "quality link needs ε > 0");
         let scaled = epsilon / SQRT_2;
         match self.path {
-            KernelPath::Generic => generic::quality_terms(scaled, ln_v, p, c, grad),
+            KernelPath::Generic => generic::quality_terms(scaled, ln_v, p, c, grad, curv),
             #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
             // SAFETY: `Avx2` is only constructed when `avx2_available()`.
-            KernelPath::Avx2 => unsafe { avx2::quality_terms(scaled, ln_v, p, c, grad) },
+            KernelPath::Avx2 => unsafe { avx2::quality_terms(scaled, ln_v, p, c, grad, curv) },
             #[cfg(not(target_arch = "x86_64"))]
             KernelPath::Avx2 => unreachable!("avx2 path on non-x86_64"),
         }
@@ -239,7 +248,12 @@ mod tests {
         let card1 = 3.0f64;
         let c: Vec<f64> = p.iter().map(|pi| (1.0 - pi) * card1.ln()).collect();
         let mut grad = vec![0.0; n];
-        let total = g.quality_terms(eps, &ln_v, &p, &c, &mut grad);
+        let mut curv = vec![0.0; n];
+        let total = g.quality_terms(eps, &ln_v, &p, &c, &mut grad, Some(&mut curv));
+        let mut grad_only = vec![0.0; n];
+        let total_only = g.quality_terms(eps, &ln_v, &p, &c, &mut grad_only, None);
+        assert_eq!(total.to_bits(), total_only.to_bits(), "curvature must not perturb the sum");
+        assert_eq!(grad, grad_only, "curvature must not perturb the gradient");
         let mut naive = 0.0;
         for i in 0..n {
             let x = (eps / SQRT_2) * (-0.5 * ln_v[i]).exp();
@@ -253,6 +267,17 @@ mod tests {
                 grad[i],
                 expect
             );
+            let d2q = (x * x - 0.5) * dq;
+            let q_slope = if q > crate::EPS && q < 1.0 - crate::EPS { dq } else { 0.0 };
+            let expect_h =
+                -(p[i] / (q * q) + (1.0 - p[i]) / ((1.0 - q) * (1.0 - q))) * dq * q_slope
+                    + (p[i] / q - (1.0 - p[i]) / (1.0 - q)) * d2q;
+            assert!(
+                (curv[i] - expect_h).abs() <= 1e-9 * expect_h.abs().max(1.0),
+                "curv[{i}] = {} vs {}",
+                curv[i],
+                expect_h
+            );
         }
         assert!((total - naive).abs() <= 1e-9 * naive.abs().max(1.0), "{total} vs {naive}");
     }
@@ -261,7 +286,8 @@ mod tests {
     fn empty_slices_are_fine() {
         let k = kernels();
         assert_eq!(k.gaussian_terms(&[], &[], &mut []), 0.0);
-        assert_eq!(k.quality_terms(1.0, &[], &[], &[], &mut []), 0.0);
+        assert_eq!(k.quality_terms(1.0, &[], &[], &[], &mut [], None), 0.0);
+        assert_eq!(k.quality_terms(1.0, &[], &[], &[], &mut [], Some(&mut [])), 0.0);
     }
 
     #[test]

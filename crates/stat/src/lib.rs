@@ -31,7 +31,7 @@
 //!   EM hot loop (built from the exact implementations at first use).
 //! * [`batch`] — the same kernels over `&[f64]` slices: a portable scalar
 //!   path and a bit-identical AVX2 path behind runtime dispatch.
-//! * [`optimize`] — adaptive gradient ascent used by the EM M-step.
+//! * [`optimize`] — adaptive gradient ascent (GLAD's fit).
 //! * [`linreg`] — simple linear regression (quality-calibration case study).
 //! * [`sample`] — Box–Muller Gaussian sampling on top of any [`rand::Rng`].
 

@@ -1,7 +1,7 @@
 //! Hermite-interpolated fast kernels for the EM hot loop.
 //!
 //! The M-step objective evaluates `erf(ε/√(2v))` and `e^{-x²}` once per
-//! answer per gradient-ascent step — tens of millions of calls per
+//! answer per objective pass — tens of millions of calls per
 //! inference on production-sized tables — and the exact Maclaurin-series
 //! [`crate::special::erf`] costs ~40 ns per call. These kernels replace the
 //! series with cubic **Hermite interpolation** on a uniform grid over

@@ -1,11 +1,18 @@
 //! Gradient ascent with adaptive step size.
 //!
-//! The M-step of the paper's EM algorithm (Eq. 5) "applies gradient descent
-//! to find the values of α, β and φ" that maximise the expected joint
-//! log-likelihood. We maximise directly (gradient *ascent*); the caller
-//! supplies the objective and its analytic gradient, and the optimizer
-//! guarantees monotone progress by halving the step whenever a trial point
-//! does not improve the objective.
+//! A general-purpose first-order maximiser: the caller supplies the
+//! objective and its analytic gradient, and the optimizer guarantees
+//! monotone progress by halving the step whenever a trial point does not
+//! improve the objective. GLAD's ability/difficulty fit runs on it. The
+//! T-Crowd EM M-step (paper Eq. 5) does not: its objective separates per
+//! parameter within each of the α, β and φ blocks, so `tcrowd-core` takes
+//! block-coordinate Newton steps there instead.
+
+/// Step growth factor applied after an immediately-accepted step.
+const GROWTH: f64 = 1.5;
+
+/// Step-halving limit per iteration before giving up on progress.
+const MAX_BACKTRACKS: usize = 30;
 
 /// Configuration for [`gradient_ascent`].
 #[derive(Debug, Clone, Copy)]
@@ -15,24 +22,13 @@ pub struct AscentOptions {
     /// Maximum number of accepted iterations.
     pub max_iters: usize,
     /// Convergence threshold on the objective improvement between accepted
-    /// iterations (the paper uses 1e-5 for its outer loop; the inner M-step
-    /// can be looser because EM re-enters it every round).
+    /// iterations.
     pub tol: f64,
-    /// Step-halving limit per iteration before giving up on progress.
-    pub max_backtracks: usize,
-    /// Step growth factor applied after an immediately-accepted step.
-    pub growth: f64,
 }
 
 impl Default for AscentOptions {
     fn default() -> Self {
-        AscentOptions {
-            initial_step: 0.1,
-            max_iters: 50,
-            tol: 1e-7,
-            max_backtracks: 30,
-            growth: 1.5,
-        }
+        AscentOptions { initial_step: 0.1, max_iters: 50, tol: 1e-7 }
     }
 }
 
@@ -55,41 +51,15 @@ pub struct AscentResult {
 ///
 /// `f(x)` returns `(value, gradient)`. The algorithm is plain gradient ascent
 /// with backtracking: a step is only accepted if it strictly improves the
-/// objective, so the returned value is never worse than `f(x0)` — this is
-/// what makes the enclosing EM objective monotone (tested at the EM level).
+/// objective, so the returned value is never worse than `f(x0)`.
 pub fn gradient_ascent<F>(f: F, x0: &[f64], opts: &AscentOptions) -> AscentResult
 where
     F: Fn(&[f64]) -> (f64, Vec<f64>),
 {
-    gradient_ascent_with(
-        |x, grad| {
-            let (v, g) = f(x);
-            assert_eq!(g.len(), grad.len(), "gradient dimension mismatch");
-            grad.copy_from_slice(&g);
-            v
-        },
-        x0,
-        opts,
-    )
-}
-
-/// Allocation-free form of [`gradient_ascent`]: the objective writes its
-/// gradient into a caller-owned buffer instead of returning a fresh `Vec`.
-///
-/// `f(x, grad)` fills `grad` (same length as `x`) and returns the value.
-/// This is the EM M-step entry point — the objective there is evaluated
-/// dozens of times per EM iteration over buffers of `rows + cols + workers`
-/// parameters, and the four vectors this routine juggles (current/trial
-/// point, current/trial gradient) are allocated exactly once and swapped.
-pub fn gradient_ascent_with<F>(mut f: F, x0: &[f64], opts: &AscentOptions) -> AscentResult
-where
-    F: FnMut(&[f64], &mut [f64]) -> f64,
-{
     let mut x = x0.to_vec();
-    let mut grad = vec![0.0; x.len()];
     let mut trial = vec![0.0; x.len()];
-    let mut trial_grad = vec![0.0; x.len()];
-    let mut value = f(&x, &mut grad);
+    let (mut value, mut grad) = f(&x);
+    assert_eq!(grad.len(), x.len(), "gradient dimension mismatch");
     let mut evaluations = 1usize;
     let mut step = opts.initial_step;
     let mut iterations = 0;
@@ -105,20 +75,21 @@ where
         }
         let mut accepted = false;
         let mut local_step = step;
-        for bt in 0..=opts.max_backtracks {
+        for bt in 0..=MAX_BACKTRACKS {
             for i in 0..x.len() {
                 trial[i] = x[i] + local_step * grad[i] / gnorm.max(1.0);
             }
-            let tv = f(&trial, &mut trial_grad);
+            let (tv, trial_grad) = f(&trial);
+            assert_eq!(trial_grad.len(), x.len(), "gradient dimension mismatch");
             evaluations += 1;
             if tv > value && tv.is_finite() {
                 let improvement = tv - value;
                 std::mem::swap(&mut x, &mut trial);
-                std::mem::swap(&mut grad, &mut trial_grad);
+                grad = trial_grad;
                 value = tv;
                 iterations += 1;
                 // Reward an immediately successful step with growth.
-                step = if bt == 0 { local_step * opts.growth } else { local_step };
+                step = if bt == 0 { local_step * GROWTH } else { local_step };
                 accepted = true;
                 if improvement < opts.tol {
                     converged = true;

@@ -1,5 +1,6 @@
 //! Differential tests for the batch kernels: the portable generic path and
-//! the AVX2 wide path must be **bit-equal** for every input — including the
+//! the AVX2 wide path must be **bit-equal** for every input and every output
+//! (sums, gradients and the categorical curvature) — including the
 //! clamp boundaries (±`ln_param_bound` ⇒ ln v = ±12 by default), tiny/huge
 //! variances, lane-tail lengths (n % 4 ≠ 0) and empty slices. On hosts
 //! without AVX2 the wide-path assertions are skipped (the generic-vs-naive
@@ -70,10 +71,17 @@ fn kernel_paths_bit_equal_on_edge_inputs() {
         assert_eq!(sg.to_bits(), sw.to_bits(), "gaussian sum, eps {eps}");
         assert_bits_eq(&gg, &gw, "gaussian grad");
 
-        let sg = g.quality_terms(eps, &ln_v, &p, &c, &mut gg);
-        let sw = w.quality_terms(eps, &ln_v, &p, &c, &mut gw);
+        let sg = g.quality_terms(eps, &ln_v, &p, &c, &mut gg, None);
+        let sw = w.quality_terms(eps, &ln_v, &p, &c, &mut gw, None);
         assert_eq!(sg.to_bits(), sw.to_bits(), "quality sum, eps {eps}");
         assert_bits_eq(&gg, &gw, "quality grad");
+
+        let (mut hg, mut hw) = (vec![0.0; n], vec![0.0; n]);
+        let sg = g.quality_terms(eps, &ln_v, &p, &c, &mut gg, Some(&mut hg));
+        let sw = w.quality_terms(eps, &ln_v, &p, &c, &mut gw, Some(&mut hw));
+        assert_eq!(sg.to_bits(), sw.to_bits(), "quality sum with curvature, eps {eps}");
+        assert_bits_eq(&gg, &gw, "quality grad with curvature");
+        assert_bits_eq(&hg, &hw, "quality curvature");
 
         let (mut qg, mut qw) = (vec![0.0; n], vec![0.0; n]);
         let (mut dg, mut dw) = (vec![0.0; n], vec![0.0; n]);
@@ -102,10 +110,16 @@ fn kernel_paths_bit_equal_on_every_tail_length() {
         let sw = w.gaussian_terms(&ln_v, &k, &mut gw);
         assert_eq!(sg.to_bits(), sw.to_bits(), "gaussian sum, n={n}");
         assert_bits_eq(&gg, &gw, "gaussian grad");
-        let sg = g.quality_terms(0.7, &ln_v, &p, &c, &mut gg);
-        let sw = w.quality_terms(0.7, &ln_v, &p, &c, &mut gw);
+        let sg = g.quality_terms(0.7, &ln_v, &p, &c, &mut gg, None);
+        let sw = w.quality_terms(0.7, &ln_v, &p, &c, &mut gw, None);
         assert_eq!(sg.to_bits(), sw.to_bits(), "quality sum, n={n}");
         assert_bits_eq(&gg, &gw, "quality grad");
+        let (mut hg, mut hw) = (vec![0.0; n], vec![0.0; n]);
+        let sg = g.quality_terms(0.7, &ln_v, &p, &c, &mut gg, Some(&mut hg));
+        let sw = w.quality_terms(0.7, &ln_v, &p, &c, &mut gw, Some(&mut hw));
+        assert_eq!(sg.to_bits(), sw.to_bits(), "quality sum with curvature, n={n}");
+        assert_bits_eq(&gg, &gw, "quality grad with curvature");
+        assert_bits_eq(&hg, &hw, "quality curvature");
     }
 }
 
@@ -147,11 +161,13 @@ proptest! {
         let ln_card1 = ((card - 1) as f64).ln();
         let c: Vec<f64> = p.iter().map(|pi| (1.0 - pi) * ln_card1).collect();
         let (mut gg, mut gw) = (vec![0.0; n], vec![0.0; n]);
-        let sg = g.quality_terms(eps, &ln_v, &p, &c, &mut gg);
-        let sw = w.quality_terms(eps, &ln_v, &p, &c, &mut gw);
+        let (mut hg, mut hw) = (vec![0.0; n], vec![0.0; n]);
+        let sg = g.quality_terms(eps, &ln_v, &p, &c, &mut gg, Some(&mut hg));
+        let sw = w.quality_terms(eps, &ln_v, &p, &c, &mut gw, Some(&mut hw));
         prop_assert_eq!(sg.to_bits(), sw.to_bits());
         for i in 0..n {
             prop_assert_eq!(gg[i].to_bits(), gw[i].to_bits());
+            prop_assert_eq!(hg[i].to_bits(), hw[i].to_bits());
         }
     }
 
