@@ -12,7 +12,7 @@
 set -u
 
 cd "$(dirname "$0")/.."
-GATES=${*:-"trust obs service ingest_stall durability inference refresh"}
+GATES=${*:-"trust obs service ingest_stall durability inference refresh assignment"}
 failed=0
 for gate in $GATES; do
     script="ci/gates/${gate}.py"

@@ -2,7 +2,7 @@
 //!
 //! * exact vs sampled expected-entropy for continuous gains,
 //! * learning vs freezing the row/column difficulties,
-//! * top-K vs sequential-greedy batching.
+//! * the cost of the assignment policies.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -10,8 +10,7 @@ use rand::SeedableRng;
 use tcrowd_core::em::EmOptions;
 use tcrowd_core::gain::{gain_with_params, GainEstimator};
 use tcrowd_core::{
-    AssignmentContext, AssignmentPolicy, BatchMode, InherentGainPolicy, TCrowd, TCrowdOptions,
-    TruthDist,
+    AssignmentContext, AssignmentPolicy, InherentGainPolicy, TCrowd, TCrowdOptions, TruthDist,
 };
 use tcrowd_stat::Normal;
 use tcrowd_tabular::{generate_dataset, GeneratorConfig, WorkerId};
@@ -77,40 +76,6 @@ fn difficulty_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-fn batch_modes(c: &mut Criterion) {
-    let d = generate_dataset(
-        &GeneratorConfig {
-            rows: 100,
-            columns: 6,
-            num_workers: 40,
-            answers_per_task: 3,
-            ..Default::default()
-        },
-        4,
-    );
-    let inference = TCrowd::default_full().infer(&d.schema, &d.answers);
-    let matrix = d.answers.to_matrix();
-    let ctx = AssignmentContext {
-        schema: &d.schema,
-        answers: &d.answers,
-        freeze: matrix.freeze_view(),
-        inference: Some(&inference),
-        max_answers_per_cell: None,
-        terminated: None,
-        correlation: None,
-    };
-    let mut group = c.benchmark_group("ablation_batch_mode");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(8));
-    for (label, mode) in [("top_k", BatchMode::TopK), ("sequential", BatchMode::SequentialGreedy)] {
-        group.bench_function(label, |b| {
-            let mut policy = InherentGainPolicy::default().with_batch(mode);
-            b.iter(|| std::hint::black_box(policy.select(WorkerId(9_999), 6, &ctx)))
-        });
-    }
-    group.finish();
-}
-
 /// Cost of the policy variants an assignment round can use: the paper's two
 /// gain policies against the extension policies (entity-aware fit included —
 /// the fit happens inside `select`, mirroring how the runner invokes it).
@@ -160,5 +125,5 @@ fn policy_cost(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, gain_estimators, difficulty_ablation, batch_modes, policy_cost);
+criterion_group!(benches, gain_estimators, difficulty_ablation, policy_cost);
 criterion_main!(benches);

@@ -64,10 +64,9 @@ fn main() {
     let model = CorrelationModel::fit(&d.schema, &d.answers, &r);
     println!("\nW(EndTarget, StartTarget) = {:.3}", model.wjk(4, 3));
     for probe in [0.0, 2.0] {
-        if let Some(p @ PredictedError::ContinuousMixture(_)) =
+        if let Some(PredictedError::Continuous { mean, var }) =
             model.conditional_error(4, &[(3, ErrorObservation::Continuous(probe))])
         {
-            let (mean, var) = p.mixture_moments().expect("moments");
             println!("P(e_end | e_start = {probe}) ≈ N({mean:.3}, {var:.3})  (z-scored units)");
         }
     }

@@ -12,11 +12,16 @@
 //!
 //! Batched assignment (§5.3) greedily takes the top-K candidates; because
 //! distinct cells have independent posteriors, the sum in Eq. 9 decomposes
-//! and top-K is exactly the greedy optimum. A sequential mode that refreshes
-//! the picked cell's posterior between picks is provided for completeness.
+//! and top-K is exactly the greedy optimum.
+//!
+//! Scoring a candidate is constant work: the worker's parameters are
+//! resolved once per `select` (`InferenceResult::worker_params`), the
+//! gain has a closed form for both datatypes, and the structure-aware
+//! conditional is a pair of moments — no allocation, hashing or sorting per
+//! candidate beyond the `k` picks.
 
 use crate::correlation::{observe_error, CorrelationModel, ErrorObservation, PredictedError};
-use crate::gain::{gain_with_params, GainEstimator};
+use crate::gain::{compute_gains, exact_gain, gain_with_params, GainEstimator};
 use crate::inference::InferenceResult;
 use crate::model::quality_from_variance;
 use crate::truth::TruthDist;
@@ -115,27 +120,24 @@ pub trait AssignmentPolicy {
     fn select(&mut self, worker: WorkerId, k: usize, ctx: &AssignmentContext<'_>) -> Vec<CellId>;
 }
 
-/// Batch-selection strategy for multi-task HITs (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchMode {
-    /// Take the K candidates with the largest individual gain (the paper's
-    /// greedy; exact here because per-cell gains are independent).
-    #[default]
-    TopK,
-    /// After each pick, replace the picked cell's posterior with its expected
-    /// post-answer posterior and re-rank. Differs from `TopK` only through
-    /// the removal of the picked cell, so results coincide; kept as an
-    /// extension point for policies with inter-cell coupling.
-    SequentialGreedy,
-}
-
-/// Rank `candidates` by `gain` and return the top `k` (stable for ties).
-fn top_k_by_gain(candidates: Vec<CellId>, gains: Vec<f64>, k: usize) -> Vec<CellId> {
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by(|&a, &b| {
-        gains[b].partial_cmp(&gains[a]).expect("NaN gain").then(candidates[a].cmp(&candidates[b]))
-    });
-    order.into_iter().take(k).map(|i| candidates[i]).collect()
+/// Rank `candidates` by `gains` and return the top `k`, best first.
+///
+/// The order is (gain desc, cell asc): a total order over distinct cells, so
+/// the picks equal the first `k` of a full sort. Partitioning around the
+/// `k`-th pick first makes this `O(n + k log k)`.
+pub(crate) fn top_k_by_gain(candidates: Vec<CellId>, gains: Vec<f64>, k: usize) -> Vec<CellId> {
+    let rank = |a: &(f64, CellId), b: &(f64, CellId)| {
+        b.0.partial_cmp(&a.0).expect("NaN gain").then(a.1.cmp(&b.1))
+    };
+    let mut scored: Vec<(f64, CellId)> = gains.into_iter().zip(candidates).collect();
+    let k = k.min(scored.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    scored.select_nth_unstable_by(k - 1, rank);
+    scored.truncate(k);
+    scored.sort_unstable_by(rank);
+    scored.into_iter().map(|(_, c)| c).collect()
 }
 
 /// T-Crowd's inherent information-gain policy (§5.1).
@@ -143,8 +145,6 @@ fn top_k_by_gain(candidates: Vec<CellId>, gains: Vec<f64>, k: usize) -> Vec<Cell
 pub struct InherentGainPolicy {
     /// Expected-entropy estimator for continuous cells.
     pub estimator: GainEstimator,
-    /// Batch strategy.
-    pub batch: BatchMode,
     rng: StdRng,
 }
 
@@ -152,17 +152,7 @@ impl InherentGainPolicy {
     /// Create with the given estimator (RNG only used by the sampling
     /// estimator; seeded for reproducibility).
     pub fn new(estimator: GainEstimator) -> Self {
-        InherentGainPolicy {
-            estimator,
-            batch: BatchMode::default(),
-            rng: StdRng::seed_from_u64(0xC0FFEE),
-        }
-    }
-
-    /// Builder: set the batch-selection strategy.
-    pub fn with_batch(mut self, batch: BatchMode) -> Self {
-        self.batch = batch;
-        self
+        InherentGainPolicy { estimator, rng: StdRng::seed_from_u64(0xC0FFEE) }
     }
 }
 
@@ -180,76 +170,50 @@ impl AssignmentPolicy for InherentGainPolicy {
     fn select(&mut self, worker: WorkerId, k: usize, ctx: &AssignmentContext<'_>) -> Vec<CellId> {
         let inference =
             ctx.inference.expect("InherentGainPolicy requires an inference result in the context");
+        let params = inference.worker_params(worker);
         let candidates = ctx.candidates(worker);
         let gains: Vec<f64> = if self.estimator == GainEstimator::Exact {
             // The exact estimator is RNG-free, so large candidate sets can be
             // scored across threads (the paper's §5.1 parallelisation note).
-            crate::gain::compute_gains(&candidates, |c| {
-                let v = inference.effective_variance(worker, c);
-                let q = inference.cell_quality(worker, c);
-                let mut rng = StdRng::seed_from_u64(0); // unused by Exact
-                gain_with_params(inference.truth_z(c), v, q, GainEstimator::Exact, &mut rng)
+            compute_gains(&candidates, |c| {
+                let (v, q) = params.variance_and_quality(c);
+                exact_gain(inference.truth_z(c), v, q)
             })
         } else {
             candidates
                 .iter()
                 .map(|&c| {
-                    let v = inference.effective_variance(worker, c);
-                    let q = inference.cell_quality(worker, c);
+                    let (v, q) = params.variance_and_quality(c);
                     gain_with_params(inference.truth_z(c), v, q, self.estimator, &mut self.rng)
                 })
                 .collect()
         };
-        match self.batch {
-            BatchMode::TopK => top_k_by_gain(candidates, gains, k),
-            BatchMode::SequentialGreedy => sequential_greedy(
-                candidates,
-                gains,
-                k,
-                |cell, rng| {
-                    let v = inference.effective_variance(worker, cell);
-                    let q = inference.cell_quality(worker, cell);
-                    gain_with_params(inference.truth_z(cell), v, q, self.estimator, rng)
-                },
-                &mut self.rng,
-            ),
-        }
+        top_k_by_gain(candidates, gains, k)
     }
 }
 
-/// Generic sequential greedy: pick the max-gain candidate, drop it, repeat.
-/// `rescore` recomputes a candidate's gain (posterior-coupled policies would
-/// hook their updates here).
-fn sequential_greedy<F>(
-    mut candidates: Vec<CellId>,
-    mut gains: Vec<f64>,
-    k: usize,
-    rescore: F,
-    rng: &mut StdRng,
-) -> Vec<CellId>
-where
-    F: Fn(CellId, &mut StdRng) -> f64,
-{
-    let mut picked = Vec::with_capacity(k.min(candidates.len()));
-    for _ in 0..k {
-        if candidates.is_empty() {
-            break;
+/// Blend Eq. 7's structural prediction into the inherent `(v, q)` of a
+/// worker on a cell: both carry information about this worker on this cell.
+/// A categorical prediction averages the qualities; a continuous one takes
+/// the geometric mean of the variances and re-derives the quality from it.
+/// No prediction keeps the inherent pair.
+pub(crate) fn blend_structure(
+    prediction: Option<PredictedError>,
+    v_inherent: f64,
+    q_inherent: f64,
+    epsilon: f64,
+) -> (f64, f64) {
+    match prediction {
+        Some(PredictedError::Categorical(p_wrong)) => {
+            let q_struct = clamp_prob(1.0 - p_wrong);
+            (v_inherent, 0.5 * (q_struct + q_inherent))
         }
-        let best = gains
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN gain"))
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        picked.push(candidates.swap_remove(best));
-        gains.swap_remove(best);
-        // Re-score survivors (no-op for independent posteriors, but keeps the
-        // hook honest for coupled policies).
-        for (i, &c) in candidates.iter().enumerate() {
-            gains[i] = rescore(c, rng);
+        Some(PredictedError::Continuous { var, .. }) => {
+            let v = (var * v_inherent).sqrt();
+            (v, quality_from_variance(epsilon, v))
         }
+        None => (v_inherent, q_inherent),
     }
-    picked
 }
 
 /// T-Crowd's structure-aware information-gain policy (§5.2).
@@ -263,51 +227,13 @@ where
 pub struct StructureAwarePolicy {
     /// Expected-entropy estimator for continuous cells.
     pub estimator: GainEstimator,
-    /// Batch strategy.
-    pub batch: BatchMode,
     rng: StdRng,
 }
 
 impl StructureAwarePolicy {
     /// Create with the given estimator.
     pub fn new(estimator: GainEstimator) -> Self {
-        StructureAwarePolicy {
-            estimator,
-            batch: BatchMode::default(),
-            rng: StdRng::seed_from_u64(0x5EED),
-        }
-    }
-
-    /// Gain of `cell` for `worker` under the correlation-conditioned error
-    /// model; `observed` holds the worker's errors on the cell's row.
-    fn structure_gain(
-        &mut self,
-        inference: &InferenceResult,
-        model: &CorrelationModel,
-        worker: WorkerId,
-        cell: CellId,
-        observed: &[(usize, ErrorObservation)],
-    ) -> f64 {
-        let truth = inference.truth_z(cell);
-        let v_inherent = inference.effective_variance(worker, cell);
-        let q_inherent = inference.cell_quality(worker, cell);
-        let (v, q) = match model.conditional_error(cell.col as usize, observed) {
-            Some(PredictedError::Categorical(p_wrong)) => {
-                // Blend the structural prediction with the inherent quality:
-                // both carry information about this worker on this cell.
-                let q_struct = clamp_prob(1.0 - p_wrong);
-                (v_inherent, 0.5 * (q_struct + q_inherent))
-            }
-            Some(mix @ PredictedError::ContinuousMixture(_)) => {
-                let (_, var) = mix.mixture_moments().expect("continuous mixture");
-                // Same blend on the variance scale.
-                let v_struct = var.max(tcrowd_stat::EPS);
-                let v = (v_struct * v_inherent).sqrt(); // geometric mean
-                (v, quality_from_variance(inference.epsilon, v))
-            }
-            None => (v_inherent, q_inherent),
-        };
-        gain_with_params(truth, v, q, self.estimator, &mut self.rng)
+        StructureAwarePolicy { estimator, rng: StdRng::seed_from_u64(0x5EED) }
     }
 }
 
@@ -337,28 +263,31 @@ impl AssignmentPolicy for StructureAwarePolicy {
                 &fitted_here
             }
         };
+        let params = inference.worker_params(worker);
+        let seen = matrix.worker_index(worker);
         let candidates = ctx.candidates(worker);
-        // Pre-compute the worker's observed errors per row (L^u_i of Eq. 7).
-        let mut row_errors: std::collections::HashMap<u32, Vec<(usize, ErrorObservation)>> =
-            std::collections::HashMap::new();
-        if let Some(w) = matrix.worker_index(worker) {
-            for a in matrix.worker_answers(w) {
-                let answer =
-                    tcrowd_tabular::Answer { worker: a.worker, cell: a.cell, value: a.value };
-                row_errors
-                    .entry(a.cell.row)
-                    .or_default()
-                    .push((a.cell.col as usize, observe_error(inference, &answer)));
+        // The worker's observed errors on the current candidate's row
+        // (L^u_i of Eq. 7), rebuilt only when the row changes: candidates
+        // come in row-major order, so each row is read once.
+        let mut observed: Vec<(usize, ErrorObservation)> = Vec::new();
+        let mut observed_row = None;
+        let mut gains = Vec::with_capacity(candidates.len());
+        for &c in &candidates {
+            if observed_row != Some(c.row) {
+                observed_row = Some(c.row);
+                observed.clear();
+                if let Some(w) = seen {
+                    for &k in matrix.worker_row_answer_indices(w, c.row) {
+                        let a = matrix.to_answer(k as usize);
+                        observed.push((a.cell.col as usize, observe_error(inference, &a)));
+                    }
+                }
             }
+            let (v, q) = params.variance_and_quality(c);
+            let prediction = model.conditional_error(c.col as usize, &observed);
+            let (v, q) = blend_structure(prediction, v, q, inference.epsilon);
+            gains.push(gain_with_params(inference.truth_z(c), v, q, self.estimator, &mut self.rng));
         }
-        let empty: Vec<(usize, ErrorObservation)> = Vec::new();
-        let gains: Vec<f64> = candidates
-            .iter()
-            .map(|&c| {
-                let observed = row_errors.get(&c.row).unwrap_or(&empty);
-                self.structure_gain(inference, model, worker, c, observed)
-            })
-            .collect();
         top_k_by_gain(candidates, gains, k)
     }
 }
@@ -388,8 +317,7 @@ pub fn apply_answer_incrementally(
     cell: CellId,
     value: &Value,
 ) {
-    let v = result.effective_variance(worker, cell);
-    let q = result.cell_quality(worker, cell);
+    let (v, q) = result.worker_params(worker).variance_and_quality(cell);
     let z_value = match value {
         Value::Continuous(x) => {
             let (m, s) = result.scaler(cell.col as usize).expect("scaler");
@@ -474,10 +402,96 @@ mod tests {
         }
     }
 
+    /// The full (gain desc, cell asc) ranking `top_k_by_gain` must agree with.
+    fn full_ranking(candidates: &[CellId], gains: &[f64]) -> Vec<CellId> {
+        let mut scored: Vec<(f64, CellId)> =
+            gains.iter().copied().zip(candidates.iter().copied()).collect();
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+        scored.into_iter().map(|(_, c)| c).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 64, ..Default::default() })]
+        #[test]
+        fn top_k_by_gain_is_the_head_of_the_full_ranking(
+            // Gains from a handful of levels force ties; the slot order is
+            // shuffled so ties cannot lean on input order.
+            levels in proptest::collection::vec(0u8..4, 0..60),
+            seed in proptest::any::<u64>(),
+        ) {
+            use rand::seq::SliceRandom;
+            let n = levels.len();
+            let mut slots: Vec<u32> = (0..n as u32).collect();
+            slots.shuffle(&mut StdRng::seed_from_u64(seed));
+            let candidates: Vec<CellId> =
+                slots.iter().map(|&s| CellId::new(s / 7, s % 7)).collect();
+            let gains: Vec<f64> = levels.iter().map(|&l| f64::from(l) * 0.25).collect();
+            let ranking = full_ranking(&candidates, &gains);
+            for k in [0, 1, n.saturating_sub(1), n, n + 3] {
+                let picks = top_k_by_gain(candidates.clone(), gains.clone(), k);
+                proptest::prop_assert_eq!(&picks[..], &ranking[..k.min(n)]);
+            }
+        }
+    }
+
+    /// `select`'s picks, recomputed by ranking every candidate through the
+    /// per-cell API — a fresh `φ` lookup and a full row scan per cell.
+    fn ranked_per_cell(
+        ctx: &AssignmentContext<'_>,
+        model: &CorrelationModel,
+        worker: WorkerId,
+        k: usize,
+        structure_aware: bool,
+    ) -> Vec<CellId> {
+        let inference = ctx.inference.unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        let candidates = ctx.candidates(worker);
+        let gains: Vec<f64> = candidates
+            .iter()
+            .map(|&c| {
+                let v = inference.effective_variance(worker, c);
+                let q = inference.cell_quality(worker, c);
+                let (v, q) = if structure_aware {
+                    let observed: Vec<(usize, ErrorObservation)> = ctx
+                        .matrix()
+                        .answers_of(worker)
+                        .filter(|a| a.cell.row == c.row)
+                        .map(|a| {
+                            let answer = tcrowd_tabular::Answer {
+                                worker: a.worker,
+                                cell: a.cell,
+                                value: a.value,
+                            };
+                            (a.cell.col as usize, observe_error(inference, &answer))
+                        })
+                        .collect();
+                    let prediction = model.conditional_error(c.col as usize, &observed);
+                    blend_structure(prediction, v, q, inference.epsilon)
+                } else {
+                    (v, q)
+                };
+                gain_with_params(inference.truth_z(c), v, q, GainEstimator::Exact, &mut rng)
+            })
+            .collect();
+        full_ranking(&candidates, &gains).into_iter().take(k).collect()
+    }
+
     #[test]
-    fn topk_and_sequential_agree_for_inherent() {
-        let (d, r) = setup(3);
+    fn select_matches_per_cell_ranking() {
+        let d = generate_dataset(
+            &GeneratorConfig {
+                rows: 300,
+                columns: 10,
+                num_workers: 40,
+                answers_per_task: 3,
+                row_familiarity: Some(RowFamiliarity::default()),
+                ..Default::default()
+            },
+            14,
+        );
+        let r = TCrowd::default_full().infer(&d.schema, &d.answers);
         let m = d.answers.to_matrix();
+        let model = CorrelationModel::fit_matrix(&d.schema, &m, &r);
         let ctx = AssignmentContext {
             schema: &d.schema,
             answers: &d.answers,
@@ -485,14 +499,18 @@ mod tests {
             inference: Some(&r),
             max_answers_per_cell: None,
             terminated: None,
-            correlation: None,
+            correlation: Some(&model),
         };
-        let w = WorkerId(9_999);
-        let mut a = InherentGainPolicy::default();
-        let mut b = InherentGainPolicy { batch: BatchMode::SequentialGreedy, ..Default::default() };
-        let pa: std::collections::BTreeSet<_> = a.select(w, 5, &ctx).into_iter().collect();
-        let pb: std::collections::BTreeSet<_> = b.select(w, 5, &ctx).into_iter().collect();
-        assert_eq!(pa, pb);
+        let seen: Vec<WorkerId> = d.answers.workers().take(10).collect();
+        assert_eq!(seen.len(), 10);
+        let unseen = (0..10).map(|i| WorkerId(50_000 + i));
+        for w in seen.into_iter().chain(unseen) {
+            let k = 25;
+            let inherent = InherentGainPolicy::default().select(w, k, &ctx);
+            assert_eq!(inherent, ranked_per_cell(&ctx, &model, w, k, false), "inherent, {w:?}");
+            let structure = StructureAwarePolicy::default().select(w, k, &ctx);
+            assert_eq!(structure, ranked_per_cell(&ctx, &model, w, k, true), "structure, {w:?}");
+        }
     }
 
     #[test]

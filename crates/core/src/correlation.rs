@@ -34,35 +34,45 @@ pub enum ErrorObservation {
 }
 
 /// A predicted error distribution on a target column.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PredictedError {
     /// Categorical target: probability the worker answers *wrongly*.
     Categorical(f64),
-    /// Continuous target: a weighted mixture of Gaussian error components
-    /// (one per conditioning column), weights normalised to 1.
-    ContinuousMixture(Vec<(f64, Normal)>),
+    /// Continuous target: mean and variance of the `|W_jk|`-weighted mixture
+    /// of Gaussian error components, one per conditioning column. The
+    /// structure-aware gain uses the variance as the predicted observation
+    /// variance.
+    Continuous {
+        /// Mixture mean: the predicted bias of the answer.
+        mean: f64,
+        /// Mixture variance (at least [`EPS`]).
+        var: f64,
+    },
 }
 
-impl PredictedError {
-    /// Mean and variance of the mixture (continuous targets).
-    ///
-    /// The *second moment about zero* — variance plus squared bias — is what
-    /// the gain computation uses as the effective observation variance, so a
-    /// predictably-biased worker is treated as noisier.
-    pub fn mixture_moments(&self) -> Option<(f64, f64)> {
-        match self {
-            PredictedError::ContinuousMixture(parts) => {
-                let total: f64 = parts.iter().map(|(w, _)| w).sum();
-                if total <= EPS {
-                    return None;
-                }
-                let mean: f64 = parts.iter().map(|(w, n)| w * n.mean).sum::<f64>() / total;
-                let second: f64 =
-                    parts.iter().map(|(w, n)| w * (n.var + n.mean * n.mean)).sum::<f64>() / total;
-                Some((mean, (second - mean * mean).max(EPS)))
-            }
-            PredictedError::Categorical(_) => None,
+/// Running weighted moments `Σw`, `Σw·µ` and `Σw·(σ² + µ²)` of the Gaussian
+/// components Eq. 7 mixes for a continuous target.
+#[derive(Debug, Default)]
+struct MixtureMoments {
+    weight: f64,
+    first: f64,
+    second: f64,
+}
+
+impl MixtureMoments {
+    fn add(&mut self, weight: f64, n: Normal) {
+        self.weight += weight;
+        self.first += weight * n.mean;
+        self.second += weight * (n.var + n.mean * n.mean);
+    }
+
+    /// Mean and variance of the mixture; `None` when nothing was added.
+    fn moments(&self) -> Option<(f64, f64)> {
+        if self.weight <= 0.0 {
+            return None;
         }
+        let mean = self.first / self.weight;
+        Some((mean, (self.second / self.weight - mean * mean).max(EPS)))
     }
 }
 
@@ -201,7 +211,9 @@ impl CorrelationModel {
     ///
     /// Mixture weights are `|W_jk|` — the magnitude measures how much column
     /// `k` tells us about column `j`, while the direction of the relationship
-    /// lives inside the conditional itself. Returns `None` when no usable
+    /// lives inside the conditional itself. A continuous prediction is
+    /// summarised by the mixture's moments, accumulated as the observations
+    /// are read, so a call allocates nothing. Returns `None` when no usable
     /// conditional exists (the caller falls back to the inherent gain).
     pub fn conditional_error(
         &self,
@@ -210,7 +222,7 @@ impl CorrelationModel {
     ) -> Option<PredictedError> {
         let mut cat_num = 0.0;
         let mut cat_den = 0.0;
-        let mut mix: Vec<(f64, Normal)> = Vec::new();
+        let mut mix = MixtureMoments::default();
         for &(k, ref ek) in observed {
             if k == j || k >= self.n_cols {
                 continue;
@@ -245,27 +257,21 @@ impl CorrelationModel {
                     }
                 }
                 (Conditional::ContCont(b), ErrorObservation::Continuous(x)) => {
-                    mix.push((weight, b.conditional1_given2(*x)));
+                    mix.add(weight, b.conditional1_given2(*x));
                 }
                 (
                     Conditional::ContGivenCat { given_correct, given_wrong },
                     ErrorObservation::Categorical(wrong),
                 ) => {
-                    mix.push((weight, if *wrong { *given_wrong } else { *given_correct }));
+                    mix.add(weight, if *wrong { *given_wrong } else { *given_correct });
                 }
                 _ => {} // unavailable or datatype mismatch: skip
             }
         }
         if cat_den > 0.0 {
             Some(PredictedError::Categorical(clamp_prob(cat_num / cat_den)))
-        } else if !mix.is_empty() {
-            let total: f64 = mix.iter().map(|(w, _)| w).sum();
-            for (w, _) in &mut mix {
-                *w /= total;
-            }
-            Some(PredictedError::ContinuousMixture(mix))
         } else {
-            None
+            mix.moments().map(|(mean, var)| PredictedError::Continuous { mean, var })
         }
     }
 }
@@ -438,14 +444,12 @@ mod tests {
         let c = CorrelationModel::fit(&d.schema, &d.answers, &r);
         let (start, end) = (3usize, 4usize);
         assert!(c.support(end, start) >= MIN_SUPPORT);
-        let small = c
-            .conditional_error(end, &[(start, ErrorObservation::Continuous(0.0))])
-            .expect("conditional available");
-        let large = c
-            .conditional_error(end, &[(start, ErrorObservation::Continuous(2.0))])
-            .expect("conditional available");
-        let (m_small, _) = small.mixture_moments().unwrap();
-        let (m_large, _) = large.mixture_moments().unwrap();
+        let mean_after =
+            |e: f64| match c.conditional_error(end, &[(start, ErrorObservation::Continuous(e))]) {
+                Some(PredictedError::Continuous { mean, .. }) => mean,
+                other => panic!("expected a continuous prediction, got {other:?}"),
+            };
+        let (m_small, m_large) = (mean_after(0.0), mean_after(2.0));
         assert!(
             m_large > m_small,
             "conditional mean should track the observed error: {m_small} vs {m_large}"
@@ -488,12 +492,14 @@ mod tests {
 
     #[test]
     fn mixture_moments_are_sane() {
-        let parts = vec![(0.5, Normal::new(1.0, 1.0)), (0.5, Normal::new(-1.0, 1.0))];
-        let p = PredictedError::ContinuousMixture(parts);
-        let (mean, var) = p.mixture_moments().unwrap();
+        let mut mix = MixtureMoments::default();
+        assert_eq!(mix.moments(), None);
+        // Unnormalised weights: only their ratio matters.
+        mix.add(0.3, Normal::new(1.0, 1.0));
+        mix.add(0.3, Normal::new(-1.0, 1.0));
+        let (mean, var) = mix.moments().unwrap();
         assert!(mean.abs() < 1e-12);
         // Var = E[var] + Var[means] = 1 + 1 = 2.
         assert!((var - 2.0).abs() < 1e-12);
-        assert_eq!(PredictedError::Categorical(0.3).mixture_moments(), None);
     }
 }

@@ -27,7 +27,8 @@
 //! `λ_{u,g(i)} · α_i β_j φ_u`, optionally combined with the attribute-level
 //! conditioning of the structure-aware policy.
 
-use crate::correlation::{observe_error, CorrelationModel, ErrorObservation, PredictedError};
+use crate::assign::{blend_structure, top_k_by_gain};
+use crate::correlation::{observe_error, CorrelationModel, ErrorObservation};
 use crate::gain::{gain_with_params, GainEstimator};
 use crate::inference::InferenceResult;
 use crate::model::{cat_answer_ln_likelihood, quality_from_variance};
@@ -400,32 +401,15 @@ impl crate::assign::AssignmentPolicy for EntityAwarePolicy {
                 let lambda = entity.lambda(worker, c.row);
                 let v_inherent = lambda * inference.effective_variance(worker, c);
                 let q_inherent = quality_from_variance(inference.epsilon, v_inherent);
-                let (v, q) = match corr.as_ref().and_then(|m| {
+                let prediction = corr.as_ref().and_then(|m| {
                     let observed = row_errors.get(&c.row).unwrap_or(&empty);
                     m.conditional_error(c.col as usize, observed)
-                }) {
-                    Some(PredictedError::Categorical(p_wrong)) => {
-                        let q_struct = clamp_prob(1.0 - p_wrong);
-                        (v_inherent, 0.5 * (q_struct + q_inherent))
-                    }
-                    Some(mix @ PredictedError::ContinuousMixture(_)) => {
-                        let (_, var) = mix.mixture_moments().expect("continuous mixture");
-                        let v = (var.max(EPS) * v_inherent).sqrt();
-                        (v, quality_from_variance(inference.epsilon, v))
-                    }
-                    None => (v_inherent, q_inherent),
-                };
+                });
+                let (v, q) = blend_structure(prediction, v_inherent, q_inherent, inference.epsilon);
                 gain_with_params(inference.truth_z(c), v, q, self.estimator, &mut self.rng)
             })
             .collect();
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_by(|&a, &b| {
-            gains[b]
-                .partial_cmp(&gains[a])
-                .expect("NaN gain")
-                .then(candidates[a].cmp(&candidates[b]))
-        });
-        order.into_iter().take(k).map(|i| candidates[i]).collect()
+        top_k_by_gain(candidates, gains, k)
     }
 }
 

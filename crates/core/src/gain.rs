@@ -7,18 +7,19 @@
 //! enter, the measure is comparable across datatypes (the paper's Δ-binning
 //! argument, verified in `tcrowd_stat::entropy` tests).
 //!
-//! For a Gaussian posterior the expected posterior entropy is exact — the
-//! updated variance `(1/T^φ + 1/v)⁻¹` does not depend on the answer's value —
-//! so the default estimator needs no sampling. A sampling estimator
-//! mirroring the paper's Monte-Carlo description is provided for the
-//! ablation study.
+//! Both datatypes have a closed form, so the default estimator needs no
+//! sampling and scores a cell with no allocation (`exact_gain`): for a
+//! Gaussian posterior the updated variance `(1/T^φ + 1/v)⁻¹` does not depend
+//! on the answer's value, and for a categorical one the expected entropy
+//! drop is the mutual information between truth and answer. A sampling
+//! estimator mirroring the paper's Monte-Carlo description is provided for
+//! the ablation study.
 
 use crate::inference::InferenceResult;
-use crate::model::cat_answer_likelihood;
 use crate::truth::TruthDist;
 use rand::rngs::StdRng;
-use tcrowd_stat::clamp_var;
-use tcrowd_tabular::{CellId, Value, WorkerId};
+use tcrowd_stat::{clamp_prob, clamp_var};
+use tcrowd_tabular::{CellId, WorkerId};
 
 /// How the expected posterior entropy of a *continuous* cell is estimated.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -41,7 +42,9 @@ pub enum GainEstimator {
 /// quality `q` (categorical).
 ///
 /// This is the primitive both the inherent and the structure-aware policies
-/// reduce to; they differ only in how `obs_var`/`q` are predicted.
+/// reduce to; they differ only in how `obs_var`/`q` are predicted. `rng` is
+/// read only by the sampling estimator on a continuous cell; every other
+/// case is the closed form.
 pub fn gain_with_params(
     truth: &TruthDist,
     obs_var: f64,
@@ -49,50 +52,61 @@ pub fn gain_with_params(
     estimator: GainEstimator,
     rng: &mut StdRng,
 ) -> f64 {
+    match (truth, estimator) {
+        (TruthDist::Continuous(n), GainEstimator::Sampling { samples }) => {
+            let v = clamp_var(obs_var);
+            let predictive = n.predictive(v);
+            let h0 = n.differential_entropy();
+            let mut total = 0.0;
+            for _ in 0..samples.max(1) {
+                let a = predictive.sample(rng);
+                let post = n.posterior_with_observation(a, v);
+                total += post.differential_entropy();
+            }
+            h0 - total / samples.max(1) as f64
+        }
+        _ => exact_gain(truth, obs_var, q),
+    }
+}
+
+/// Eq. 6 in closed form, with no sampling and no allocation.
+///
+/// Continuous: the post-update variance `(1/T^φ + 1/v)⁻¹` does not depend on
+/// the answer, so `H − H' = ½ ln(1 + T^φ / v)` exactly. Categorical: see
+/// [`categorical_gain`].
+pub(crate) fn exact_gain(truth: &TruthDist, obs_var: f64, q: f64) -> f64 {
     match truth {
         TruthDist::Continuous(n) => {
             let v = clamp_var(obs_var);
-            match estimator {
-                GainEstimator::Exact => {
-                    // H − H' = ½ ln(T^φ / T^φ') = ½ ln(1 + T^φ / v).
-                    0.5 * (1.0 + n.var / v).ln()
-                }
-                GainEstimator::Sampling { samples } => {
-                    let predictive = n.predictive(v);
-                    let h0 = n.differential_entropy();
-                    let mut total = 0.0;
-                    for _ in 0..samples.max(1) {
-                        let a = predictive.sample(rng);
-                        let post = n.posterior_with_observation(a, v);
-                        total += post.differential_entropy();
-                    }
-                    h0 - total / samples.max(1) as f64
-                }
-            }
+            0.5 * (1.0 + n.var / v).ln()
         }
-        TruthDist::Categorical(p) => {
-            let l = p.len() as u32;
-            if l <= 1 {
-                return 0.0;
-            }
-            let h0 = truth.entropy();
-            // Predictive answer distribution: P(a) = Σ_z P(z)·P(a|z).
-            let mut expected_h = 0.0;
-            for a in 0..l {
-                let p_a: f64 = p
-                    .iter()
-                    .enumerate()
-                    .map(|(z, pz)| pz * cat_answer_likelihood(q, l, z as u32 == a))
-                    .sum();
-                if p_a <= 0.0 {
-                    continue;
-                }
-                let post = truth.updated_with_answer(&Value::Categorical(a), obs_var, q);
-                expected_h += p_a * post.entropy();
-            }
-            h0 - expected_h
-        }
+        TruthDist::Categorical(p) => categorical_gain(p, q),
     }
+}
+
+/// Eq. 6 for a categorical cell with posterior `p`, answered with quality `q`.
+///
+/// The expected entropy drop `H(T) − Σ_a P(a)·H(T | a)` is the mutual
+/// information `I(T; A) = H(A) − H(A | T)`. Under the §4.2 answer model,
+/// with `r = (1−q)/(|L|−1)`, the answer distribution is
+/// `P(A = a) = q·p_a + r·(1 − p_a)`, and `H(A | T = z) = −(q ln q + (1−q) ln r)`
+/// for every truth `z`: `|L| + 2` logarithms, and no posterior is
+/// materialised.
+fn categorical_gain(p: &[f64], q: f64) -> f64 {
+    if p.len() <= 1 {
+        return 0.0;
+    }
+    let q = clamp_prob(q);
+    let r = (1.0 - q) / (p.len() - 1) as f64;
+    let h_answer: f64 = p
+        .iter()
+        .map(|&pz| {
+            let pa = q * pz + r * (1.0 - pz);
+            -pa * pa.ln()
+        })
+        .sum();
+    let h_answer_given_truth = -(q * q.ln() + (1.0 - q) * r.ln());
+    h_answer - h_answer_given_truth
 }
 
 /// Inherent information gain `IG_q(c_ij)` (Eq. 6): the gain of assigning
@@ -105,8 +119,7 @@ pub fn inherent_gain(
     estimator: GainEstimator,
     rng: &mut StdRng,
 ) -> f64 {
-    let v = result.effective_variance(worker, cell);
-    let q = result.cell_quality(worker, cell);
+    let (v, q) = result.worker_params(worker).variance_and_quality(cell);
     gain_with_params(result.truth_z(cell), v, q, estimator, rng)
 }
 
@@ -141,8 +154,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use crate::model::cat_answer_likelihood;
+    use rand::{Rng, SeedableRng};
     use tcrowd_stat::normal::Normal;
+    use tcrowd_tabular::Value;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)
@@ -227,6 +242,69 @@ mod tests {
         let mut r = rng();
         let g = gain_with_params(&t, 1.5, 0.5, GainEstimator::Exact, &mut r);
         assert!((g - 0.5 * (1.0f64 + 3.0 / 1.5).ln()).abs() < 1e-12);
+    }
+
+    /// Eq. 6 the long way: materialise the posterior after each possible
+    /// answer and average its entropy over the predictive answer
+    /// distribution.
+    fn posterior_expectation_gain(truth: &TruthDist, q: f64) -> f64 {
+        let TruthDist::Categorical(p) = truth else { panic!("categorical oracle") };
+        let l = p.len() as u32;
+        let mut expected_h = 0.0;
+        for a in 0..l {
+            let p_a: f64 = p
+                .iter()
+                .enumerate()
+                .map(|(z, pz)| pz * cat_answer_likelihood(q, l, z as u32 == a))
+                .sum();
+            if p_a <= 0.0 {
+                continue;
+            }
+            let post = truth.updated_with_answer(&Value::Categorical(a), 1.0, q);
+            expected_h += p_a * post.entropy();
+        }
+        truth.entropy() - expected_h
+    }
+
+    #[test]
+    fn categorical_gain_matches_posterior_expectation() {
+        let mut r = rng();
+        for l in 2..=10usize {
+            let mut one_hot = vec![0.0; l];
+            one_hot[l / 2] = 1.0;
+            // Exact zeros beside spread mass.
+            let mut sparse = vec![0.0; l];
+            sparse[0] = 0.6;
+            sparse[l - 1] = 0.4;
+            let mut posteriors = vec![vec![1.0 / l as f64; l], one_hot, sparse];
+            for _ in 0..4 {
+                let raw: Vec<f64> = (0..l).map(|_| r.gen::<f64>().powi(3)).collect();
+                let total: f64 = raw.iter().sum();
+                posteriors.push(raw.iter().map(|x| x / total).collect());
+            }
+            let uninformative = 1.0 / l as f64;
+            let qs = [
+                0.1 * uninformative,
+                0.9 * uninformative,
+                uninformative,
+                0.5,
+                0.8,
+                0.99,
+                1.0 - 1e-6,
+                1.0 - 1e-9,
+            ];
+            for p in posteriors {
+                let t = TruthDist::Categorical(p);
+                for q in qs {
+                    let closed = gain_with_params(&t, 1.0, q, GainEstimator::Exact, &mut r);
+                    let oracle = posterior_expectation_gain(&t, q);
+                    assert!(
+                        (closed - oracle).abs() < 1e-9,
+                        "L={l} q={q} {t:?}: closed form {closed} vs oracle {oracle}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

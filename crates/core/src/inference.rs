@@ -324,6 +324,7 @@ impl TCrowd {
             })
         });
         let state = run_em_from(&ws, &self.opts.em, warm.as_ref());
+        let phi: Vec<f64> = state.ln_phi.iter().map(|v| v.exp()).collect();
 
         InferenceResult {
             n_rows,
@@ -334,7 +335,8 @@ impl TCrowd {
             beta: state.ln_beta.iter().map(|v| v.exp()).collect(),
             worker_index: workers.iter().enumerate().map(|(i, &w)| (w, i)).collect(),
             workers,
-            phi: state.ln_phi.iter().map(|v| v.exp()).collect(),
+            median_phi: population_median_phi(&phi),
+            phi,
             epsilon,
             objective_trace: state.trace,
             iterations: state.iterations,
@@ -342,6 +344,16 @@ impl TCrowd {
             renorm_shift: state.renorm_shift,
             timings: state.timings,
         }
+    }
+}
+
+/// Population-median `φ` of a fit's workers — the prior for workers the fit
+/// has not seen (`0.3` when it saw none).
+fn population_median_phi(phi: &[f64]) -> f64 {
+    if phi.is_empty() {
+        0.3
+    } else {
+        median(phi)
     }
 }
 
@@ -431,6 +443,10 @@ pub struct InferenceResult {
     worker_index: HashMap<WorkerId, usize>,
     /// Fitted worker variances `φ_u` (z-space).
     pub phi: Vec<f64>,
+    /// Population median of [`Self::phi`], taken when the result is built
+    /// (nothing writes `φ` afterwards): the prior for unseen workers, which
+    /// assignment reads once per request.
+    median_phi: f64,
     /// The resolved quality window `ε`.
     pub epsilon: f64,
     /// ELBO after each EM iteration (Fig. 12a).
@@ -513,17 +529,14 @@ impl InferenceResult {
     }
 
     /// Population-median `φ` — the prior used for workers not seen before.
+    #[inline]
     pub fn median_phi(&self) -> f64 {
-        if self.phi.is_empty() {
-            0.3
-        } else {
-            median(&self.phi)
-        }
+        self.median_phi
     }
 
     /// `φ_u`, falling back to the population median for unseen workers.
     pub fn phi_or_prior(&self, worker: WorkerId) -> f64 {
-        self.phi_of(worker).unwrap_or_else(|| self.median_phi())
+        self.phi_of(worker).unwrap_or(self.median_phi)
     }
 
     /// Unified quality `q_u = erf(ε/√(2φ_u))` (Eq. 2) of a worker.
@@ -531,15 +544,46 @@ impl InferenceResult {
         self.phi_of(worker).map(|phi| quality_from_variance(self.epsilon, phi))
     }
 
+    /// A worker's parameters resolved once ([`Self::phi_or_prior`]) for
+    /// scoring many cells: the per-cell calls below do no lookup.
+    pub(crate) fn worker_params(&self, worker: WorkerId) -> WorkerParams<'_> {
+        WorkerParams { result: self, phi: self.phi_or_prior(worker) }
+    }
+
     /// Effective answer variance `α_i β_j φ_u` for a worker on a cell
     /// (z-space), using the prior `φ` for unseen workers.
     pub fn effective_variance(&self, worker: WorkerId, cell: CellId) -> f64 {
-        self.alpha[cell.row as usize] * self.beta[cell.col as usize] * self.phi_or_prior(worker)
+        self.worker_params(worker).variance(cell)
     }
 
     /// Quality `q^u_ij` of a worker on a specific cell (§4.2).
     pub fn cell_quality(&self, worker: WorkerId, cell: CellId) -> f64 {
-        quality_from_variance(self.epsilon, self.effective_variance(worker, cell))
+        self.worker_params(worker).variance_and_quality(cell).1
+    }
+}
+
+/// One worker's `φ_u` bound to a fit (see [`InferenceResult::worker_params`]):
+/// the per-cell answer model of §4.2 at the cost of two multiplies and,
+/// for the quality, one `erf`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WorkerParams<'a> {
+    result: &'a InferenceResult,
+    phi: f64,
+}
+
+impl WorkerParams<'_> {
+    /// Effective answer variance `α_i β_j φ_u` on a cell (z-space).
+    #[inline]
+    pub(crate) fn variance(&self, cell: CellId) -> f64 {
+        self.result.alpha[cell.row as usize] * self.result.beta[cell.col as usize] * self.phi
+    }
+
+    /// The effective variance and the quality `q^u_ij = erf(ε/√(2v))` it
+    /// implies on a cell.
+    #[inline]
+    pub(crate) fn variance_and_quality(&self, cell: CellId) -> (f64, f64) {
+        let v = self.variance(cell);
+        (v, quality_from_variance(self.result.epsilon, v))
     }
 }
 

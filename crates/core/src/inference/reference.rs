@@ -18,7 +18,7 @@
 //! exactly the per-sweep hashing + pointer-chasing the columnar store
 //! eliminates.
 
-use super::{EpsilonSpec, InferenceResult, TCrowd};
+use super::{population_median_phi, EpsilonSpec, InferenceResult, TCrowd};
 use crate::em::{
     gauge_step, initial_phi, log_prior, newton_step, Block, ColKind, EmOptions, EmTimings,
     MSTEP_MAX_BACKTRACKS, MSTEP_NOISE_REL, MSTEP_SWEEPS, MSTEP_SWEEP_TOL,
@@ -163,6 +163,7 @@ impl TCrowd {
         let (truths, alpha_ln, beta_ln, phi_ln, trace, iterations, converged, renorm_shift) =
             run_em_reference(&ws, &self.opts.em);
 
+        let phi: Vec<f64> = phi_ln.iter().map(|v| v.exp()).collect();
         InferenceResult {
             n_rows,
             n_cols,
@@ -172,7 +173,8 @@ impl TCrowd {
             beta: beta_ln.iter().map(|v| v.exp()).collect(),
             worker_index: ws.workers.iter().enumerate().map(|(i, &w)| (w, i)).collect(),
             workers: ws.workers.clone(),
-            phi: phi_ln.iter().map(|v| v.exp()).collect(),
+            median_phi: population_median_phi(&phi),
+            phi,
             epsilon,
             objective_trace: trace,
             iterations,

@@ -66,7 +66,7 @@ pub(crate) mod pool;
 pub mod truth;
 
 pub use assign::{
-    apply_answer_incrementally, expected_posterior, AssignmentContext, AssignmentPolicy, BatchMode,
+    apply_answer_incrementally, expected_posterior, AssignmentContext, AssignmentPolicy,
     InherentGainPolicy, StructureAwarePolicy,
 };
 pub use correlation::{CorrelationModel, ErrorObservation, PredictedError};

@@ -38,8 +38,7 @@ fn main() {
     println!("\npredicting EndTarget (col 4) error from StartTarget (col 3) error:");
     for e_start in [0.0, 1.0, 2.0] {
         match model.conditional_error(4, &[(3, ErrorObservation::Continuous(e_start))]) {
-            Some(p @ PredictedError::ContinuousMixture(_)) => {
-                let (mean, var) = p.mixture_moments().unwrap();
+            Some(PredictedError::Continuous { mean, var }) => {
                 println!("  e_start = {e_start:>4.1}  ->  e_end ~ N({mean:>6.3}, {var:.3})");
             }
             other => println!("  e_start = {e_start:>4.1}  ->  {other:?}"),
