@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tcrowd_core::diagnostics::max_z_discrepancy;
-use tcrowd_core::{EmOptions, InferenceResult, TCrowd, TCrowdOptions};
+use tcrowd_core::{EmOptions, FitParams, InferenceResult, Seed, TCrowd, TCrowdOptions};
 use tcrowd_tabular::{generate_dataset, Answer, AnswerLog, AnswerMatrix, GeneratorConfig};
 
 /// Refit cadence: answers collected between refits (matches the simulator's
@@ -123,7 +123,7 @@ fn measure_point(
         let mut fit = chain_seed.clone();
         for c in 1..=CYCLES {
             matrix = matrix.merge_delta(&stream[start + (c - 1) * DELTA..start + c * DELTA]);
-            fit = warm_model.infer_matrix_warm(schema, &matrix, &fit);
+            fit = warm_model.fit(schema, &matrix, Seed::Warm(&FitParams::of(&fit)));
         }
         (t0.elapsed().as_nanos() as f64 / CYCLES as f64, fit)
     });
@@ -174,7 +174,7 @@ fn refresh_refit(c: &mut Criterion) {
     let prev_matrix = AnswerMatrix::build(&log_of(&stream, rows, cols, n - DELTA));
     let deep_prev = deep_model.infer_matrix(&d.schema, &prev_matrix);
     let merged = prev_matrix.merge_delta(&stream[n - DELTA..]);
-    let deep_warm = deep_model.infer_matrix_warm(&d.schema, &merged, &deep_prev);
+    let deep_warm = deep_model.fit(&d.schema, &merged, Seed::Warm(&FitParams::of(&deep_prev)));
     let deep_cold = deep_model.infer_matrix(&d.schema, &merged);
     let gate = max_z_discrepancy(&deep_warm, &deep_cold);
     assert!(gate < 1e-6, "warm path diverged from cold at convergence: {gate:.3e}");
@@ -262,7 +262,7 @@ fn refresh_refit(c: &mut Criterion) {
         |b, (m, prev)| {
             b.iter(|| {
                 let merged = m.merge_delta(&stream[n - DELTA..]);
-                warm_model.infer_matrix_warm(&d.schema, &merged, prev).iterations
+                warm_model.fit(&d.schema, &merged, Seed::Warm(&FitParams::of(prev))).iterations
             })
         },
     );

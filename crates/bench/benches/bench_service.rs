@@ -15,7 +15,7 @@
 //! POST /tables/:id/answers  {"answers": [...]}    (latency sampled)
 //! ```
 //!
-//! Ingestion runs against the table's live `OnlineTCrowd`; the per-table
+//! Ingestion appends to the table's live answer log; the per-table
 //! refresher thread delta-merges and re-fits in the background (cadence
 //! 40 ms, threshold 32). At the end the harness forces a final refresh and
 //! gates on the service's core contracts:

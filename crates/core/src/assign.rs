@@ -74,8 +74,8 @@ impl<'a> AssignmentContext<'a> {
         debug_assert_eq!(
             self.freeze.epoch(),
             self.answers.len(),
-            "assignment context holds a stale freeze — refresh the matrix \
-             (AnswerMatrix::refresh / merge_delta) before selecting",
+            "assignment context holds a stale freeze — merge the log tail \
+             (AnswerMatrix::merge_delta) before selecting",
         );
         self.freeze.matrix()
     }

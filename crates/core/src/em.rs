@@ -620,7 +620,7 @@ struct AnswerDerivs {
 
 impl AnswerDerivs {
     /// Size for the runs; the curvature buffer only when asked for, so an
-    /// EM run that never reaches an M-step (`evaluate_seeded`) allocates
+    /// EM run that never reaches an M-step (`Seed::Evaluate`) allocates
     /// no more than the ELBO needs. A no-op once sized.
     fn size_for(&mut self, runs: &MStepRuns, curv: bool) {
         self.cont_g.resize(runs.cont_row.len(), 0.0);

@@ -104,7 +104,8 @@ impl TCrowd {
     ///
     /// Freezes the log into an [`AnswerMatrix`] and delegates to
     /// [`Self::infer_matrix`]; callers that already hold a matrix (the
-    /// simulator between refits, batch harnesses) should call that directly.
+    /// online loop's [`crate::FitState`], batch harnesses) should call that
+    /// or [`Self::fit`] directly.
     pub fn infer(&self, schema: &Schema, answers: &AnswerLog) -> InferenceResult {
         assert_eq!(schema.num_columns(), answers.cols(), "schema/answer-log column mismatch");
         self.infer_matrix(schema, &AnswerMatrix::build(answers))
@@ -113,88 +114,12 @@ impl TCrowd {
     /// Run truth inference on a frozen columnar answer set, cold-started
     /// (uniform priors, calibrated initial worker quality).
     pub fn infer_matrix(&self, schema: &Schema, matrix: &AnswerMatrix) -> InferenceResult {
-        self.fit_matrix(schema, matrix, None)
+        self.fit(schema, matrix, Seed::Cold)
     }
 
-    /// Run truth inference on a frozen columnar answer set, **warm-started**
-    /// from a previous fit of a slightly-stale freeze of the same table.
-    ///
-    /// EM's parameters (`α, β, φ`) are seeded from `prev` — rows and columns
-    /// positionally, workers by id (workers unseen by `prev` start at the
-    /// calibrated `φ₀`) — so the steady-state refit of an online loop
-    /// converges in a handful of iterations instead of replaying the cold
-    /// trajectory. The EM *map* is unchanged: given the same answers, the
-    /// warm and cold paths converge to the same estimates (the sim
-    /// regression suite asserts agreement within 1e-6), so warm-starting is
-    /// a pure latency optimisation.
-    ///
-    /// Falls back to the cold start when `prev` has a different table shape
-    /// (it cannot be a fit of this table's history).
-    pub fn infer_matrix_warm(
-        &self,
-        schema: &Schema,
-        matrix: &AnswerMatrix,
-        prev: &InferenceResult,
-    ) -> InferenceResult {
-        self.fit_matrix(schema, matrix, Some(&FitParams::of(prev)))
-    }
-
-    /// Run truth inference warm-started from **detached fit parameters** —
-    /// the persistence-friendly form of [`Self::infer_matrix_warm`].
-    ///
-    /// A [`FitParams`] carries exactly the state a warm restart consumes
-    /// (raw-gauge `α, β, φ` plus the renormalisation shift), so a seed can be
-    /// serialized with a snapshot and replayed after a crash without keeping
-    /// the full [`InferenceResult`] (posteriors, traces) alive. Seeds with a
-    /// mismatched table shape or inconsistent lane lengths fall back to the
-    /// cold start, same as [`Self::infer_matrix_warm`].
-    pub fn infer_matrix_seeded(
-        &self,
-        schema: &Schema,
-        matrix: &AnswerMatrix,
-        seed: &FitParams,
-    ) -> InferenceResult {
-        self.fit_matrix(schema, matrix, Some(seed))
-    }
-
-    /// Evaluate the model at **fixed parameters**: one E-step at `seed`'s
-    /// `α, β, φ` (mapped through the stored gauge shift), no EM iterations.
-    ///
-    /// Because the posteriors are a pure function of `(answers, parameters)`
-    /// and the gauge round-trip perturbs the parameters only at float
-    /// rounding, evaluating a converged fit's own [`FitParams`] on the same
-    /// answers reproduces that fit's posteriors to ~1e-12 — this is how
-    /// crash recovery republishes the exact pre-crash served state from a
-    /// snapshot without re-running EM. The result is marked `converged`
-    /// (the parameters are held fixed by construction); `iterations` is 0.
-    ///
-    /// A `seed` whose shape does not match the matrix falls back to a plain
-    /// cold *fit* (the evaluation would be meaningless), same as the other
-    /// seeded entry points.
-    pub fn evaluate_seeded(
-        &self,
-        schema: &Schema,
-        matrix: &AnswerMatrix,
-        seed: &FitParams,
-    ) -> InferenceResult {
-        if !seed.shape_matches(matrix.rows(), matrix.cols()) {
-            return self.infer_matrix(schema, matrix);
-        }
-        let eval = TCrowd::new(TCrowdOptions {
-            em: EmOptions { max_iters: 0, ..self.opts.em },
-            ..self.opts
-        });
-        let mut result = eval.fit_matrix(schema, matrix, Some(seed));
-        result.converged = true;
-        result
-    }
-
-    fn fit_matrix(
-        &self,
-        schema: &Schema,
-        matrix: &AnswerMatrix,
-        prev: Option<&FitParams>,
-    ) -> InferenceResult {
+    /// Run truth inference on a frozen columnar answer set, starting EM as
+    /// `seed` says (see [`Seed`] for each start and its fallback).
+    pub fn fit(&self, schema: &Schema, matrix: &AnswerMatrix, seed: Seed<'_>) -> InferenceResult {
         assert_eq!(schema.num_columns(), matrix.cols(), "schema/answer-matrix column mismatch");
         let n_rows = matrix.rows();
         let n_cols = matrix.cols();
@@ -298,14 +223,22 @@ impl TCrowd {
         };
         let ws = Workspace { epsilon, ..ws };
 
-        // Warm-start seed: previous parameters mapped onto this workspace's
-        // dense indices (see `infer_matrix_warm`). `ε` is re-resolved from
-        // the current answers either way, so the quality link stays
-        // calibrated to the data actually being fitted.
-        let warm = prev.and_then(|p| {
-            if !p.shape_matches(n_rows, n_cols) {
-                return None;
-            }
+        // Seeded starts: the seed's parameters mapped onto this workspace's
+        // dense indices. `ε` is re-resolved from the current answers either
+        // way, so the quality link stays calibrated to the data actually
+        // being fitted. A seed of another table shape falls back to the cold
+        // start, and so does an evaluation whose worker lane is not exactly
+        // the workers being fitted (it would hold fixed parameters that no
+        // fit of these answers produced).
+        let params = match seed {
+            Seed::Cold => None,
+            Seed::Warm(p) => Some(p),
+            Seed::Evaluate(p) => Some(p).filter(|p| p.workers == workers),
+        }
+        .filter(|p| p.shape_matches(n_rows, n_cols));
+        let evaluate = matches!(seed, Seed::Evaluate(_)) && params.is_some();
+        let em = if evaluate { EmOptions { max_iters: 0, ..self.opts.em } } else { self.opts.em };
+        let warm = params.map(|p| {
             // Seed in the *raw* gauge the M-step rests in: undo the
             // identifiability polish (`renorm_shift`), so the restart starts
             // exactly where the previous fit's optimiser stopped instead of
@@ -314,16 +247,16 @@ impl TCrowd {
             let (ma, mb) = p.renorm_shift;
             let phi0 = initial_phi(epsilon, self.opts.em.init_quality).ln() - ma - mb;
             let safe_ln = |v: f64| v.max(tcrowd_stat::EPS).ln();
-            Some(WarmStart {
+            WarmStart {
                 ln_alpha: p.alpha.iter().map(|&v| safe_ln(v) + ma).collect(),
                 ln_beta: p.beta.iter().map(|&v| safe_ln(v) + mb).collect(),
                 ln_phi: workers
                     .iter()
                     .map(|&w| p.phi_of(w).map(|v| safe_ln(v) - ma - mb).unwrap_or(phi0))
                     .collect(),
-            })
+            }
         });
-        let state = run_em_from(&ws, &self.opts.em, warm.as_ref());
+        let state = run_em_from(&ws, &em, warm.as_ref());
         let phi: Vec<f64> = state.ln_phi.iter().map(|v| v.exp()).collect();
 
         InferenceResult {
@@ -340,7 +273,8 @@ impl TCrowd {
             epsilon,
             objective_trace: state.trace,
             iterations: state.iterations,
-            converged: state.converged,
+            // An evaluation holds its parameters fixed by construction.
+            converged: state.converged || evaluate,
             renorm_shift: state.renorm_shift,
             timings: state.timings,
         }
@@ -357,8 +291,37 @@ fn population_median_phi(phi: &[f64]) -> f64 {
     }
 }
 
-/// The detached warm-start seed of an EM fit: exactly the parameters
-/// [`TCrowd::infer_matrix_seeded`] consumes, nothing else.
+/// How [`TCrowd::fit`] starts EM.
+#[derive(Debug, Clone, Copy)]
+pub enum Seed<'a> {
+    /// Uniform priors and calibrated initial worker quality: the result is a
+    /// pure function of the answers.
+    Cold,
+    /// Start from a previous fit of the same table. Rows and columns are
+    /// seeded positionally and workers by id (workers the seed lacks start
+    /// at the calibrated `φ₀`), so the steady-state refit of an online loop
+    /// converges in a handful of iterations instead of replaying the cold
+    /// trajectory. The EM map is unchanged — given the same answers, warm
+    /// and cold starts converge to the same estimates (the sim regression
+    /// suite asserts agreement within 1e-6) — so this is a pure latency
+    /// optimisation. Falls back to the cold start when the seed has a
+    /// different table shape.
+    Warm(&'a FitParams),
+    /// Hold the parameters fixed: one E-step at them, no EM iterations; the
+    /// result has `iterations == 0` and `converged == true`. The posteriors
+    /// are a pure function of `(answers, parameters)` and the gauge
+    /// round-trip perturbs the parameters only at float rounding, so
+    /// evaluating a converged fit's own [`FitParams`] on the same answers
+    /// reproduces its posteriors to ~1e-12 — how crash recovery republishes
+    /// the pre-crash served state without re-running EM. Falls back to a
+    /// cold fit when the seed has a different table shape or a worker lane
+    /// other than the workers being fitted (the evaluation would be
+    /// meaningless).
+    Evaluate(&'a FitParams),
+}
+
+/// The detached seed of an EM fit: exactly the parameters [`Seed::Warm`]
+/// and [`Seed::Evaluate`] consume, nothing else.
 ///
 /// This is the piece of an [`InferenceResult`] worth persisting: posteriors
 /// and traces are pure functions of `(answers, parameters)` and are
@@ -785,7 +748,7 @@ mod tests {
         }
         let prev_fit = model.infer(&d.schema, &prev);
         let matrix = d.answers.to_matrix();
-        let warm = model.infer_matrix_warm(&d.schema, &matrix, &prev_fit);
+        let warm = model.fit(&d.schema, &matrix, Seed::Warm(&FitParams::of(&prev_fit)));
         let cold = model.infer_matrix(&d.schema, &matrix);
         assert!(warm.converged && cold.converged);
         let gap = crate::diagnostics::max_z_discrepancy(&warm, &cold);
@@ -794,10 +757,8 @@ mod tests {
 
     #[test]
     fn seeded_restart_equals_warm_restart_exactly() {
-        // `infer_matrix_seeded(FitParams::of(prev))` and
-        // `infer_matrix_warm(prev)` must be the *same computation* — the
-        // detached seed carries everything the warm path reads. Differential
-        // check over the full z-space posterior plus every parameter lane.
+        // A fit's detached seed carries exactly its parameter lanes, and a
+        // seed that cannot describe the table falls back to the cold start.
         let d = small_dataset(6);
         let model = TCrowd::default_full();
         let half = {
@@ -809,20 +770,18 @@ mod tests {
         };
         let prev = model.infer(&d.schema, &half);
         let matrix = d.answers.to_matrix();
-        let warm = model.infer_matrix_warm(&d.schema, &matrix, &prev);
-        let seeded = model.infer_matrix_seeded(&d.schema, &matrix, &FitParams::of(&prev));
-        assert_eq!(warm.alpha, seeded.alpha);
-        assert_eq!(warm.beta, seeded.beta);
-        assert_eq!(warm.phi, seeded.phi);
-        assert_eq!(warm.iterations, seeded.iterations);
-        assert_eq!(warm.estimates(), seeded.estimates());
-        assert_eq!(crate::diagnostics::max_z_discrepancy(&warm, &seeded), 0.0);
-        // Round-tripping the seed through itself is lossless.
-        assert_eq!(FitParams::of(&warm), FitParams::of(&seeded));
+        let warm = model.fit(&d.schema, &matrix, Seed::Warm(&FitParams::of(&prev)));
+        // Round-tripping a fit through its seed is lossless.
+        let seed = FitParams::of(&warm);
+        assert_eq!((seed.rows, seed.cols), (warm.rows(), warm.cols()));
+        assert_eq!(
+            (&seed.alpha, &seed.beta, &seed.workers, &seed.phi),
+            (&warm.alpha, &warm.beta, &warm.workers, &warm.phi)
+        );
         // A shape-mismatched seed falls back to the cold start.
         let bad = FitParams { rows: 1, ..FitParams::of(&prev) };
         let cold = model.infer_matrix(&d.schema, &matrix);
-        let fallback = model.infer_matrix_seeded(&d.schema, &matrix, &bad);
+        let fallback = model.fit(&d.schema, &matrix, Seed::Warm(&bad));
         assert_eq!(cold.estimates(), fallback.estimates());
         assert_eq!(cold.iterations, fallback.iterations);
     }
@@ -836,7 +795,7 @@ mod tests {
         let model = TCrowd::default_full();
         let fit = model.infer(&d.schema, &d.answers);
         let matrix = d.answers.to_matrix();
-        let eval = model.evaluate_seeded(&d.schema, &matrix, &FitParams::of(&fit));
+        let eval = model.fit(&d.schema, &matrix, Seed::Evaluate(&FitParams::of(&fit)));
         assert_eq!(eval.iterations, 0, "evaluation must not iterate EM");
         assert!(eval.converged);
         let gap = crate::diagnostics::max_z_discrepancy(&eval, &fit);
@@ -860,8 +819,30 @@ mod tests {
         }
         // Shape mismatch falls back to a cold fit, not a bogus evaluation.
         let bad = FitParams { rows: 1, ..FitParams::of(&fit) };
-        let fallback = model.evaluate_seeded(&d.schema, &matrix, &bad);
+        let fallback = model.fit(&d.schema, &matrix, Seed::Evaluate(&bad));
         assert!(fallback.iterations > 0);
+    }
+
+    #[test]
+    fn evaluating_params_of_other_workers_falls_back_to_a_cold_fit() {
+        // Parameters fitted with a worker the matrix no longer holds (a
+        // quarantine newer than the stored fit), or without one it now
+        // holds, do not describe these answers: evaluating them would serve
+        // a fit nobody computed. Both directions take the cold fit instead.
+        let d = small_dataset(8);
+        let model = TCrowd::default_full();
+        let matrix = d.answers.to_matrix();
+        let full = FitParams::of(&model.infer_matrix(&d.schema, &matrix));
+        let filtered = matrix.without_workers(&full.workers[..1]);
+        let without = FitParams::of(&model.infer_matrix(&d.schema, &filtered));
+        for (params, over) in [(&full, &filtered), (&without, &matrix)] {
+            let cold = model.infer_matrix(&d.schema, over);
+            let eval = model.fit(&d.schema, over, Seed::Evaluate(params));
+            assert!(eval.iterations > 0, "a foreign worker lane must not be evaluated");
+            assert_eq!(eval.iterations, cold.iterations);
+            assert_eq!(eval.estimates(), cold.estimates());
+            assert_eq!(crate::diagnostics::max_z_discrepancy(&eval, &cold), 0.0);
+        }
     }
 
     #[test]

@@ -20,16 +20,21 @@
 //! ## Incremental refits (the online loop)
 //!
 //! An assign → collect → re-infer loop refits with only a handful of new
-//! answers each time. [`TCrowd::infer_matrix_warm`] seeds EM from a previous
-//! fit — parameters are restored in the raw (pre-renormalisation) gauge so
-//! the restart begins exactly where the previous optimiser stopped — and the
-//! steady-state refit converges in a few iterations instead of replaying the
-//! cold trajectory; paired with `AnswerMatrix::merge_delta` on the storage
-//! side this is the `BENCH_refresh.json` speedup. Both paths share the EM
-//! map, so at convergence the warm and cold fits agree (regression-tested to
-//! 1e-6); [`EmOptions::param_tol`](em::EmOptions) adds a parameter-change
-//! stopping rule for runs that need fixed-point-accurate parameters rather
-//! than a flat ELBO.
+//! answers each time. [`TCrowd::fit`] is the one way into EM on a frozen
+//! matrix, and its [`Seed`] says how EM starts: cold, warm from a previous
+//! fit's parameters, or evaluating stored parameters without iterating.
+//! A warm seed restores the parameters in the raw (pre-renormalisation)
+//! gauge so the restart begins exactly where the previous optimiser
+//! stopped, and the steady-state refit converges in a few iterations
+//! instead of replaying the cold trajectory; paired with
+//! `AnswerMatrix::merge_delta` on the storage side this is the
+//! `BENCH_refresh.json` speedup. Both starts share the EM map, so at
+//! convergence the warm and cold fits agree (regression-tested to 1e-6);
+//! [`EmOptions::param_tol`](em::EmOptions) adds a parameter-change stopping
+//! rule for runs that need fixed-point-accurate parameters rather than a
+//! flat ELBO. [`FitState`] is the online loop itself — absorb a log slice,
+//! refit, catch up on answers that arrived mid-fit with the §5.1
+//! incremental update — and both the simulator and the service drive it.
 //!
 //! ## Task assignment (paper §5)
 //!
@@ -41,7 +46,9 @@
 //! the errors they already made on other attributes of the same row, through
 //! a pairwise correlation model (Tables 4–5).
 //!
-//! Entry points: [`TCrowd`] for inference, [`InherentGainPolicy`] /
+//! Entry points: [`TCrowd`] for inference ([`TCrowd::infer`] on a log,
+//! [`TCrowd::infer_matrix`] on a freeze, [`TCrowd::fit`] with a [`Seed`]),
+//! [`FitState`] for the online loop, [`InherentGainPolicy`] /
 //! [`StructureAwarePolicy`] for assignment, and [`EntityAwarePolicy`] for the
 //! §7 entity-correlation extension.
 
@@ -73,6 +80,8 @@ pub use correlation::{CorrelationModel, ErrorObservation, PredictedError};
 pub use em::{EmOptions, EmTimings};
 pub use entity::{EntityAwarePolicy, EntityModel, EntityModelOptions, RowGrouping};
 pub use gain::GainEstimator;
-pub use inference::{ColumnFilter, EpsilonSpec, FitParams, InferenceResult, TCrowd, TCrowdOptions};
-pub use online::{FitState, OnlineTCrowd};
+pub use inference::{
+    ColumnFilter, EpsilonSpec, FitParams, InferenceResult, Seed, TCrowd, TCrowdOptions,
+};
+pub use online::FitState;
 pub use truth::TruthDist;

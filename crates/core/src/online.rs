@@ -3,10 +3,10 @@
 //! A live platform (paper Fig. 1) interleaves answer collection with
 //! inference. Re-running full EM on every answer is wasteful — §5.1 already
 //! notes that one answer barely moves anything except the answered cell's
-//! posterior — so [`OnlineTCrowd`] applies each incoming answer as an
-//! incremental Bayesian update and re-fits the full model only every
-//! `refit_every` answers (or on demand). Between refits the worker/difficulty
-//! parameters are frozen; after a refit everything is exact again.
+//! posterior — so the online loop applies each incoming answer as an
+//! incremental Bayesian update and re-fits the full model only at the
+//! caller's own cadence. Between refits the worker/difficulty parameters are
+//! frozen; after a refit everything is exact again.
 //!
 //! ## Mutate vs. fit state
 //!
@@ -20,17 +20,18 @@
 //!   [`InferenceResult`] — is what EM reads and writes, and it advances
 //!   *only* by absorbing epoch-tagged [`LogSlice`]s.
 //!
-//! [`OnlineTCrowd`] composes the two behind the original single-threaded
-//! API. A service that must not stall collection while EM runs holds them
-//! behind separate locks instead: slice the tail under the ingest lock
+//! Every caller runs the same loop over a `FitState`: the simulator's
+//! `Runner` catches up on each HIT's answers and refits every few HITs; a
+//! service that must not stall collection while EM runs holds the two
+//! states behind separate locks — slice the tail under the ingest lock
 //! (`O(Δ)`), [`FitState::absorb`] + [`FitState::refit`] outside it, then a
 //! brief catch-up ([`FitState::catch_up`]) for the answers that arrived
-//! mid-fit — see `tcrowd-service`.
+//! mid-fit (see `tcrowd-service`).
 
 use crate::assign::apply_answer_incrementally;
-use crate::inference::{InferenceResult, TCrowd};
+use crate::inference::{FitParams, InferenceResult, Seed, TCrowd};
 use std::sync::Arc;
-use tcrowd_tabular::{Answer, AnswerLog, AnswerMatrix, LogSlice, Schema, Value, WorkerId};
+use tcrowd_tabular::{AnswerLog, AnswerMatrix, LogSlice, Schema, WorkerId};
 
 /// The fit half of the online loop: the evolving freeze and the inference
 /// result over it, advanced exclusively by epoch-tagged log slices.
@@ -60,36 +61,34 @@ pub struct FitState {
 }
 
 impl FitState {
+    /// Start the online loop at `matrix` (a freeze of the log so far): the
+    /// first fit runs over it without `excluded`'s answers, exactly as
+    /// [`Self::refit`] does, and starts EM as `seed` says — cold for a new
+    /// table, [`Seed::Evaluate`] to republish stored parameters on recovery.
+    pub fn new(
+        model: TCrowd,
+        schema: Schema,
+        matrix: AnswerMatrix,
+        mut excluded: Vec<WorkerId>,
+        seed: Seed<'_>,
+    ) -> FitState {
+        excluded.sort_unstable();
+        excluded.dedup();
+        let result = fit_excluding(&model, &schema, &matrix, &excluded, seed);
+        FitState { model, schema, matrix: Arc::new(matrix), result, exclude: excluded }
+    }
+
     /// An empty fit state for a `rows`-row table (runs the initial fit of
     /// the empty answer set).
     pub fn empty(model: TCrowd, schema: Schema, rows: usize) -> FitState {
         let matrix = AnswerMatrix::build(&AnswerLog::new(rows, schema.num_columns()));
-        let result = model.infer_matrix(&schema, &matrix);
-        FitState { model, schema, matrix: Arc::new(matrix), result, exclude: Vec::new() }
-    }
-
-    /// Adopt an already-computed fit of `matrix` (the crash-recovery
-    /// constructor — see [`OnlineTCrowd::from_fit`] for the provenance
-    /// contract).
-    pub fn from_parts(
-        model: TCrowd,
-        schema: Schema,
-        matrix: AnswerMatrix,
-        result: InferenceResult,
-    ) -> FitState {
-        assert_eq!(
-            (result.rows(), result.cols()),
-            (matrix.rows(), matrix.cols()),
-            "adopted fit has a different table shape than the freeze"
-        );
-        FitState { model, schema, matrix: Arc::new(matrix), result, exclude: Vec::new() }
+        FitState::new(model, schema, matrix, Vec::new(), Seed::Cold)
     }
 
     /// Replace the quarantined-worker set (deduplicated and sorted
     /// internally). Returns whether the set actually changed; when it did,
     /// the current result still reflects the old set until the next
-    /// [`Self::refit`]. Note an adopted result ([`Self::from_parts`]) is
-    /// trusted to match whatever set the caller fit it under.
+    /// [`Self::refit`].
     pub fn set_exclusions(&mut self, mut excluded: Vec<WorkerId>) -> bool {
         excluded.sort_unstable();
         excluded.dedup();
@@ -130,18 +129,9 @@ impl FitState {
     /// identical to fitting a log that never contained those workers'
     /// answers, while the published freeze keeps covering the full log.
     pub fn refit(&mut self, warm: bool) {
-        let fit_over = |matrix: &AnswerMatrix, result: &InferenceResult| {
-            if warm {
-                self.model.infer_matrix_warm(&self.schema, matrix, result)
-            } else {
-                self.model.infer_matrix(&self.schema, matrix)
-            }
-        };
-        self.result = if self.exclude.is_empty() {
-            fit_over(&self.matrix, &self.result)
-        } else {
-            fit_over(&self.matrix.without_workers(&self.exclude), &self.result)
-        };
+        let params = warm.then(|| FitParams::of(&self.result));
+        let seed = params.as_ref().map_or(Seed::Cold, Seed::Warm);
+        self.result = fit_excluding(&self.model, &self.schema, &self.matrix, &self.exclude, seed);
     }
 
     /// Fold in the answers that arrived while a fit was running: absorb the
@@ -153,15 +143,9 @@ impl FitState {
         self.absorb(slice);
         for a in slice.answers() {
             if self.exclude.binary_search(&a.worker).is_err() {
-                self.apply_incremental(a);
+                apply_answer_incrementally(&mut self.result, a.worker, a.cell, &a.value);
             }
         }
-    }
-
-    /// Apply one answer's incremental posterior update to the current
-    /// result (the freeze is *not* advanced — pair with [`Self::absorb`]).
-    pub fn apply_incremental(&mut self, answer: &Answer) {
-        apply_answer_incrementally(&mut self.result, answer.worker, answer.cell, &answer.value);
     }
 
     /// The current freeze.
@@ -181,170 +165,20 @@ impl FitState {
     pub fn result(&self) -> &InferenceResult {
         &self.result
     }
-
-    /// The model.
-    #[inline]
-    pub fn model(&self) -> &TCrowd {
-        &self.model
-    }
-
-    /// The schema.
-    #[inline]
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
 }
 
-/// Streaming wrapper around [`TCrowd`]: the mutate state (answer log) and
-/// the [`FitState`] composed behind one single-threaded API.
-#[derive(Debug, Clone)]
-pub struct OnlineTCrowd {
-    answers: AnswerLog,
-    fit: FitState,
-    since_refit: usize,
-    /// Full EM re-fit cadence, in answers (default 64).
-    pub refit_every: usize,
-    /// Warm-start automatic re-fits from the previous fit's parameters
-    /// (default off: cold re-fits reproduce the batch path bit-for-bit,
-    /// which the differential tests rely on; turn this on in latency-bound
-    /// deployments — see [`TCrowd::infer_matrix_warm`]).
-    pub warm_refits: bool,
-}
-
-impl OnlineTCrowd {
-    /// Start from an existing answer set (runs one full fit).
-    pub fn new(model: TCrowd, schema: Schema, answers: AnswerLog) -> Self {
-        let matrix = AnswerMatrix::build(&answers);
-        let result = model.infer_matrix(&schema, &matrix);
-        let fit = FitState::from_parts(model, schema, matrix, result);
-        OnlineTCrowd { answers, fit, since_refit: 0, refit_every: 64, warm_refits: false }
-    }
-
-    /// Start with an empty answer log for a `rows`-row table.
-    pub fn empty(model: TCrowd, schema: Schema, rows: usize) -> Self {
-        let answers = AnswerLog::new(rows, schema.num_columns());
-        Self::new(model, schema, answers)
-    }
-
-    /// Adopt an already-computed fit of `answers` instead of running EM —
-    /// the crash-recovery constructor: the store layer replays the WAL into
-    /// `answers`, produces `result` (seeded from the snapshot's
-    /// [`crate::FitParams`] when one survived, cold otherwise) and resumes
-    /// streaming from there.
-    ///
-    /// The caller supplies the freeze it already built to produce `result`
-    /// (recovery runs the seeded fit on a freeze first — rebuilding it here
-    /// would double the `O(n)` freeze cost on the boot path) and asserts
-    /// that both are derived *from this log*; shape and staleness are
-    /// checked, the provenance cannot be.
-    pub fn from_fit(
-        model: TCrowd,
-        schema: Schema,
-        answers: AnswerLog,
-        matrix: AnswerMatrix,
-        result: InferenceResult,
-    ) -> Self {
-        assert_eq!(
-            (result.rows(), result.cols()),
-            (answers.rows(), answers.cols()),
-            "adopted fit has a different table shape than the answer log"
-        );
-        assert!(
-            !matrix.is_stale(&answers) && matrix.rows() == answers.rows(),
-            "adopted freeze does not cover the answer log"
-        );
-        let fit = FitState::from_parts(model, schema, matrix, result);
-        OnlineTCrowd { answers, fit, since_refit: 0, refit_every: 64, warm_refits: false }
-    }
-
-    /// Ingest one answer: `O(1)` incremental posterior update, with a full
-    /// EM re-fit every [`Self::refit_every`] answers. Returns `true` if this
-    /// answer triggered a re-fit.
-    pub fn add_answer(&mut self, answer: Answer) -> bool {
-        assert!(
-            self.fit.schema().column_type(answer.cell.col as usize).accepts(&answer.value),
-            "answer value does not match its column type"
-        );
-        self.answers.push(answer);
-        self.since_refit += 1;
-        if self.since_refit >= self.refit_every {
-            self.refit();
-            true
-        } else {
-            self.fit.apply_incremental(&answer);
-            false
-        }
-    }
-
-    /// Force a full EM re-fit now: the freeze is delta-merged up to date
-    /// (identical to a rebuild, at a fraction of the cost) and EM runs —
-    /// warm-started from the current result when [`Self::warm_refits`] is
-    /// set, cold otherwise.
-    pub fn refit(&mut self) {
-        if self.fit.epoch() != self.answers.len() {
-            self.fit.absorb(&self.answers.slice_since(self.fit.epoch()));
-        }
-        self.fit.refit(self.warm_refits);
-        self.since_refit = 0;
-    }
-
-    /// Re-fit only if answers arrived since the last full fit. External
-    /// drivers (a service refresher thread, a batch scheduler) call this on
-    /// their own cadence instead of relying on [`Self::refit_every`]; a
-    /// clean state is a no-op, so over-calling is free. Returns whether a
-    /// re-fit actually ran.
-    pub fn flush_refit(&mut self) -> bool {
-        if self.since_refit == 0 && self.fit.epoch() == self.answers.len() {
-            return false;
-        }
-        self.refit();
-        true
-    }
-
-    /// The current freeze of the answer log (kept current at refit points;
-    /// may trail the log by up to [`Self::staleness`] answers in between).
-    pub fn matrix(&self) -> &AnswerMatrix {
-        self.fit.matrix()
-    }
-
-    /// A staleness-checkable handle on the current freeze — what an
-    /// [`crate::AssignmentContext`] wants. The view trails the log by
-    /// [`Self::pending`] answers between re-fits; call [`Self::flush_refit`]
-    /// first when assignment must see every ingested answer.
-    pub fn freeze_view(&self) -> tcrowd_tabular::FrozenView<'_> {
-        self.fit.matrix().freeze_view()
-    }
-
-    /// The current inference state (possibly incrementally updated since the
-    /// last full fit).
-    pub fn result(&self) -> &InferenceResult {
-        self.fit.result()
-    }
-
-    /// The accumulated answer log.
-    pub fn answers(&self) -> &AnswerLog {
-        &self.answers
-    }
-
-    /// The schema.
-    pub fn schema(&self) -> &Schema {
-        self.fit.schema()
-    }
-
-    /// Current point estimates.
-    pub fn estimates(&self) -> Vec<Vec<Value>> {
-        self.fit.result().estimates()
-    }
-
-    /// Answers ingested since the last full fit.
-    pub fn staleness(&self) -> usize {
-        self.since_refit
-    }
-
-    /// Answers waiting for the next full fit — [`Self::staleness`] under the
-    /// name external refresh drivers read it by ("how much is batched up?").
-    pub fn pending(&self) -> usize {
-        self.since_refit
+/// Fit `matrix` without `excluded`'s answers (sorted; empty = fit it all).
+fn fit_excluding(
+    model: &TCrowd,
+    schema: &Schema,
+    matrix: &AnswerMatrix,
+    excluded: &[WorkerId],
+    seed: Seed<'_>,
+) -> InferenceResult {
+    if excluded.is_empty() {
+        model.fit(schema, matrix, seed)
+    } else {
+        model.fit(schema, &matrix.without_workers(excluded), seed)
     }
 }
 
@@ -377,33 +211,34 @@ mod tests {
         )
     }
 
-    #[test]
-    fn streaming_matches_batch_after_refit() {
-        let d = dataset(1);
-        let mut online = OnlineTCrowd::empty(TCrowd::default_full(), d.schema.clone(), d.rows());
-        for &a in d.answers.all() {
-            online.add_answer(a);
+    /// Stream `d`'s answers one at a time through a fresh fit state — each
+    /// caught up incrementally, with a full refit (warm or cold) after every
+    /// `refit_every` answers — and return the log alongside the state.
+    fn stream(
+        d: &tcrowd_tabular::Dataset,
+        refit_every: usize,
+        warm: bool,
+    ) -> (AnswerLog, FitState) {
+        let mut log = AnswerLog::new(d.rows(), d.cols());
+        let mut fit = FitState::empty(TCrowd::default_full(), d.schema.clone(), d.rows());
+        for (i, &a) in d.answers.all().iter().enumerate() {
+            log.push(a);
+            fit.catch_up(&log.slice_since(fit.epoch()));
+            if (i + 1) % refit_every == 0 {
+                fit.refit(warm);
+            }
         }
-        online.refit();
-        let batch = TCrowd::default_full().infer(&d.schema, &d.answers);
-        assert_eq!(online.estimates(), batch.estimates());
-        assert_eq!(online.result().iterations, batch.iterations);
+        (log, fit)
     }
 
     #[test]
-    fn refit_cadence_is_respected() {
-        let d = dataset(2);
-        let mut online = OnlineTCrowd::empty(TCrowd::default_full(), d.schema.clone(), d.rows());
-        online.refit_every = 10;
-        let mut refits = 0;
-        for (i, &a) in d.answers.all().iter().enumerate() {
-            if online.add_answer(a) {
-                refits += 1;
-                assert_eq!(online.staleness(), 0);
-            }
-            assert!(online.staleness() <= 10, "staleness at answer {i}");
-        }
-        assert_eq!(refits, d.answers.len() / 10);
+    fn streaming_matches_batch_after_refit() {
+        let d = dataset(1);
+        let (_, mut fit) = stream(&d, 64, false);
+        fit.refit(false);
+        let batch = TCrowd::default_full().infer(&d.schema, &d.answers);
+        assert_eq!(fit.result().estimates(), batch.estimates());
+        assert_eq!(fit.result().iterations, batch.iterations);
     }
 
     #[test]
@@ -411,12 +246,8 @@ mod tests {
         // Between refits the estimates are approximate; they must still be
         // useful (here: within a small error-rate gap of the batch fit).
         let d = dataset(3);
-        let mut online = OnlineTCrowd::empty(TCrowd::default_full(), d.schema.clone(), d.rows());
-        online.refit_every = usize::MAX; // never refit: pure incremental
-        for &a in d.answers.all() {
-            online.add_answer(a);
-        }
-        let online_rep = evaluate(&d.schema, &d.truth, &online.estimates());
+        let (_, fit) = stream(&d, usize::MAX, false); // never refit: pure incremental
+        let online_rep = evaluate(&d.schema, &d.truth, &fit.result().estimates());
         let batch = TCrowd::default_full().infer(&d.schema, &d.answers);
         let batch_rep = evaluate(&d.schema, &d.truth, &batch.estimates());
         assert!(
@@ -430,63 +261,57 @@ mod tests {
     #[test]
     fn warm_refits_stay_close_to_cold_refits() {
         let d = dataset(5);
-        let mut warm = OnlineTCrowd::empty(TCrowd::default_full(), d.schema.clone(), d.rows());
-        warm.warm_refits = true;
-        warm.refit_every = 25;
-        let mut cold = OnlineTCrowd::empty(TCrowd::default_full(), d.schema.clone(), d.rows());
-        cold.refit_every = 25;
-        for &a in d.answers.all() {
-            warm.add_answer(a);
-            cold.add_answer(a);
-        }
-        warm.refit();
-        cold.refit();
+        let (log, mut warm) = stream(&d, 25, true);
+        let (_, mut cold) = stream(&d, 25, false);
+        warm.refit(true);
+        cold.refit(false);
         // Both chains see identical data; the warm chain's estimates must be
         // statistically indistinguishable (same error rate ballpark).
-        let rw = evaluate(&d.schema, &d.truth, &warm.estimates());
-        let rc = evaluate(&d.schema, &d.truth, &cold.estimates());
+        let rw = evaluate(&d.schema, &d.truth, &warm.result().estimates());
+        let rc = evaluate(&d.schema, &d.truth, &cold.result().estimates());
         assert!(
             (error_rate(&rw) - error_rate(&rc)).abs() <= 0.05,
             "warm {} vs cold {}",
             error_rate(&rw),
             error_rate(&rc)
         );
-        // The freeze tracks the log at refit points.
-        assert!(!warm.matrix().is_stale(warm.answers()));
+        // The freeze tracks the log.
+        assert!(!warm.matrix().is_stale(&log));
     }
 
     #[test]
-    fn flush_refit_is_explicit_and_idempotent() {
-        let d = dataset(6);
-        let mut online = OnlineTCrowd::empty(TCrowd::default_full(), d.schema.clone(), d.rows());
-        online.refit_every = usize::MAX; // external driver controls refits
-        for &a in d.answers.all() {
-            online.add_answer(a);
-        }
-        assert_eq!(online.pending(), d.answers.len());
-        assert!(online.freeze_view().is_stale(online.answers()), "freeze trails the log");
-        assert!(online.flush_refit(), "pending answers must trigger a refit");
-        assert_eq!(online.pending(), 0);
-        assert!(!online.freeze_view().is_stale(online.answers()));
-        assert_eq!(online.freeze_view().epoch(), d.answers.len());
-        // Nothing new: flushing again is a no-op.
-        assert!(!online.flush_refit());
-        // And the flushed state equals the batch fit (cold refits).
-        let batch = TCrowd::default_full().infer(&d.schema, &d.answers);
-        assert_eq!(online.estimates(), batch.estimates());
-    }
-
-    #[test]
-    #[should_panic(expected = "column type")]
-    fn rejects_mistyped_answers() {
-        let d = dataset(4);
-        let mut online = OnlineTCrowd::empty(TCrowd::default_full(), d.schema.clone(), d.rows());
-        // Column 0 is categorical in this layout.
-        online.add_answer(Answer {
-            worker: tcrowd_tabular::WorkerId(0),
-            cell: tcrowd_tabular::CellId::new(0, 0),
-            value: Value::Continuous(1.0),
-        });
+    fn new_fits_the_filtered_freeze_and_evaluates_stored_params() {
+        // The recovery constructor: the first fit honours the exclusion set
+        // exactly as a refit does, and evaluating that fit's own parameters
+        // republishes it without EM.
+        let d = dataset(11);
+        let model = TCrowd::default_full();
+        let excluded: Vec<tcrowd_tabular::WorkerId> = d.answers.workers().take(2).collect();
+        let mut refit = FitState::empty(model.clone(), d.schema.clone(), d.rows());
+        refit.absorb(&d.answers.slice_since(0));
+        refit.set_exclusions(excluded.clone());
+        refit.refit(false);
+        let cold = FitState::new(
+            model.clone(),
+            d.schema.clone(),
+            d.answers.to_matrix(),
+            excluded.iter().rev().copied().collect(),
+            Seed::Cold,
+        );
+        assert_eq!(cold.exclusions(), refit.exclusions());
+        assert_eq!(cold.result().estimates(), refit.result().estimates());
+        assert_eq!(cold.result().iterations, refit.result().iterations);
+        let params = FitParams::of(cold.result());
+        let eval = FitState::new(
+            model,
+            d.schema.clone(),
+            d.answers.to_matrix(),
+            excluded,
+            Seed::Evaluate(&params),
+        );
+        assert_eq!(eval.result().iterations, 0);
+        let gap = crate::diagnostics::max_z_discrepancy(eval.result(), cold.result());
+        assert!(gap < 1e-9, "evaluated posteriors drifted from the fit: {gap:.3e}");
     }
 
     #[test]

@@ -50,9 +50,11 @@
 //!
 //! Durability is `O(Δ)` as well: each publish appends an incremental store
 //! snapshot *delta* (the answers since the last snapshot plus the chained
-//! WAL offset); the chain is collapsed into a fresh full base once it
-//! grows past [`SNAPSHOT_CHAIN_MAX_LINKS`] links or as many answers as the
-//! base itself (geometric, so amortised cost stays linear in the delta).
+//! WAL offset — zero answers when a refresh republished at an unchanged
+//! epoch with a new fit); the chain is collapsed into a fresh full base
+//! once it grows past [`SNAPSHOT_CHAIN_MAX_LINKS`] links or as many answers
+//! as the base itself (geometric, so amortised cost stays linear in the
+//! delta).
 //!
 //! Deletion uses a **tombstone guard**: `TableRegistry::remove` marks the
 //! table deleted *before* joining the refresher, so a refresh that is
@@ -67,7 +69,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::{Duration, Instant};
 use tcrowd_core::{
-    AssignmentContext, CorrelationModel, FitParams, FitState, InferenceResult, TCrowd,
+    AssignmentContext, CorrelationModel, FitParams, FitState, InferenceResult, Seed, TCrowd,
 };
 use tcrowd_store::{
     compact_cold_segments, count_segments, remove_snapshot, remove_snapshot_deltas, rewrite_wal,
@@ -98,7 +100,7 @@ pub struct TableConfig {
     /// publishes, threshold reached or not.
     pub refresh_interval: Duration,
     /// Warm-start re-fits from the previous published fit (see
-    /// `TCrowd::infer_matrix_warm`). Off by default: cold re-fits make the
+    /// `tcrowd_core::Seed::Warm`). Off by default: cold re-fits make the
     /// published state a pure function of the collected log, which the
     /// determinism tests and the bench's offline-agreement gate rely on.
     pub warm_refits: bool,
@@ -425,6 +427,11 @@ struct SnapChain {
     has_base: bool,
     /// Epoch the chain (base + links) covers.
     epoch: u64,
+    /// [`Snapshot::refreshes`] of the publish the chain tip persists: a
+    /// refresh can republish at an unchanged epoch with a different fit
+    /// (after a quarantine change, or the settling refit after a catch-up
+    /// publish), and that fit must reach the chain too.
+    refreshes: u64,
     /// Delta links on top of the base.
     links: u64,
     /// Next free delta sequence number.
@@ -443,6 +450,7 @@ impl SnapChain {
         SnapChain {
             has_base: false,
             epoch: 0,
+            refreshes: 0,
             links: 0,
             next_seq: 1,
             base_answers: 0,
@@ -451,10 +459,13 @@ impl SnapChain {
         }
     }
 
+    /// The chain recovery found, which the recovered table's initial
+    /// snapshot (publish count 0) republishes.
     fn from_recovery(info: &ChainInfo, epoch: u64) -> SnapChain {
         SnapChain {
             has_base: true,
             epoch,
+            refreshes: 0,
             links: info.links,
             next_seq: info.max_seq_on_disk + 1,
             base_answers: info.base_answers,
@@ -817,11 +828,14 @@ impl TableState {
     /// Three cases, strongest first:
     ///
     /// 1. **Chain covers the whole log** (the steady state — a snapshot
-    ///    delta follows every publish): the pre-crash *published* state is
-    ///    republished verbatim via [`TCrowd::evaluate_seeded`] — one E-step
-    ///    at the stored parameters, **no EM**. Recovered served truth ≡
-    ///    pre-crash served truth ≡ offline `TCrowd::infer` on the log, to
-    ///    float rounding.
+    ///    delta follows every publish, including a republish at an
+    ///    unchanged epoch): the pre-crash *published* state is republished
+    ///    verbatim via [`Seed::Evaluate`] — one E-step at the stored
+    ///    parameters, **no EM**. Recovered served truth ≡ pre-crash served
+    ///    truth ≡ offline `TCrowd::infer` on the log, to float rounding.
+    ///    Stored parameters fitted over other workers than the recovered
+    ///    quarantine set leaves (a quarantine record newer than the stored
+    ///    fit) take a cold fit instead.
     /// 2. **A WAL tail extends past the chain**: the same refit the
     ///    refresher would have run for those pending answers — cold by
     ///    default (published state stays a pure function of the log),
@@ -848,27 +862,18 @@ impl TableState {
         } = rec;
         let schema = meta.schema.clone();
         let rows = meta.rows;
-        let model = TCrowd::default_full();
-        let matrix = log.to_matrix();
         // A recovered quarantine set means the persisted fit parameters were
-        // computed over the *filtered* matrix — seed/evaluate over the same
-        // filtered view, while the adopted freeze keeps covering the full
-        // log (exclusion is a property of the fit, never the data).
+        // computed over the *filtered* matrix: the first fit runs over the
+        // same filtered view, while the freeze keeps covering the full log
+        // (exclusion is a property of the fit, never the data).
         let excluded: Vec<WorkerId> = quarantine.iter().map(|q| q.worker).collect();
-        let filtered =
-            if excluded.is_empty() { None } else { Some(matrix.without_workers(&excluded)) };
-        let fit_matrix = filtered.as_ref().unwrap_or(&matrix);
-        let result = match &fit {
-            Some(seed) if replayed_tail == 0 && seed.shape_matches(rows, schema.num_columns()) => {
-                model.evaluate_seeded(&schema, fit_matrix, seed)
-            }
-            Some(seed) if config.warm_refits => {
-                model.infer_matrix_seeded(&schema, fit_matrix, seed)
-            }
-            _ => model.infer_matrix(&schema, fit_matrix),
+        let seed = match &fit {
+            Some(params) if replayed_tail == 0 => Seed::Evaluate(params),
+            Some(params) if config.warm_refits => Seed::Warm(params),
+            _ => Seed::Cold,
         };
-        let mut fit_state = FitState::from_parts(model, schema.clone(), matrix, result);
-        fit_state.set_exclusions(excluded);
+        let fit_state =
+            FitState::new(TCrowd::default_full(), schema.clone(), log.to_matrix(), excluded, seed);
         let wal = wal.expect("recovered live table carries an open WAL");
         let dir = wal.path().parent().expect("wal lives in a table dir").to_path_buf();
         // Seed the chain position from the on-disk chain: the follow-up
@@ -1645,21 +1650,18 @@ impl TableState {
         // writer can never chain a delta from (or rename a base over) a
         // position the faster one already superseded.
         let mut chain = lock_recover(&d.chain);
-        if chain.has_base && chain.epoch >= snap.epoch as u64 && snap.epoch != 0 {
-            // Already persisted (possibly by the background re-attempt).
+        // Already persisted (possibly by the background re-attempt) when the
+        // chain tip is this publish or a later one. A republish at the same
+        // epoch appends a zero-answer delta carrying its fit and quarantine
+        // set; recovery and shutdown publish nothing, so a restart never
+        // grows the chain. At epoch 0 a broken chain still collapses.
+        let persisted = (chain.epoch, chain.refreshes) >= (snap.epoch as u64, snap.refreshes);
+        if chain.has_base && persisted && !(snap.epoch == 0 && chain.force_full) {
             drop(chain);
             self.note_persist_success();
             return;
         }
         let delta_answers = snap.epoch as u64 - chain.epoch;
-        // An unchanged epoch with a healthy chain has nothing to add — don't
-        // append an empty delta (an empty durable table would otherwise grow
-        // one per restart).
-        if chain.has_base && delta_answers == 0 && !chain.force_full {
-            drop(chain);
-            self.note_persist_success();
-            return;
-        }
         let fit = Some(FitParams::of(&snap.result));
         let collapse =
             !chain.has_base || chain.force_full || chain.links + 1 > SNAPSHOT_CHAIN_MAX_LINKS || {
@@ -1690,6 +1692,7 @@ impl TableState {
                     *chain = SnapChain {
                         has_base: true,
                         epoch: snap.epoch as u64,
+                        refreshes: snap.refreshes,
                         links: 0,
                         next_seq: 1,
                         base_answers: snap.epoch as u64,
@@ -1737,6 +1740,7 @@ impl TableState {
             match write_snapshot_delta_observed(&d.dir, &delta, &d.io, &self.obs.store_sink()) {
                 Ok(()) => {
                     chain.epoch = snap.epoch as u64;
+                    chain.refreshes = snap.refreshes;
                     chain.links += 1;
                     chain.next_seq += 1;
                     chain.chain_answers += delta_answers;

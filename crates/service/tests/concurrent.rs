@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tcrowd_core::{diagnostics::max_z_discrepancy, OnlineTCrowd, TCrowd};
+use tcrowd_core::{diagnostics::max_z_discrepancy, FitState, TCrowd};
 use tcrowd_service::{TableConfig, TableRegistry};
 use tcrowd_tabular::{generate_dataset, GeneratorConfig, WorkerId};
 
@@ -117,16 +117,13 @@ fn concurrent_ingest_and_assignment_equal_serial_replay() {
     assert_eq!(snap.matrix.len(), d.answers.len());
 
     // Determinism under the lock protocol: replay the *same* committed
-    // answer order serially through a fresh OnlineTCrowd (the service's own
-    // ingest machinery) and through a batch fit; both must reproduce the
-    // published state exactly.
-    let mut serial = OnlineTCrowd::empty(TCrowd::default_full(), d.schema.clone(), d.rows());
-    serial.refit_every = usize::MAX;
-    for &a in &snap.log.to_vec() {
-        serial.add_answer(a);
-    }
-    serial.flush_refit();
-    assert_eq!(serial.estimates(), snap.result.estimates(), "serial replay diverged");
+    // answer order serially through a fresh `FitState` (the online loop the
+    // service's refresher drives) and through a batch fit; both must
+    // reproduce the published state exactly.
+    let mut serial = FitState::empty(TCrowd::default_full(), d.schema.clone(), d.rows());
+    serial.absorb(&snap.log.to_log().slice_since(0));
+    serial.refit(false);
+    assert_eq!(serial.result().estimates(), snap.result.estimates(), "serial replay diverged");
     assert_eq!(max_z_discrepancy(serial.result(), &snap.result), 0.0);
 
     let batch = TCrowd::default_full().infer(&d.schema, &snap.log.to_log());

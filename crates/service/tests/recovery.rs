@@ -169,6 +169,95 @@ fn snapshot_covering_the_full_log_republishes_the_precrash_fit_without_em() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A 20×4 table with every answer ingested and published, plus the worker
+/// with the most answers (the one the quarantine tests exclude).
+fn published_table(
+    reg: &TableRegistry,
+    d: &tcrowd_tabular::Dataset,
+) -> (Arc<tcrowd_service::TableState>, WorkerId) {
+    let t = reg.create(Some("t".into()), d.schema.clone(), d.rows(), manual_config()).unwrap();
+    t.submit(d.answers.all()).unwrap();
+    assert!(t.refresh_now());
+    let worker = d.answers.workers().max_by_key(|&w| d.answers.for_worker(w).count()).unwrap();
+    (t, worker)
+}
+
+fn quarantine_dataset() -> tcrowd_tabular::Dataset {
+    generate_dataset(
+        &GeneratorConfig {
+            rows: 20,
+            columns: 4,
+            num_workers: 10,
+            answers_per_task: 4,
+            ..Default::default()
+        },
+        27,
+    )
+}
+
+#[test]
+fn quarantine_republished_at_an_unchanged_epoch_survives_a_clean_restart() {
+    // A quarantine change republishes the fit at the same epoch. That fit
+    // must reach the store, so recovery republishes it without EM instead
+    // of the older stored fit that still counted the quarantined worker.
+    let dir = fresh_dir("quarantine_republish");
+    let d = quarantine_dataset();
+    let (worker, links) = {
+        let reg = TableRegistry::with_store(store(&dir));
+        let (t, worker) = published_table(&reg, &d);
+        let links = t.store_snapshot_links().unwrap();
+        t.set_worker_quarantine(worker, true).unwrap();
+        assert!(t.refresh_now(), "a quarantine change republishes");
+        assert_eq!(t.snapshot().epoch, d.answers.len());
+        assert_eq!(t.store_snapshot_links(), Some(links + 1), "one zero-answer link");
+        reg.shutdown();
+        assert_eq!(t.store_snapshot_links(), Some(links + 1), "shutdown publishes nothing");
+        (worker, links + 1)
+    };
+    // The zero-answer link passes the store's own audit.
+    let audit = store(&dir).verify_table("t").unwrap();
+    assert!(audit.errors.is_empty(), "{:?}", audit.errors);
+    assert!(audit.snapshot.is_some_and(|s| s.consistent && s.links == links));
+    let reg = TableRegistry::with_store(store(&dir));
+    assert_eq!(reg.recover().unwrap().replayed, 0);
+    let t = reg.get("t").unwrap();
+    assert_eq!(t.store_snapshot_links(), Some(links));
+    reg.shutdown();
+    assert_eq!(t.store_snapshot_links(), Some(links), "a restart never grows the chain");
+    let snap = t.snapshot();
+    assert_eq!(snap.trust.excluded, vec![worker]);
+    assert_eq!(snap.result.iterations, 0, "the republished fit is evaluated, not refitted");
+    let offline = TCrowd::default_full().infer(&d.schema, &d.answers.without_workers(&[worker]));
+    let gap = max_z_discrepancy(&snap.result, &offline);
+    assert!(gap < 1e-6, "recovered truth is not the filtered fit: {gap:.3e}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn quarantine_newer_than_the_stored_fit_is_honoured_after_a_crash() {
+    // Crash after the quarantine record reached the WAL but before any
+    // refresh applied it: the stored fit still counts the worker, so
+    // recovery must refit without them rather than evaluate it.
+    let dir = fresh_dir("quarantine_crash");
+    let d = quarantine_dataset();
+    let worker = {
+        let reg = TableRegistry::with_store(store(&dir));
+        let (t, worker) = published_table(&reg, &d);
+        t.stop_refresher();
+        t.set_worker_quarantine(worker, true).unwrap();
+        worker
+    };
+    let reg = TableRegistry::with_store(store(&dir));
+    assert_eq!(reg.recover().unwrap().replayed, 0);
+    let snap = reg.get("t").unwrap().snapshot();
+    assert_eq!(snap.trust.excluded, vec![worker]);
+    let offline = TCrowd::default_full().infer(&d.schema, &d.answers.without_workers(&[worker]));
+    let gap = max_z_discrepancy(&snap.result, &offline);
+    assert!(gap < 1e-6, "recovered truth is not the filtered fit: {gap:.3e}");
+    reg.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn recovery_without_snapshot_is_exact_cold_replay() {
     let dir = fresh_dir("cold");

@@ -10,17 +10,14 @@
 use crate::pool::WorkerPool;
 use crate::stopping::{StoppingRule, TerminationState};
 use tcrowd_baselines::TruthMethod;
-use tcrowd_core::{
-    apply_answer_incrementally, AssignmentContext, AssignmentPolicy, InferenceResult, TCrowd,
-};
-use tcrowd_tabular::{
-    evaluate_with_answers, Answer, AnswerLog, AnswerMatrix, QualityReport, Value,
-};
+use tcrowd_core::{AssignmentContext, AssignmentPolicy, FitState, Seed, TCrowd};
+use tcrowd_tabular::{evaluate_with_answers, Answer, AnswerLog, AnswerMatrix, QualityReport};
 
 /// Which truth-inference method backs the run (both for the policy's context
 /// and for checkpoint evaluation).
 pub enum InferenceBackend<'a> {
-    /// T-Crowd EM inference: the policy receives a full [`InferenceResult`].
+    /// T-Crowd EM inference: the policy receives a full
+    /// [`InferenceResult`](tcrowd_core::InferenceResult).
     TCrowd(TCrowd),
     /// A baseline method: the policy context carries no inference result
     /// (matching AskIt!/CDAS/CRH/CATD, which assign without one).
@@ -100,15 +97,17 @@ pub struct RunResult {
     pub total_cost: f64,
 }
 
-/// Re-test the stopping rule against the freshest posterior.
-fn refresh_termination(
+/// Full EM refit (warm-started from the previous fit), then re-test the
+/// stopping rule against the fresh posterior.
+fn refit(
+    fit: &mut FitState,
     termination: &mut Option<TerminationState>,
     rule: Option<&StoppingRule>,
-    inference: Option<&InferenceResult>,
     answers: &AnswerLog,
 ) {
-    if let (Some(state), Some(rule), Some(inf)) = (termination.as_mut(), rule, inference) {
-        state.update(inf, rule, |c| answers.count_for_cell(c));
+    fit.refit(true);
+    if let (Some(state), Some(rule)) = (termination.as_mut(), rule) {
+        state.update(fit.result(), rule, |c| answers.count_for_cell(c));
     }
 }
 
@@ -160,29 +159,29 @@ impl Runner {
             }
         }
 
-        // The runner's single evolving freeze: built once after the seed
-        // phase, then kept current by delta-merging the log tail — per-HIT
-        // assignment and every EM refresh share it instead of paying a full
-        // `O(n + cells + W·R)` rebuild each time.
-        let mut matrix = AnswerMatrix::build(&answers);
-
-        // Full EM refresh on the shared freeze. The first fit is cold; every
-        // later refit warm-starts from the previous fit's parameters (the
-        // steady-state loop converges in a handful of iterations — see
-        // `TCrowd::infer_matrix_warm` and `BENCH_refresh.json`). Between
-        // refreshes the answered cells' posteriors are updated incrementally
-        // (§5.1).
-        let full_fit =
-            |model: &TCrowd, matrix: &AnswerMatrix, prev: Option<&InferenceResult>| match prev {
-                Some(p) => model.infer_matrix_warm(&schema, matrix, p),
-                None => model.infer_matrix(&schema, matrix),
-            };
-
-        // ---- Main loop.
-        let mut inference: Option<InferenceResult> = match backend {
-            InferenceBackend::TCrowd(model) => Some(full_fit(model, &matrix, None)),
+        // The T-Crowd backend drives the online loop (`FitState`): one
+        // evolving freeze, built after the seed phase and kept current by
+        // catching up on each HIT's answers — the §5.1 incremental posterior
+        // update, no EM — with a full refit every few HITs and at each
+        // checkpoint. The first fit is cold; every refit warm-starts from the
+        // previous one (the steady-state loop converges in a handful of
+        // iterations — see `BENCH_refresh.json`). Baseline runs never read
+        // the freeze (matrix-side policies require T-Crowd's inference
+        // result, and baseline evaluation goes through the log), so they keep
+        // the seed-phase one.
+        let seed_freeze = AnswerMatrix::build(&answers);
+        let mut fit = match backend {
+            InferenceBackend::TCrowd(model) => Some(FitState::new(
+                model.clone(),
+                schema.clone(),
+                seed_freeze.clone(),
+                Vec::new(),
+                Seed::Cold,
+            )),
             InferenceBackend::Baseline(_) => None,
         };
+
+        // ---- Main loop.
         let mut points: Vec<SeriesPoint> = Vec::new();
         let mut next_checkpoint = (answers.len() as f64 / n_cells / self.cfg.checkpoint_step)
             .ceil()
@@ -191,29 +190,19 @@ impl Runner {
         let mut consecutive_empty = 0usize;
         let mut termination = self.cfg.stopping.map(|_| TerminationState::new());
 
-        let evaluate_now = |answers: &AnswerLog,
-                            matrix: &AnswerMatrix,
-                            inference: &Option<InferenceResult>|
-         -> QualityReport {
-            let estimates: Vec<Vec<Value>> = match backend {
-                InferenceBackend::TCrowd(model) => match inference {
-                    Some(r) => r.estimates(),
-                    None => model.infer_matrix(&schema, matrix).estimates(),
-                },
+        let evaluate_now = |answers: &AnswerLog, fit: Option<&FitState>| -> QualityReport {
+            let estimates = match backend {
+                InferenceBackend::TCrowd(_) => {
+                    fit.expect("T-Crowd runs hold a fit").result().estimates()
+                }
                 InferenceBackend::Baseline(m) => m.estimate(&schema, answers),
             };
             evaluate_with_answers(&schema, &truth, &estimates, answers)
         };
 
         loop {
-            // Bring the freeze up to date with the answers collected since
-            // the last iteration (per-answer work on the delta + bulk
-            // copies). Only the T-Crowd backend ever reads the freeze —
-            // matrix-side policies require its inference result, and
-            // baseline evaluation goes through the log — so baseline runs
-            // skip the merge entirely (zero per-HIT matrix work, as before).
-            if matches!(backend, InferenceBackend::TCrowd(_)) && matrix.is_stale(&answers) {
-                matrix = matrix.merge_delta(&answers.all()[matrix.epoch()..]);
+            if let Some(fit) = fit.as_mut() {
+                fit.catch_up(&answers.slice_since(fit.epoch()));
             }
             let avg = answers.len() as f64 / n_cells;
             // Record any checkpoints we crossed.
@@ -222,17 +211,11 @@ impl Runner {
             {
                 // Refresh inference at checkpoints so the evaluation reflects
                 // all collected answers.
-                if let InferenceBackend::TCrowd(model) = backend {
-                    inference = Some(full_fit(model, &matrix, inference.as_ref()));
+                if let Some(fit) = fit.as_mut() {
+                    refit(fit, &mut termination, self.cfg.stopping.as_ref(), &answers);
                     hits_since_inference = 0;
-                    refresh_termination(
-                        &mut termination,
-                        self.cfg.stopping.as_ref(),
-                        inference.as_ref(),
-                        &answers,
-                    );
                 }
-                let rep = evaluate_now(&answers, &matrix, &inference);
+                let rep = evaluate_now(&answers, fit.as_ref());
                 points.push(SeriesPoint {
                     avg_answers: next_checkpoint,
                     error_rate: rep.error_rate,
@@ -251,24 +234,18 @@ impl Runner {
 
             // A worker arrives and receives a HIT.
             let worker = pool.next_worker();
-            if let (InferenceBackend::TCrowd(model), true) =
-                (backend, hits_since_inference >= self.cfg.inference_every)
+            if let Some(fit) =
+                fit.as_mut().filter(|_| hits_since_inference >= self.cfg.inference_every)
             {
-                inference = Some(full_fit(model, &matrix, inference.as_ref()));
+                refit(fit, &mut termination, self.cfg.stopping.as_ref(), &answers);
                 hits_since_inference = 0;
-                refresh_termination(
-                    &mut termination,
-                    self.cfg.stopping.as_ref(),
-                    inference.as_ref(),
-                    &answers,
-                );
             }
             let selected = {
                 let ctx = AssignmentContext {
                     schema: &schema,
                     answers: &answers,
-                    freeze: matrix.freeze_view(),
-                    inference: inference.as_ref(),
+                    freeze: fit.as_ref().map_or(&seed_freeze, FitState::matrix).freeze_view(),
+                    inference: fit.as_ref().map(FitState::result),
                     max_answers_per_cell: self.cfg.max_answers_per_cell,
                     terminated: termination.as_ref().map(|t| t.set()),
                     correlation: None,
@@ -293,21 +270,16 @@ impl Runner {
             for cell in selected {
                 let value = pool.answer(worker, cell);
                 answers.push(Answer { worker, cell, value });
-                if let Some(r) = inference.as_mut() {
-                    apply_answer_incrementally(r, worker, cell, &value);
-                }
             }
             hits_since_inference += 1;
         }
 
-        // Final full evaluation on a freeze covering every answer.
-        if let InferenceBackend::TCrowd(model) = backend {
-            if matrix.is_stale(&answers) {
-                matrix = matrix.merge_delta(&answers.all()[matrix.epoch()..]);
-            }
-            inference = Some(full_fit(model, &matrix, inference.as_ref()));
+        // Final full evaluation. Every exit above leaves the fit caught up
+        // with the log.
+        if let Some(fit) = fit.as_mut() {
+            fit.refit(true);
         }
-        let final_report = evaluate_now(&answers, &matrix, &inference);
+        let final_report = evaluate_now(&answers, fit.as_ref());
         RunResult {
             label: label.to_string(),
             points,
@@ -325,7 +297,7 @@ mod tests {
     use super::*;
     use crate::pool::{WorkerPool, WorkerPoolConfig};
     use tcrowd_baselines::{MajorityVoting, RandomPolicy};
-    use tcrowd_core::StructureAwarePolicy;
+    use tcrowd_core::{InherentGainPolicy, StructureAwarePolicy};
     use tcrowd_tabular::{generate_dataset, GeneratorConfig};
 
     fn small_pool(seed: u64) -> WorkerPool {
@@ -484,6 +456,88 @@ mod tests {
         let result = runner.run("baseline-stop", &mut pool, &mut policy, &backend);
         assert_eq!(result.terminated_cells, 0);
         assert!(result.total_answers as f64 >= 2.0 * 60.0);
+    }
+
+    /// Two T-Crowd-backend runs, checked against figures recorded from the
+    /// runner's output: the answer/HIT/termination counts exactly, and every
+    /// checkpoint's quality (then the final report's) within 1e-12. Any
+    /// change to the online loop — freeze maintenance, refit seeding, the
+    /// incremental updates between refits — that is not a pure refactoring
+    /// moves these numbers.
+    #[test]
+    fn runner_trajectory_is_pinned() {
+        let check = |r: &RunResult, counts: (usize, usize, usize), pinned: &[(f64, f64)]| {
+            assert_eq!(
+                (r.total_answers, r.total_hits, r.terminated_cells),
+                counts,
+                "{}: counts moved",
+                r.label
+            );
+            let seen: Vec<(f64, f64)> = r
+                .points
+                .iter()
+                .map(|p| (p.error_rate.unwrap(), p.mnad.unwrap()))
+                .chain([(r.final_report.error_rate.unwrap(), r.final_report.mnad.unwrap())])
+                .collect();
+            assert_eq!(seen.len(), pinned.len(), "{}: checkpoint count moved", r.label);
+            for (i, (&(e, m), &(err, mnad))) in seen.iter().zip(pinned).enumerate() {
+                assert!(
+                    (e - err).abs() <= 1e-12 && (m - mnad).abs() <= 1e-12,
+                    "{} point {i}: ({e:?}, {m:?}) vs pinned ({err:?}, {mnad:?})",
+                    r.label
+                );
+            }
+        };
+        let backend = InferenceBackend::TCrowd(TCrowd::default_full());
+
+        let mut pool = small_pool(5);
+        let runner = Runner::new(ExperimentConfig {
+            budget_avg_answers: 5.0,
+            checkpoint_step: 0.5,
+            inference_every: 2,
+            stopping: Some(crate::stopping::StoppingRule {
+                p_stop: 0.9,
+                max_std: 0.3,
+                min_answers: 2,
+            }),
+            ..Default::default()
+        });
+        let stopped =
+            runner.run("structure-stop", &mut pool, &mut StructureAwarePolicy::default(), &backend);
+        check(
+            &stopped,
+            (177, 46, 60),
+            &[
+                (0.4666666666666667, 0.425092374275857),
+                (0.36666666666666664, 0.3678712431985848),
+                (0.26666666666666666, 0.3194948850964917),
+                (0.26666666666666666, 0.3424338636725448),
+                (0.13333333333333333, 0.3302015693638569),
+            ],
+        );
+
+        let mut pool = small_pool(6);
+        let runner = Runner::new(ExperimentConfig {
+            budget_avg_answers: 3.5,
+            checkpoint_step: 0.5,
+            inference_every: 3,
+            ..Default::default()
+        });
+        let inherent =
+            runner.run("inherent", &mut pool, &mut InherentGainPolicy::default(), &backend);
+        check(
+            &inherent,
+            (212, 53, 0),
+            &[
+                (0.5333333333333333, 0.5248571302657047),
+                (0.4666666666666667, 0.33817648064544925),
+                (0.3333333333333333, 0.2928816836446495),
+                (0.4666666666666667, 0.2752341817646027),
+                (0.43333333333333335, 0.23366604540833066),
+                (0.43333333333333335, 0.19904678752197152),
+                (0.43333333333333335, 0.19907581159770354),
+            ],
+        );
     }
 
     #[test]

@@ -16,9 +16,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tcrowd_core::diagnostics::max_z_discrepancy;
-use tcrowd_core::{EmOptions, TCrowd, TCrowdOptions};
+use tcrowd_core::{EmOptions, FitState, Seed, TCrowd, TCrowdOptions};
 use tcrowd_sim::{ExperimentConfig, InferenceBackend, Runner};
-use tcrowd_tabular::{generate_dataset, AnswerLog, AnswerMatrix, CellId, GeneratorConfig};
+use tcrowd_tabular::{generate_dataset, AnswerLog, CellId, GeneratorConfig};
 
 #[test]
 fn warm_refit_chain_matches_cold_fit_within_1e6() {
@@ -48,8 +48,8 @@ fn warm_refit_chain_matches_cold_fit_within_1e6() {
     for a in &stream[..seed_len] {
         log.push(*a);
     }
-    let mut matrix = AnswerMatrix::build(&log);
-    let mut fit = model.infer_matrix(&d.schema, &matrix);
+    let mut chain =
+        FitState::new(model.clone(), d.schema.clone(), log.to_matrix(), Vec::new(), Seed::Cold);
     let mut at = seed_len;
     let mut refits = 0;
     while at < n {
@@ -57,18 +57,19 @@ fn warm_refit_chain_matches_cold_fit_within_1e6() {
         for a in &stream[at..next] {
             log.push(*a);
         }
-        matrix = matrix.refresh(&log);
-        fit = model.infer_matrix_warm(&d.schema, &matrix, &fit);
+        chain.absorb(&log.slice_since(chain.epoch()));
+        chain.refit(true);
         refits += 1;
         at = next;
     }
     assert!(refits >= 3, "the chain must exercise several warm refits, got {refits}");
-    assert_eq!(matrix.epoch(), n);
+    assert_eq!(chain.epoch(), n);
 
     // Cold path: one cold fit on the full log.
-    let cold = model.infer_matrix(&d.schema, &matrix);
+    let cold = model.infer_matrix(&d.schema, chain.matrix());
+    let fit = chain.result();
 
-    let gap = max_z_discrepancy(&fit, &cold);
+    let gap = max_z_discrepancy(fit, &cold);
     assert!(gap < 1e-6, "warm chain diverged from the cold fit: max z-space gap {gap:.3e}");
     // Point estimates: categorical cells must agree exactly.
     for i in 0..d.rows() as u32 {
@@ -85,8 +86,8 @@ fn warm_refit_chain_matches_cold_fit_within_1e6() {
 
 #[test]
 fn runner_with_warm_refits_produces_sound_estimates() {
-    // End-to-end: the Runner now delta-merges its freeze and warm-starts
-    // every refit. The run must stay healthy (finite metrics, sane error
+    // End-to-end: the Runner drives a `FitState` and warm-starts every
+    // refit. The run must stay healthy (finite metrics, sane error
     // rate on an easy table) — this is the guard against a warm-start bug
     // quietly corrupting the steady-state loop.
     let d = generate_dataset(

@@ -11,14 +11,16 @@
 //!   before it);
 //! * **no EM on boot** — the persisted [`FitParams`] let recovery
 //!   republish the pre-crash published fit by *evaluating* the posterior at
-//!   the stored parameters (`TCrowd::evaluate_seeded`, one E-step) when the
-//!   chain covers the whole log, and warm-seed the catch-up refit when a
-//!   WAL tail extends past it;
+//!   the stored parameters (`tcrowd_core::Seed::Evaluate`, one E-step) when
+//!   the chain covers the whole log, and warm-seed the catch-up refit when
+//!   a WAL tail extends past it;
 //! * **O(Δ) persistence** — a publish appends one delta with the answers
 //!   since the last snapshot ([`write_snapshot_delta`]) instead of
-//!   re-serializing the whole log; the writer collapses the chain back
-//!   into a full base periodically (and `tcrowd store compact` always
-//!   does), so chains stay short and geometrically bounded.
+//!   re-serializing the whole log (a publish that changes only the fit or
+//!   the quarantine set appends a delta with zero answers); the writer
+//!   collapses the chain back into a full base periodically (and `tcrowd
+//!   store compact` always does), so chains stay short and geometrically
+//!   bounded.
 //!
 //! A corrupt, stale or missing snapshot therefore degrades recovery time,
 //! not correctness: a corrupt *base* falls back to a full WAL replay; a

@@ -524,11 +524,12 @@ impl Store {
     /// recoverable even with a rotted WAL head and is never treated as
     /// aborted; a *complete-but-undecodable* Create frame is rot, not an
     /// abort — it surfaces as a recovery error instead of a silent delete.
+    ///
+    /// The snapshot chain is decoded only when the cheap checks say
+    /// "aborted", so a live table's chain is decoded once per boot (by
+    /// [`Self::recover_table`]).
     fn is_aborted_creation(&self, id: &str) -> Result<bool, StoreError> {
         let dir = self.table_dir(id);
-        if snapshot::read_snapshot(&dir).unwrap_or(None).is_some() {
-            return Ok(false);
-        }
         // A rotated segment can only exist after at least one successful
         // rotation, which happens strictly after the Create was durable and
         // acknowledged — whatever state `wal.log` is in (compacted away,
@@ -536,7 +537,10 @@ impl Store {
         if !segment::rotated_segment_files(&dir)?.is_empty() {
             return Ok(false);
         }
-        Ok(wal::probe_create(&dir.join(WAL_FILE))? == wal::CreateProbe::AbortedCreation)
+        if wal::probe_create(&dir.join(WAL_FILE))? != wal::CreateProbe::AbortedCreation {
+            return Ok(false);
+        }
+        Ok(snapshot::read_snapshot(&dir).unwrap_or(None).is_none())
     }
 
     /// Rewrite one table's WAL as `Create + a few large Appends` (defragmenting every

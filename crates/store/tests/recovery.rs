@@ -288,33 +288,43 @@ fn half_deleted_directory_with_surviving_snapshot_boots_instead_of_bricking() {
     // A crash mid `remove_dir_all` can unlink wal.log (tombstone included)
     // while snapshot.snap survives. Boot must not refuse to start: the
     // table is rebuilt from the snapshot (re-deleting it is trivial;
-    // a bricked service is not).
+    // a bricked service is not). The same holds when the surviving WAL is
+    // a torn Create frame: the probe alone would call that an aborted
+    // creation, but the readable snapshot proves the table was acked.
     let dir = fresh_dir("halfdel");
     let store = Store::open(&dir, FsyncPolicy::Flush).unwrap();
     let answers = random_answers(20, 10);
-    let mut wal = store.create_table("t", &meta()).unwrap();
-    wal.append_answers(&answers).unwrap();
-    wal.sync().unwrap();
-    let pos = wal.position();
-    drop(wal);
-    tcrowd_store::write_snapshot(
-        &store.table_dir("t"),
-        &TableSnapshot {
-            epoch: 20,
-            wal_offset: pos.offset,
-            meta: meta(),
-            log: log_of(&answers),
-            fit: None,
-            quarantine: Vec::new(),
-        },
-    )
-    .unwrap();
+    for id in ["t", "torn"] {
+        let mut wal = store.create_table(id, &meta()).unwrap();
+        wal.append_answers(&answers).unwrap();
+        wal.sync().unwrap();
+        let pos = wal.position();
+        drop(wal);
+        tcrowd_store::write_snapshot(
+            &store.table_dir(id),
+            &TableSnapshot {
+                epoch: 20,
+                wal_offset: pos.offset,
+                meta: meta(),
+                log: log_of(&answers),
+                fit: None,
+                quarantine: Vec::new(),
+            },
+        )
+        .unwrap();
+    }
     std::fs::remove_file(store.table_dir("t").join(tcrowd_store::WAL_FILE)).unwrap();
+    let torn_wal = store.table_dir("torn").join(tcrowd_store::WAL_FILE);
+    let head = std::fs::read(&torn_wal).unwrap();
+    std::fs::write(&torn_wal, &head[..9]).unwrap();
 
     let recs = store.recover_all().unwrap();
-    assert_eq!(recs.len(), 1);
-    assert_eq!(recs[0].log.all(), answers.as_slice());
-    assert!(recs[0].torn.as_ref().unwrap().reason.contains("rebuilt from the snapshot"));
+    assert_eq!(recs.len(), 2);
+    for rec in &recs {
+        assert_eq!(rec.log.all(), answers.as_slice(), "table {}", rec.id);
+        assert!(rec.torn.as_ref().unwrap().reason.contains("rebuilt from the snapshot"));
+    }
+    assert_eq!(store.table_ids().unwrap(), vec!["t".to_string(), "torn".to_string()]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

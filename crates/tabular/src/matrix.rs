@@ -603,19 +603,6 @@ impl AnswerMatrix {
         (order, worker_offsets, wr)
     }
 
-    /// Bring a freeze up to date with its source log: delta-merges
-    /// `log[epoch..]`. Panics if the log is shorter than this freeze or has a
-    /// different shape (that log cannot be the freeze's source).
-    pub fn refresh(&self, log: &AnswerLog) -> AnswerMatrix {
-        assert_eq!(
-            (self.n_rows, self.n_cols),
-            (log.rows(), log.cols()),
-            "refresh from a log with a different table shape"
-        );
-        assert!(log.len() >= self.len(), "refresh from a log shorter than the freeze");
-        self.merge_delta(&log.all()[self.len()..])
-    }
-
     /// The freeze epoch: the source-log length this matrix reflects. A
     /// matrix always covers the whole log it was built/merged from, so the
     /// epoch equals [`Self::len`]; the distinct name marks the *staleness*
@@ -1033,7 +1020,7 @@ mod tests {
         for a in full.all().iter().filter(|a| a.worker != WorkerId(7)) {
             log.push(*a);
         }
-        let merged = AnswerMatrix::build(&base).refresh(&log);
+        let merged = AnswerMatrix::build(&base).merge_delta(&log.all()[base.len()..]);
         assert_eq!(merged, AnswerMatrix::build(&log));
         assert_eq!(merged.worker_ids(), &[WorkerId(2), WorkerId(7), WorkerId(9)]);
     }
@@ -1054,11 +1041,11 @@ mod tests {
         });
         assert!(m.is_stale(&log));
         assert!(view.is_stale(&log));
-        let m2 = m.refresh(&log);
+        let m2 = m.merge_delta(&log.all()[m.epoch()..]);
         assert!(!m2.is_stale(&log));
         assert_eq!(m2, AnswerMatrix::build(&log));
-        // Refreshing an up-to-date freeze is the identity.
-        assert_eq!(m2.refresh(&log), m2);
+        // Merging an empty tail into an up-to-date freeze is the identity.
+        assert_eq!(m2.merge_delta(&log.all()[m2.epoch()..]), m2);
     }
 
     #[test]

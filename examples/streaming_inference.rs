@@ -1,6 +1,7 @@
 //! Streaming truth inference: keep estimates fresh while answers arrive one
-//! at a time, re-fitting the full EM model only periodically (the §5.1
-//! incremental acceleration wrapped as `OnlineTCrowd`).
+//! at a time. Each answer is folded into the online loop's `FitState` with
+//! the §5.1 incremental posterior update (no EM); the full EM model is
+//! re-fitted only every 100 answers.
 //!
 //! ```text
 //! cargo run --release --example streaming_inference
@@ -8,6 +9,8 @@
 
 use tcrowd::prelude::*;
 use tcrowd::tabular::evaluate_with_answers;
+
+const REFIT_EVERY: usize = 100;
 
 fn main() {
     // A ground-truth table and a shuffled stream of crowd answers.
@@ -22,23 +25,33 @@ fn main() {
         31,
     );
 
-    let mut online = OnlineTCrowd::empty(TCrowd::default_full(), data.schema.clone(), data.rows());
-    online.refit_every = 100;
+    // The answer log is the collection side; the fit state follows it by
+    // absorbing the log's tail.
+    let mut answers = AnswerLog::new(data.rows(), data.cols());
+    let mut fit = FitState::empty(TCrowd::default_full(), data.schema.clone(), data.rows());
+    let mut staleness = 0;
 
     println!("answers    staleness    error rate    MNAD");
     for (i, &answer) in data.answers.all().iter().enumerate() {
-        let refit = online.add_answer(answer);
+        answers.push(answer);
+        fit.catch_up(&answers.slice_since(fit.epoch()));
+        staleness += 1;
+        let refit = staleness == REFIT_EVERY;
+        if refit {
+            fit.refit(false);
+            staleness = 0;
+        }
         if refit || (i + 1) % 250 == 0 {
             let report = evaluate_with_answers(
                 &data.schema,
                 &data.truth,
-                &online.estimates(),
-                online.answers(),
+                &fit.result().estimates(),
+                &answers,
             );
             println!(
                 "{:>7}    {:>9}    {:>10.4}    {:.4}{}",
                 i + 1,
-                online.staleness(),
+                staleness,
                 report.error_rate.unwrap(),
                 report.mnad.unwrap(),
                 if refit { "   <- full EM re-fit" } else { "" }
@@ -47,14 +60,14 @@ fn main() {
     }
 
     // Wrap up with one final exact fit.
-    online.refit();
+    fit.refit(false);
     let final_report =
-        evaluate_with_answers(&data.schema, &data.truth, &online.estimates(), online.answers());
+        evaluate_with_answers(&data.schema, &data.truth, &fit.result().estimates(), &answers);
     println!(
         "\nfinal: error rate {:.4}, MNAD {:.4} after {} answers",
         final_report.error_rate.unwrap(),
         final_report.mnad.unwrap(),
-        online.answers().len()
+        answers.len()
     );
     println!("The estimates stay usable between re-fits at O(1) cost per answer.");
 }

@@ -63,8 +63,8 @@ pub use tcrowd_tabular as tabular;
 /// dataset, infer truths, assign tasks, evaluate.
 pub mod prelude {
     pub use tcrowd_core::{
-        AssignmentPolicy, CorrelationModel, EmOptions, EntityAwarePolicy, EntityModel,
-        GainEstimator, InferenceResult, InherentGainPolicy, OnlineTCrowd, RowGrouping,
+        AssignmentPolicy, CorrelationModel, EmOptions, EntityAwarePolicy, EntityModel, FitState,
+        GainEstimator, InferenceResult, InherentGainPolicy, RowGrouping, Seed,
         StructureAwarePolicy, TCrowd, TCrowdOptions,
     };
     pub use tcrowd_sim::{

@@ -1,7 +1,7 @@
 //! Integration tests for the adoption-path features: TSV interchange I/O and
 //! streaming inference, exercised together through the facade crate.
 
-use tcrowd::core::{OnlineTCrowd, TCrowd};
+use tcrowd::core::{FitState, TCrowd};
 use tcrowd::prelude::*;
 use tcrowd::tabular::io;
 
@@ -44,8 +44,8 @@ fn io_roundtrip_preserves_inference_results() {
 
 #[test]
 fn streaming_pipeline_from_files() {
-    // Read answers from disk, stream them into OnlineTCrowd one at a time,
-    // and verify the final state equals the batch fit.
+    // Read answers from disk, stream them into the online loop one at a
+    // time, and verify the final state equals the batch fit.
     let d = generate_dataset(
         &GeneratorConfig {
             rows: 15,
@@ -62,16 +62,18 @@ fn streaming_pipeline_from_files() {
     let schema = io::read_schema(dir.join("s.tsv")).unwrap();
     let answers = io::read_answers(&schema, d.rows(), dir.join("a.tsv")).unwrap();
 
-    let mut online = OnlineTCrowd::empty(TCrowd::default_full(), schema.clone(), d.rows());
+    let mut log = AnswerLog::new(d.rows(), schema.num_columns());
+    let mut online = FitState::empty(TCrowd::default_full(), schema.clone(), d.rows());
     for &a in answers.all() {
-        online.add_answer(a);
+        log.push(a);
+        online.catch_up(&log.slice_since(online.epoch()));
     }
-    online.refit();
+    online.refit(false);
     let batch = TCrowd::default_full().infer(&schema, &answers);
-    assert_eq!(online.estimates(), batch.estimates());
+    assert_eq!(online.result().estimates(), batch.estimates());
 
     // Streamed estimates must score identically.
-    let stream_rep = evaluate(&schema, &d.truth, &online.estimates());
+    let stream_rep = evaluate(&schema, &d.truth, &online.result().estimates());
     let batch_rep = evaluate(&schema, &d.truth, &batch.estimates());
     assert_eq!(stream_rep.error_rate, batch_rep.error_rate);
     std::fs::remove_dir_all(&dir).ok();
