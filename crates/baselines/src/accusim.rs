@@ -166,7 +166,8 @@ impl TruthMethod for Accu {
             }
         }
 
-        let mut accuracy: HashMap<WorkerId, f64> = answers.workers().map(|w| (w, 0.8)).collect();
+        let mut accuracy: HashMap<WorkerId, f64> =
+            answers.all().iter().map(|a| (a.worker, 0.8)).collect();
         let mut posteriors: Vec<Vec<f64>> =
             cells.iter().map(|(_, c)| vec![1.0 / c.values.len() as f64; c.values.len()]).collect();
 

@@ -25,7 +25,7 @@ use tcrowd_core::{
     AssignmentContext, AssignmentPolicy, CorrelationModel, InherentGainPolicy,
     StructureAwarePolicy, TCrowd,
 };
-use tcrowd_tabular::{generate_dataset, Dataset, GeneratorConfig, WorkerId};
+use tcrowd_tabular::{generate_dataset, AnswerMatrix, Dataset, GeneratorConfig, WorkerId};
 
 /// Cells per request, as `svcbench`'s live-crowd visits ask for.
 const K: usize = 5;
@@ -45,10 +45,10 @@ fn table(rows: usize, answers_per_cell: usize) -> Dataset {
 }
 
 /// The worker with the most answers, lowest id first on ties.
-fn busiest_worker(d: &Dataset) -> WorkerId {
-    d.answers
-        .workers()
-        .max_by_key(|&w| (d.answers.for_worker(w).count(), std::cmp::Reverse(w)))
+fn busiest_worker(m: &AnswerMatrix) -> WorkerId {
+    (0..m.num_workers())
+        .max_by_key(|&w| (m.worker_answer_indices(w).len(), std::cmp::Reverse(w)))
+        .map(|w| m.worker_id(w))
         .expect("generated table has workers")
 }
 
@@ -110,7 +110,7 @@ fn assignment_select(c: &mut Criterion) {
             terminated: None,
             correlation: Some(&model),
         };
-        let seen = busiest_worker(&d);
+        let seen = busiest_worker(&matrix);
         let (seen_n, unseen_n) = (ctx.candidates(seen).len(), ctx.candidates(UNSEEN).len());
         let mut policy_json = Vec::new();
         for (name, make) in policies() {

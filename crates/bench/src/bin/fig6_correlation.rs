@@ -7,18 +7,19 @@
 
 use tcrowd_bench::emit;
 use tcrowd_core::{CorrelationModel, ErrorObservation, PredictedError, TCrowd};
+use tcrowd_tabular::real_sim;
 use tcrowd_tabular::tsv::TsvTable;
-use tcrowd_tabular::{real_sim, Answer};
 
 fn main() {
     let d = real_sim::restaurant(1);
     let r = TCrowd::default_full().infer(&d.schema, &d.answers);
 
     // ---- Left: Aspect (col 0) × Sentiment (col 2) contingency vs ground truth.
+    let m = d.answers.to_matrix();
     let (mut cc, mut cw, mut wc, mut ww) = (0usize, 0usize, 0usize, 0usize);
-    for w in d.answers.workers().collect::<Vec<_>>() {
+    for w in 0..m.num_workers() {
         for i in 0..d.rows() as u32 {
-            let row: Vec<&Answer> = d.answers.for_worker_row(w, i).collect();
+            let row: Vec<_> = m.worker_row_answers(w, i).collect();
             let correct = |col: u32| {
                 row.iter().find(|a| a.cell.col == col).map(|a| {
                     a.value.expect_categorical() == d.truth_of(a.cell).expect_categorical()
@@ -46,9 +47,9 @@ fn main() {
 
     // ---- Right: StartTarget (3) / EndTarget (4) error scatter + conditionals.
     let mut scatter = TsvTable::new(&["e_start", "e_end"]);
-    for w in d.answers.workers().collect::<Vec<_>>() {
+    for w in 0..m.num_workers() {
         for i in 0..d.rows() as u32 {
-            let row: Vec<&Answer> = d.answers.for_worker_row(w, i).collect();
+            let row: Vec<_> = m.worker_row_answers(w, i).collect();
             let err = |col: u32| {
                 row.iter()
                     .find(|a| a.cell.col == col)

@@ -137,7 +137,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         d.rows(),
         d.cols(),
         d.answers.len(),
-        d.answers.num_workers(),
+        d.statistics().workers,
         dir.display()
     );
     Ok(())
@@ -198,6 +198,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
         let mut out =
             std::io::BufWriter::new(std::fs::File::create(path).map_err(|e| e.to_string())?);
         writeln!(out, "worker\tphi\tquality\tanswers").map_err(|e| e.to_string())?;
+        let matrix = answers.to_matrix();
         let mut workers = result.workers.clone();
         workers.sort();
         for w in workers {
@@ -207,7 +208,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
                 w.0,
                 result.phi_of(w).unwrap(),
                 result.quality_of(w).unwrap(),
-                answers.for_worker(w).count()
+                matrix.answers_of(w).count()
             )
             .map_err(|e| e.to_string())?;
         }
@@ -303,13 +304,14 @@ fn cmd_diagnose(args: &Args) -> Result<(), String> {
     let k = args.get_parsed("worst", 5usize)?;
     println!("\nhighest-variance workers (candidates for exclusion):");
     println!("worker\tphi\tquality\tanswers");
+    let matrix = answers.to_matrix();
     for (w, phi) in diagnostics::worst_workers(&result, k) {
         println!(
             "{}\t{:.4}\t{:.4}\t{}",
             w.0,
             phi,
             result.quality_of(w).unwrap_or(0.0),
-            answers.for_worker(w).count()
+            matrix.answers_of(w).count()
         );
     }
     Ok(())

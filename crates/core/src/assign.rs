@@ -364,7 +364,7 @@ mod tests {
             terminated: None,
             correlation: None,
         };
-        let w = d.answers.workers().next().unwrap();
+        let w = m.worker_id(0);
         let cands = ctx.candidates(w);
         for c in &cands {
             assert!(!d.answers.has_answered(w, *c));
@@ -501,7 +501,7 @@ mod tests {
             terminated: None,
             correlation: Some(&model),
         };
-        let seen: Vec<WorkerId> = d.answers.workers().take(10).collect();
+        let seen: Vec<WorkerId> = m.worker_ids()[..10].to_vec();
         assert_eq!(seen.len(), 10);
         let unseen = (0..10).map(|i| WorkerId(50_000 + i));
         for w in seen.into_iter().chain(unseen) {

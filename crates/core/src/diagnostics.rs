@@ -16,6 +16,7 @@
 
 use crate::inference::InferenceResult;
 use crate::truth::TruthDist;
+use std::collections::BTreeMap;
 use tcrowd_stat::describe::{mean, pearson, std_dev};
 use tcrowd_stat::linreg::{self, LinearFit};
 use tcrowd_tabular::{AnswerLog, Schema, Value, WorkerId};
@@ -64,16 +65,16 @@ pub fn quality_consistency(
     answers: &AnswerLog,
     result: &InferenceResult,
 ) -> Option<f64> {
+    // (errors, count) per column half, summed per worker in log order.
+    let mut halves: BTreeMap<WorkerId, [(f64, f64); 2]> = BTreeMap::new();
+    for a in answers.all() {
+        let half = &mut halves.entry(a.worker).or_default()[(a.cell.col % 2) as usize];
+        half.0 += answer_error(result, a);
+        half.1 += 1.0;
+    }
     let mut xs = Vec::new();
     let mut ys = Vec::new();
-    for w in answers.workers().collect::<Vec<_>>() {
-        let mut half = [(0.0f64, 0.0f64), (0.0f64, 0.0f64)]; // (errors, count)
-        for a in answers.for_worker(w) {
-            let err = answer_error(result, a);
-            let bucket = (a.cell.col % 2) as usize;
-            half[bucket].0 += err;
-            half[bucket].1 += 1.0;
-        }
+    for half in halves.values() {
         if half[0].1 >= (MIN_ANSWERS / 2) as f64 && half[1].1 >= (MIN_ANSWERS / 2) as f64 {
             xs.push(half[0].0 / half[0].1);
             ys.push(half[1].0 / half[1].1);
@@ -117,22 +118,21 @@ pub fn calibration(
     if cats.is_empty() {
         return None;
     }
+    // (agreeing, total) categorical answers per worker.
+    let mut tallies: BTreeMap<WorkerId, (usize, usize)> = BTreeMap::new();
+    for a in answers.all().iter().filter(|a| cats.contains(&(a.cell.col as usize))) {
+        let tally = tallies.entry(a.worker).or_default();
+        tally.0 += (result.truth_z(a.cell).estimate().expect_categorical()
+            == a.value.expect_categorical()) as usize;
+        tally.1 += 1;
+    }
     let mut predicted = Vec::new();
     let mut observed = Vec::new();
-    for w in answers.workers().collect::<Vec<_>>() {
-        let cat_answers: Vec<_> =
-            answers.for_worker(w).filter(|a| cats.contains(&(a.cell.col as usize))).collect();
-        if cat_answers.len() < MIN_ANSWERS {
+    for (&w, &(agreeing, total)) in &tallies {
+        if total < MIN_ANSWERS {
             continue;
         }
-        let agree = cat_answers
-            .iter()
-            .filter(|a| {
-                result.truth_z(a.cell).estimate().expect_categorical()
-                    == a.value.expect_categorical()
-            })
-            .count() as f64
-            / cat_answers.len() as f64;
+        let agree = agreeing as f64 / total as f64;
         let q = result.quality_of(w)?;
         predicted.push(q);
         observed.push(agree);

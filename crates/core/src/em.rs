@@ -9,7 +9,7 @@
 //! **Identifiability.** The likelihood only sees the product
 //! `α_i β_j φ_u`, which leaves a two-dimensional scale ambiguity. Inside EM
 //! only the MAP priors pin it, and every M-step moves to their maximum along
-//! it in closed form ([`gauge_step`]). Once EM stops, the geometric means of
+//! it in closed form (`gauge_step`). Once EM stops, the geometric means of
 //! `α` and `β` are renormalised to 1 and the scale is pushed into `φ`, so
 //! reported difficulties are relative and `φ_u` is the absolute per-worker
 //! variance.

@@ -585,7 +585,7 @@ mod tests {
         };
         let labels: Vec<usize> = (0..60).map(|i| i % 3).collect();
         let mut policy = EntityAwarePolicy::new(RowGrouping::Known(labels));
-        let w = d.answers.workers().next().unwrap();
+        let w = m.worker_id(0);
         let picks = policy.select(w, 8, &ctx);
         assert_eq!(picks.len(), 8);
         let mut dedup = picks.clone();

@@ -84,10 +84,13 @@ impl TCrowd {
         // (determinism matches the columnar path; the *access* differs).
         let included = |j: usize| self.opts.filter.includes(schema.column_type(j));
         let mut workers: Vec<WorkerId> = answers
-            .workers()
-            .filter(|&w| answers.for_worker(w).any(|a| included(a.cell.col as usize)))
+            .all()
+            .iter()
+            .filter(|a| included(a.cell.col as usize))
+            .map(|a| a.worker)
             .collect();
         workers.sort_unstable();
+        workers.dedup();
         let worker_index: HashMap<WorkerId, u32> =
             workers.iter().enumerate().map(|(i, &w)| (w, i as u32)).collect();
         let mut flat: Vec<RefAnswer> = Vec::new();

@@ -286,7 +286,7 @@ mod tests {
         // republishes it without EM.
         let d = dataset(11);
         let model = TCrowd::default_full();
-        let excluded: Vec<tcrowd_tabular::WorkerId> = d.answers.workers().take(2).collect();
+        let excluded = d.answers.to_matrix().worker_ids()[..2].to_vec();
         let mut refit = FitState::empty(model.clone(), d.schema.clone(), d.rows());
         refit.absorb(&d.answers.slice_since(0));
         refit.set_exclusions(excluded.clone());
@@ -358,7 +358,7 @@ mod tests {
         for &a in d.answers.all() {
             log.push(a);
         }
-        let excluded: Vec<tcrowd_tabular::WorkerId> = log.workers().take(3).collect();
+        let excluded = log.to_matrix().worker_ids()[..3].to_vec();
         let mut fit = FitState::empty(TCrowd::default_full(), d.schema.clone(), d.rows());
         fit.absorb(&log.slice_since(0));
         assert!(fit.set_exclusions(excluded.clone()));

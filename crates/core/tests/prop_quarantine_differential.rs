@@ -52,9 +52,14 @@ fn schema_for(cols: usize) -> tcrowd_tabular::Schema {
     )
 }
 
+/// The log's distinct workers, ascending: the freeze's worker table.
+fn workers_of(log: &AnswerLog) -> Vec<WorkerId> {
+    log.to_matrix().worker_ids().to_vec()
+}
+
 /// Pick a subset of the log's workers from a selection mask.
 fn pick_excluded(log: &AnswerLog, mask: u16) -> Vec<WorkerId> {
-    log.workers().filter(|w| mask & (1u16 << (w.0 % 16)) != 0).collect()
+    workers_of(log).into_iter().filter(|w| mask & (1u16 << (w.0 % 16)) != 0).collect()
 }
 
 /// `filtered` and `rebuilt` must describe the same fit to within `tol`:
@@ -127,7 +132,7 @@ proptest! {
         let schema = schema_for(cols);
         let excluded = pick_excluded(&log, mask);
         let survivors: Vec<WorkerId> =
-            log.workers().filter(|w| !excluded.contains(w)).collect();
+            workers_of(&log).into_iter().filter(|w| !excluded.contains(w)).collect();
 
         let matrix = AnswerMatrix::build(&log);
         let view = QuarantineView::new(&matrix, &excluded);
@@ -154,7 +159,7 @@ proptest! {
         let schema = schema_for(cols);
         let excluded = pick_excluded(&log, mask);
         let survivors: Vec<WorkerId> =
-            log.workers().filter(|w| !excluded.contains(w)).collect();
+            workers_of(&log).into_iter().filter(|w| !excluded.contains(w)).collect();
         let model = TCrowd::default_full();
 
         let mut fit = FitState::empty(model.clone(), schema.clone(), rows);
@@ -173,7 +178,7 @@ proptest! {
         let full = model.infer(&schema, &log);
         prop_assert_eq!(fit.result().estimates(), full.estimates());
         prop_assert_eq!(fit.result().iterations, full.iterations);
-        for w in log.workers() {
+        for w in workers_of(&log) {
             prop_assert_eq!(fit.result().quality_of(w), full.quality_of(w));
         }
     }

@@ -58,9 +58,9 @@ pub fn endpoint_label(path: &str) -> &'static str {
     }
 }
 
-/// The registry-wide observability handle: one per [`TableRegistry`]
-/// (crate::registry::TableRegistry), shared by every table and the HTTP
-/// front end.
+/// The registry-wide observability handle: one per
+/// [`TableRegistry`](crate::registry::TableRegistry), shared by every table
+/// and the HTTP front end.
 #[derive(Debug)]
 pub struct ServiceObs {
     metrics: Arc<Registry>,

@@ -479,8 +479,8 @@ impl SnapChain {
 /// commit thread), its snapshot directory, the metadata the store
 /// persists, and the incremental-snapshot chain position.
 ///
-/// Lock order: the ingest `Mutex` is always taken before
-/// [`Durability::wal`] by direct appenders (quarantine records,
+/// Lock order: the ingest `Mutex` is always taken before the `wal` mutex
+/// by direct appenders (quarantine records,
 /// tombstones, the rebuild path); the commit thread takes the WAL mutex
 /// *alone* and its sink takes the ingest mutex *alone* — neither nests,
 /// so the commit thread can never deadlock against a direct appender.

@@ -178,7 +178,9 @@ fn published_table(
     let t = reg.create(Some("t".into()), d.schema.clone(), d.rows(), manual_config()).unwrap();
     t.submit(d.answers.all()).unwrap();
     assert!(t.refresh_now());
-    let worker = d.answers.workers().max_by_key(|&w| d.answers.for_worker(w).count()).unwrap();
+    let m = d.answers.to_matrix();
+    let busiest = (0..m.num_workers()).max_by_key(|&w| m.worker_answer_indices(w).len()).unwrap();
+    let worker = m.worker_id(busiest);
     (t, worker)
 }
 
@@ -206,6 +208,9 @@ fn quarantine_republished_at_an_unchanged_epoch_survives_a_clean_restart() {
         let reg = TableRegistry::with_store(store(&dir));
         let (t, worker) = published_table(&reg, &d);
         let links = t.store_snapshot_links().unwrap();
+        // The quarantine wakes the refresher; stop it so the republish
+        // below is this test's own, not a race with a background tick.
+        t.stop_refresher();
         t.set_worker_quarantine(worker, true).unwrap();
         assert!(t.refresh_now(), "a quarantine change republishes");
         assert_eq!(t.snapshot().epoch, d.answers.len());

@@ -5,11 +5,11 @@
 //! module provides those per-answer terms as *batch* kernels over `&[f64]`
 //! slices, in two interchangeable paths:
 //!
-//! * [`generic`] — portable scalar code, four independent lane accumulators;
-//! * [`avx2`] — 4 × f64 AVX2 lanes behind **runtime** feature detection.
+//! * `generic` — portable scalar code, four independent lane accumulators;
+//! * `avx2` — 4 × f64 AVX2 lanes behind **runtime** feature detection.
 //!
-//! The two paths execute the identical IEEE-754 operation DAG (see
-//! [`lane`]) and the identical lane-accumulator tree, so they are
+//! The two paths execute the identical IEEE-754 operation DAG (see the
+//! `lane` module) and the identical lane-accumulator tree, so they are
 //! **bit-equal** — differential-tested in `tests/prop_batch.rs` and gated in
 //! CI. Callers therefore never have to care which path ran, and results are
 //! reproducible across machines with and without AVX2.

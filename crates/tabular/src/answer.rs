@@ -1,15 +1,16 @@
-//! Workers, cells and the indexed answer log.
+//! Workers, cells and the append-only answer log.
 //!
 //! The answer set `A = {a^u_ij}` is the sole input of truth inference
 //! (Definition 3) and the main input of task assignment (§5). Model code
-//! iterates it three ways — all answers of a *cell* (E-step), all answers of
-//! a *worker* (M-step quality update), and all answers of a worker on one
-//! *row* (structure-aware gain, Eq. 7) — so the log maintains all three
-//! indexes incrementally with `O(1)` appends.
+//! reads it three ways — all answers of a *cell* (E-step), all answers of a
+//! *worker* (M-step quality update), and all answers of a worker on one
+//! *row* (structure-aware gain, Eq. 7). Every such sweep reads the frozen
+//! [`crate::AnswerMatrix`], which serves all three groupings from one
+//! CSR layout; the log itself keeps only the per-cell index, for the point
+//! queries a live loop makes between freezes, so an append is `O(1)`.
 
 use crate::schema::Schema;
 use crate::value::Value;
-use std::collections::BTreeMap;
 
 /// Identifier of a worker `u ∈ U`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -49,13 +50,14 @@ pub struct Answer {
     pub value: Value,
 }
 
-/// The indexed answer set `A`.
+/// The answer set `A`, in arrival order, with a per-cell index.
 ///
 /// Shape-aware: constructed for a fixed `rows × cols` table so the per-cell
-/// index can be a dense vector rather than a hash map.
+/// index can be a dense vector rather than a hash map. Grouped reads by
+/// worker or by (worker, row) go through [`AnswerLog::to_matrix`].
 ///
-/// Equality is derived over shape, answers *and* the derived indexes; since
-/// the indexes are a deterministic function of the push sequence, two logs
+/// Equality is derived over shape, answers *and* the per-cell index; since
+/// the index is a deterministic function of the push sequence, two logs
 /// compare equal exactly when they hold the same answers in the same order
 /// for the same shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,25 +67,12 @@ pub struct AnswerLog {
     answers: Vec<Answer>,
     /// `cell -> indices into answers` (dense, row-major).
     by_cell: Vec<Vec<u32>>,
-    /// `worker -> indices into answers`. Ordered so [`AnswerLog::workers`]
-    /// iterates in ascending id order — sweeps over workers must be
-    /// deterministic run to run (hash-map iteration order is not).
-    by_worker: BTreeMap<WorkerId, Vec<u32>>,
-    /// `(worker, row) -> indices into answers` (structure-aware gain).
-    by_worker_row: BTreeMap<(WorkerId, u32), Vec<u32>>,
 }
 
 impl AnswerLog {
     /// Create an empty log for a `rows × cols` table.
     pub fn new(rows: usize, cols: usize) -> Self {
-        AnswerLog {
-            rows,
-            cols,
-            answers: Vec::new(),
-            by_cell: vec![Vec::new(); rows * cols],
-            by_worker: BTreeMap::new(),
-            by_worker_row: BTreeMap::new(),
-        }
+        AnswerLog { rows, cols, answers: Vec::new(), by_cell: vec![Vec::new(); rows * cols] }
     }
 
     /// Number of rows `N`.
@@ -126,8 +115,6 @@ impl AnswerLog {
         let slot = self.cell_slot(answer.cell);
         self.answers.push(answer);
         self.by_cell[slot].push(idx);
-        self.by_worker.entry(answer.worker).or_default().push(idx);
-        self.by_worker_row.entry((answer.worker, answer.cell.row)).or_default().push(idx);
     }
 
     /// Validate every answer against a schema (datatype + domain), returning
@@ -158,45 +145,14 @@ impl AnswerLog {
         self.by_cell[self.cell_slot(cell)].len()
     }
 
-    /// Answers by one worker (`a^u_**`).
-    pub fn for_worker(&self, worker: WorkerId) -> impl Iterator<Item = &Answer> + '_ {
-        self.by_worker
-            .get(&worker)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-            .iter()
-            .map(move |&i| &self.answers[i as usize])
-    }
-
-    /// Answers by one worker on one row (`L^u_i` in Eq. 7).
-    pub fn for_worker_row(&self, worker: WorkerId, row: u32) -> impl Iterator<Item = &Answer> + '_ {
-        self.by_worker_row
-            .get(&(worker, row))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-            .iter()
-            .map(move |&i| &self.answers[i as usize])
-    }
-
     /// True if `worker` already answered `cell` (platforms forbid repeats).
     pub fn has_answered(&self, worker: WorkerId, cell: CellId) -> bool {
         self.for_cell(cell).any(|a| a.worker == worker)
     }
 
-    /// The distinct workers that have contributed at least one answer, in
-    /// ascending id order (deterministic).
-    pub fn workers(&self) -> impl Iterator<Item = WorkerId> + '_ {
-        self.by_worker.keys().copied()
-    }
-
     /// Freeze this log into its columnar sweep-side form.
     pub fn to_matrix(&self) -> crate::matrix::AnswerMatrix {
         crate::matrix::AnswerMatrix::build(self)
-    }
-
-    /// Number of distinct workers.
-    pub fn num_workers(&self) -> usize {
-        self.by_worker.len()
     }
 
     /// Average number of answers per cell — the x-axis of Fig. 2/5.
@@ -228,7 +184,7 @@ impl AnswerLog {
 
 /// The point queries assignment policies make against the answer history,
 /// abstracted over the *representation*: the mutable [`AnswerLog`] answers
-/// them from its incremental indexes, the frozen
+/// them from its per-cell index, the frozen
 /// [`crate::AnswerMatrix`] from its CSR views. Library callers (the
 /// simulator, offline experiments) pass the live log; the service layer
 /// passes the snapshot's freeze, so a published snapshot never needs an
@@ -331,12 +287,8 @@ mod tests {
         assert_eq!(log.len(), 4);
         assert_eq!(log.count_for_cell(CellId::new(0, 0)), 2);
         assert_eq!(log.count_for_cell(CellId::new(1, 0)), 0);
-        assert_eq!(log.for_worker(WorkerId(1)).count(), 3);
-        assert_eq!(log.for_worker(WorkerId(2)).count(), 1);
-        assert_eq!(log.for_worker(WorkerId(9)).count(), 0);
-        assert_eq!(log.for_worker_row(WorkerId(1), 0).count(), 2);
-        assert_eq!(log.for_worker_row(WorkerId(1), 2).count(), 1);
-        assert_eq!(log.num_workers(), 2);
+        let c00: Vec<WorkerId> = log.for_cell(CellId::new(0, 0)).map(|a| a.worker).collect();
+        assert_eq!(c00, vec![WorkerId(1), WorkerId(2)]);
     }
 
     #[test]
@@ -393,13 +345,13 @@ mod tests {
     #[test]
     fn without_workers_drops_only_their_answers() {
         let log = log_with_answers();
-        let all_workers: Vec<WorkerId> = log.workers().collect();
+        let all_workers = [WorkerId(1), WorkerId(2)];
         let victim = all_workers[0];
         let filtered = log.without_workers(&[victim]);
         assert_eq!(filtered.rows(), log.rows());
         assert_eq!(filtered.cols(), log.cols());
-        assert_eq!(filtered.len(), log.len() - log.for_worker(victim).count());
-        assert!(filtered.for_worker(victim).next().is_none());
+        assert_eq!(filtered.len(), log.len() - 3, "worker 1 gave three answers");
+        assert!(filtered.all().iter().all(|a| a.worker != victim));
         // Excluding nobody is the identity on contents.
         let same = log.without_workers(&[]);
         assert_eq!(same.len(), log.len());

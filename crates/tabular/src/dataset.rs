@@ -4,7 +4,7 @@
 use crate::answer::{AnswerLog, CellId, WorkerId};
 use crate::schema::Schema;
 use crate::value::Value;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Simulation-side ground truth about one worker.
 ///
@@ -114,7 +114,7 @@ impl Dataset {
             continuous_columns: self.schema.continuous_columns().len(),
             answers: self.answers.len(),
             answers_per_task: self.answers.avg_answers_per_task(),
-            workers: self.answers.num_workers(),
+            workers: self.answers.all().iter().map(|a| a.worker).collect::<HashSet<_>>().len(),
         }
     }
 

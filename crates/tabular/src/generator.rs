@@ -384,10 +384,12 @@ mod tests {
     #[test]
     fn workers_answer_whole_rows() {
         let d = generate_dataset(&small_cfg(), 9);
-        for w in d.answers.workers().collect::<Vec<_>>() {
+        let m = d.answers.to_matrix();
+        for w in 0..m.num_workers() {
             for i in 0..d.rows() as u32 {
-                let n = d.answers.for_worker_row(w, i).count();
-                assert!(n == 0 || n == d.cols(), "worker {w} answered {n} cells of row {i}");
+                let n = m.worker_row_answer_indices(w, i).len();
+                let id = m.worker_id(w);
+                assert!(n == 0 || n == d.cols(), "worker {id} answered {n} cells of row {i}");
             }
         }
     }
@@ -461,11 +463,12 @@ mod tests {
         };
         let d = generate_dataset(&cfg, 17);
         let (mut e0, mut e1) = (Vec::new(), Vec::new());
-        for w in d.answers.workers().collect::<Vec<_>>() {
+        let m = d.answers.to_matrix();
+        for w in 0..m.num_workers() {
             for i in 0..d.rows() as u32 {
-                let row: Vec<&Answer> = d.answers.for_worker_row(w, i).collect();
+                let row: Vec<_> = m.worker_row_answers(w, i).collect();
                 if row.len() == 2 {
-                    let err = |a: &Answer| {
+                    let err = |a: crate::MatrixAnswer| {
                         (a.value.expect_categorical() != d.truth_of(a.cell).expect_categorical())
                             as i32 as f64
                     };

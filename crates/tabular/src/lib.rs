@@ -8,9 +8,11 @@
 //! model it provides everything the evaluation (§6) needs:
 //!
 //! * [`schema`] / [`value`] — column types, schemas and cell values.
-//! * [`answer`] — the mutable append log (by cell, by worker, by worker-row).
+//! * [`answer`] — the mutable append log (arrival order plus a per-cell
+//!   index for point queries).
 //! * [`matrix`] — the frozen columnar (CSR) answer store every sweep-side
-//!   consumer iterates; see its docs for the layout and complexity table.
+//!   consumer iterates, and the one home of the by-worker and by-(worker,
+//!   row) groupings; see its docs for the layout and complexity table.
 //!   Freezes are **incrementally refreshable**: [`AnswerMatrix::merge_delta`]
 //!   splices a log tail into an existing freeze (per-answer work on the
 //!   delta only, field-for-field identical to a rebuild), each freeze

@@ -1,11 +1,11 @@
 //! [`AnswerMatrix`] — the frozen columnar (CSR) answer store.
 //!
-//! [`crate::AnswerLog`] is the *mutable* append log a live platform feeds;
-//! every inference or assignment sweep, however, wants to scan answers
+//! [`crate::AnswerLog`] is the *mutable* append log a live platform feeds:
+//! answers in arrival order plus a per-cell index for point queries. Every
+//! inference or assignment sweep, however, wants to scan answers
 //! **grouped** — by cell (E-step, Eq. 4), by worker (M-step quality update,
-//! Eq. 5), or by (worker, row) (structure-aware gain, Eq. 7). The log's
-//! incremental indexes answer point queries, but a sweep through them hops
-//! between heap-allocated per-key vectors in whatever order the map yields.
+//! Eq. 5), or by (worker, row) (structure-aware gain, Eq. 7) — and the
+//! matrix is the one place those groupings live.
 //!
 //! `AnswerMatrix` is the sweep-side dual: built once from a log, it stores
 //! the answers as a struct-of-arrays payload in **cell-major order** with
@@ -169,7 +169,7 @@ impl AnswerMatrix {
         let slots = n_rows * n_cols;
 
         // Dense worker table in sorted-id order.
-        let mut worker_ids: Vec<WorkerId> = log.workers().collect();
+        let mut worker_ids: Vec<WorkerId> = log.all().iter().map(|a| a.worker).collect();
         worker_ids.sort_unstable();
         worker_ids.dedup();
         let widx =
@@ -243,7 +243,7 @@ impl AnswerMatrix {
     /// (`O(n)` bytes, no per-answer branching), the cell-offset shift is one
     /// `O(R·C)` pass, and the worker views are **spliced** from the old
     /// permutation through the per-slot shift map (see
-    /// [`Self::splice_worker_views`]) — delta-only per-answer work plus
+    /// `splice_worker_views`) — delta-only per-answer work plus
     /// bulk shifted copies — instead of being re-derived by counting sort.
     /// A full [`AnswerMatrix::build`] pays the per-answer constant on all
     /// `n` answers instead; in the steady-state refit loop (small `Δ`) the
@@ -839,12 +839,6 @@ impl AnswerMatrix {
     }
 }
 
-impl From<&AnswerLog> for AnswerMatrix {
-    fn from(log: &AnswerLog) -> Self {
-        AnswerMatrix::build(log)
-    }
-}
-
 /// The freeze answers the same point queries as the mutable log, from its
 /// CSR views. Within a cell both representations agree answer-for-answer
 /// (insertion order is preserved cell-locally); whole-column scans come
@@ -940,11 +934,20 @@ mod tests {
             csr.sort_by_key(|a| a.worker);
             assert_eq!(naive, csr, "cell {cell:?}");
         }
-        // By worker and by (worker, row).
-        for (w, &wid) in m.worker_ids().iter().enumerate() {
-            assert_eq!(m.worker_answers(w).count(), log.for_worker(wid).count());
+        // By worker and by (worker, row): within a row the view is
+        // cell-major, so the naive scan is sorted by column (stable, so
+        // arrival order breaks ties).
+        let mut ids: Vec<WorkerId> = log.all().iter().map(|a| a.worker).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(m.worker_ids(), ids);
+        for (w, &wid) in ids.iter().enumerate() {
+            let mine = || log.all().iter().filter(move |a| a.worker == wid);
+            assert_eq!(m.worker_answers(w).count(), mine().count());
             for row in 0..log.rows() as u32 {
-                let naive: Vec<Value> = log.for_worker_row(wid, row).map(|a| a.value).collect();
+                let mut naive: Vec<&Answer> = mine().filter(|a| a.cell.row == row).collect();
+                naive.sort_by_key(|a| a.cell.col);
+                let naive: Vec<Value> = naive.iter().map(|a| a.value).collect();
                 let csr: Vec<Value> = m.worker_row_answers(w, row).map(|a| a.value).collect();
                 assert_eq!(naive, csr, "worker {wid} row {row}");
             }

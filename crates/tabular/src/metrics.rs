@@ -9,10 +9,11 @@
 //!   the ground-truth std when no answers are supplied.
 
 #![allow(clippy::needless_range_loop)] // index loops here walk several parallel arrays
-use crate::answer::AnswerLog;
+use crate::answer::{AnswerLog, WorkerId};
 use crate::dataset::Dataset;
 use crate::schema::Schema;
 use crate::value::Value;
+use std::collections::BTreeMap;
 use tcrowd_stat::describe::{rmse, std_dev};
 
 /// Per-column quality of a set of estimates.
@@ -150,9 +151,12 @@ pub fn worker_attribute_errors(
     dataset: &Dataset,
     top_k: usize,
     normalize_continuous: bool,
-) -> (Vec<crate::answer::WorkerId>, Vec<Vec<f64>>) {
-    let mut by_count: Vec<(crate::answer::WorkerId, usize)> =
-        dataset.answers.workers().map(|w| (w, dataset.answers.for_worker(w).count())).collect();
+) -> (Vec<WorkerId>, Vec<Vec<f64>>) {
+    let mut counts: BTreeMap<WorkerId, usize> = BTreeMap::new();
+    for a in dataset.answers.all() {
+        *counts.entry(a.worker).or_default() += 1;
+    }
+    let mut by_count: Vec<(WorkerId, usize)> = counts.into_iter().collect();
     by_count.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     by_count.truncate(top_k);
     let workers: Vec<_> = by_count.into_iter().map(|(w, _)| w).collect();
@@ -163,8 +167,12 @@ pub fn worker_attribute_errors(
     for &w in &workers {
         let mut row = Vec::with_capacity(m);
         for j in 0..m {
-            let answers: Vec<_> =
-                dataset.answers.for_worker(w).filter(|a| a.cell.col as usize == j).collect();
+            let answers: Vec<_> = dataset
+                .answers
+                .all()
+                .iter()
+                .filter(|a| a.worker == w && a.cell.col as usize == j)
+                .collect();
             if answers.is_empty() {
                 row.push(f64::NAN);
                 continue;

@@ -169,7 +169,7 @@ mod tests {
         for cell in log.cells() {
             assert_eq!(view.count_for_cell(cell), rebuilt.count_for_cell(cell), "{cell:?}");
             assert_eq!(view.cell_values(cell), rebuilt.cell_values(cell), "{cell:?}");
-            for w in log.workers() {
+            for &w in matrix.worker_ids() {
                 assert_eq!(view.has_answered(w, cell), rebuilt.has_answered(w, cell));
             }
         }
@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn view_matches_rebuilt_log_for_every_exclusion() {
         let log = log();
-        let workers: Vec<WorkerId> = log.workers().collect();
+        let workers = AnswerMatrix::build(&log).worker_ids().to_vec();
         // Every subset of the three workers (sorted by construction).
         for mask in 0u32..(1 << workers.len()) {
             let excluded: Vec<WorkerId> = workers

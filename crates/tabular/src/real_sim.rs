@@ -296,9 +296,10 @@ mod tests {
         // positively correlated.
         let d = restaurant(3);
         let (mut es, mut ee) = (Vec::new(), Vec::new());
-        for w in d.answers.workers().collect::<Vec<_>>() {
+        let m = d.answers.to_matrix();
+        for w in 0..m.num_workers() {
             for i in 0..d.rows() as u32 {
-                let row: Vec<&Answer> = d.answers.for_worker_row(w, i).collect();
+                let row: Vec<_> = m.worker_row_answers(w, i).collect();
                 if row.is_empty() {
                     continue;
                 }
@@ -331,9 +332,10 @@ mod tests {
         // should co-occur more than independently (the familiarity effect).
         let d = celebrity(5);
         let (mut e_name, mut e_nat) = (Vec::new(), Vec::new());
-        for w in d.answers.workers().collect::<Vec<_>>() {
+        let m = d.answers.to_matrix();
+        for w in 0..m.num_workers() {
             for i in 0..d.rows() as u32 {
-                let row: Vec<&Answer> = d.answers.for_worker_row(w, i).collect();
+                let row: Vec<_> = m.worker_row_answers(w, i).collect();
                 if row.is_empty() {
                     continue;
                 }

@@ -30,16 +30,11 @@ proptest! {
         // Sum over per-cell index equals total length.
         let by_cell_total: usize = log.cells().map(|c| log.count_for_cell(c)).sum();
         prop_assert_eq!(by_cell_total, log.len());
-        // Sum over per-worker index equals total length.
-        let workers: Vec<WorkerId> = log.workers().collect();
-        let by_worker_total: usize = workers.iter().map(|&w| log.for_worker(w).count()).sum();
-        prop_assert_eq!(by_worker_total, log.len());
-        // Per-worker-row index partitions per-worker answers.
-        for &w in &workers {
-            let rows_total: usize = (0..log.rows() as u32)
-                .map(|i| log.for_worker_row(w, i).count())
-                .sum();
-            prop_assert_eq!(rows_total, log.for_worker(w).count());
+        // Each cell's index lists exactly that cell's answers, in log order.
+        for c in log.cells() {
+            let indexed: Vec<&Answer> = log.for_cell(c).collect();
+            let scanned: Vec<&Answer> = log.all().iter().filter(|a| a.cell == c).collect();
+            prop_assert_eq!(indexed, scanned);
         }
     }
 

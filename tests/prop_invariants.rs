@@ -176,7 +176,7 @@ proptest! {
         let groups: Vec<usize> = (0..d.rows()).map(|i| i % 3).collect();
         let m = EntityModel::fit(&d.schema, &d.answers, &r, &RowGrouping::Known(groups), &opts);
         let (lo, hi) = opts.lambda_range;
-        for w in d.answers.workers() {
+        for &w in d.answers.to_matrix().worker_ids() {
             for i in 0..d.rows() as u32 {
                 let l = m.lambda(w, i);
                 prop_assert!(l >= lo * 0.99 && l <= hi * 1.01, "lambda {} escaped [{}, {}]", l, lo, hi);
@@ -227,9 +227,10 @@ proptest! {
         let log = &d.answers;
         let m = log.to_matrix();
         prop_assert_eq!(m.len(), log.len());
-        prop_assert_eq!(m.num_workers(), log.num_workers());
         // Worker table: sorted, and exactly the log's worker set.
-        let log_workers: Vec<WorkerId> = log.workers().collect();
+        let mut log_workers: Vec<WorkerId> = log.all().iter().map(|a| a.worker).collect();
+        log_workers.sort_unstable();
+        log_workers.dedup();
         prop_assert_eq!(m.worker_ids(), log_workers.as_slice());
         // By-cell view agrees with a naive scan (same multiset, same
         // insertion order within the cell).
@@ -242,10 +243,11 @@ proptest! {
         }
         // By-worker and by-(worker, row) views partition the payload.
         for (w, &wid) in m.worker_ids().iter().enumerate() {
-            prop_assert_eq!(m.worker_answers(w).count(), log.for_worker(wid).count());
+            let mine = || log.all().iter().filter(move |a| a.worker == wid);
+            prop_assert_eq!(m.worker_answers(w).count(), mine().count());
             for row in 0..log.rows() as u32 {
                 let mut naive: Vec<String> =
-                    log.for_worker_row(wid, row).map(|a| format!("{:?}", a)).collect();
+                    mine().filter(|a| a.cell.row == row).map(|a| format!("{:?}", a)).collect();
                 let mut csr: Vec<String> = m
                     .worker_row_answers(w, row)
                     .map(|a| format!("{:?}", tcrowd::tabular::Answer {
