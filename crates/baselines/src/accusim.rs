@@ -24,7 +24,7 @@
 use crate::method::{column_fallbacks, TruthMethod};
 use std::collections::HashMap;
 use tcrowd_stat::{clamp_prob, describe::zscore_params, EPS};
-use tcrowd_tabular::{AnswerLog, CellId, ColumnType, Schema, Value, WorkerId};
+use tcrowd_tabular::{AnswerLog, AnswerMatrix, CellId, ColumnType, Schema, Value, WorkerId};
 
 /// Accu / AccuSim estimator.
 #[derive(Debug, Clone, Copy)]
@@ -80,14 +80,14 @@ fn value_key(v: &Value) -> (u32, u64) {
 }
 
 fn build_candidates(
-    answers: &AnswerLog,
+    answers: &AnswerMatrix,
     cell: CellId,
     kernel: Option<f64>, // bandwidth for continuous similarity
 ) -> Option<Candidates> {
     let mut index: HashMap<(u32, u64), usize> = HashMap::new();
     let mut values: Vec<Value> = Vec::new();
     let mut voters: Vec<Vec<WorkerId>> = Vec::new();
-    for a in answers.for_cell(cell) {
+    for a in answers.cell_answers(cell) {
         let k = value_key(&a.value);
         let slot = *index.entry(k).or_insert_with(|| {
             values.push(a.value);
@@ -156,11 +156,12 @@ impl TruthMethod for Accu {
             .collect();
 
         // Candidate structures for every answered cell.
+        let matrix = AnswerMatrix::build(answers);
         let mut cells: Vec<(CellId, Candidates)> = Vec::new();
         for i in 0..rows as u32 {
             for j in 0..cols as u32 {
                 let cell = CellId::new(i, j);
-                if let Some(c) = build_candidates(answers, cell, bandwidth[j as usize]) {
+                if let Some(c) = build_candidates(&matrix, cell, bandwidth[j as usize]) {
                     cells.push((cell, c));
                 }
             }
@@ -224,7 +225,7 @@ impl TruthMethod for Accu {
         }
 
         // ---- Read out the table.
-        let fallbacks = column_fallbacks(schema, &answers.to_matrix());
+        let fallbacks = column_fallbacks(schema, &matrix);
         let mut est: Vec<Vec<Value>> =
             (0..rows).map(|_| (0..cols).map(|j| fallbacks[j]).collect()).collect();
         for ((cell, c), post) in cells.iter().zip(&posteriors) {

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tcrowd_core::{AssignmentContext, AssignmentPolicy};
-use tcrowd_stat::describe::{mean, std_dev};
+use tcrowd_stat::describe::std_dev;
 use tcrowd_stat::entropy::shannon;
 use tcrowd_tabular::{CellId, ColumnType, WorkerId};
 
@@ -100,6 +100,11 @@ impl AssignmentPolicy for LoopingPolicy {
 #[derive(Debug, Default)]
 pub struct EntropyPolicy;
 
+/// The continuous values claimed for one cell, in arrival order.
+fn continuous_cell_values(ctx: &AssignmentContext<'_>, cell: CellId) -> Vec<f64> {
+    ctx.answers.cell_answers(cell).map(|a| a.value.expect_continuous()).collect()
+}
+
 /// Raw-answer uncertainty of one cell (the AskIt!-style criterion).
 ///
 /// Categorical: Shannon entropy of the empirical vote distribution (maximal
@@ -113,10 +118,10 @@ pub fn raw_uncertainty(ctx: &AssignmentContext<'_>, cell: CellId) -> f64 {
             let l = labels.len();
             let mut counts = vec![0.0f64; l];
             let mut n = 0.0;
-            ctx.answers.for_each_cell_value(cell, &mut |v| {
-                counts[v.expect_categorical() as usize] += 1.0;
+            for a in ctx.answers.cell_answers(cell) {
+                counts[a.value.expect_categorical() as usize] += 1.0;
                 n += 1.0;
-            });
+            }
             if n == 0.0 {
                 (l as f64).ln()
             } else {
@@ -125,8 +130,7 @@ pub fn raw_uncertainty(ctx: &AssignmentContext<'_>, cell: CellId) -> f64 {
             }
         }
         ColumnType::Continuous { min, max } => {
-            let vals: Vec<f64> =
-                ctx.answers.cell_values(cell).iter().map(|v| v.expect_continuous()).collect();
+            let vals = continuous_cell_values(ctx, cell);
             let spread = if vals.len() < 2 {
                 // No information yet: spread of a uniform over the domain.
                 (max - min) / 12f64.sqrt()
@@ -187,21 +191,25 @@ impl CdasPolicy {
         match ctx.schema.column_type(cell.col as usize) {
             ColumnType::Categorical { labels } => {
                 let mut counts = vec![0.0f64; labels.len()];
-                ctx.answers.for_each_cell_value(cell, &mut |v| {
-                    counts[v.expect_categorical() as usize] += 1.0;
-                });
+                for a in ctx.answers.cell_answers(cell) {
+                    counts[a.value.expect_categorical() as usize] += 1.0;
+                }
                 let top = counts.iter().cloned().fold(0.0, f64::max);
                 // Laplace-smoothed majority share (CDAS's quality-sensitive
                 // termination, simplified to anonymous worker accuracy).
                 (top + 1.0) / (n as f64 + 2.0) >= self.vote_confidence
             }
             ColumnType::Continuous { .. } => {
-                let vals: Vec<f64> =
-                    ctx.answers.cell_values(cell).iter().map(|v| v.expect_continuous()).collect();
-                let col_vals: Vec<f64> = ctx.answers.continuous_column_values(cell.col);
+                let vals = continuous_cell_values(ctx, cell);
+                // The column's raw answer spread, summed in cell-major order.
+                let m = ctx.answers;
+                let col_vals: Vec<f64> = (0..m.rows() as u32)
+                    .flat_map(|row| m.cell_range(CellId::new(row, cell.col)))
+                    .filter(|&k| !m.is_categorical(k))
+                    .map(|k| m.answer_values()[k])
+                    .collect();
                 let scale = std_dev(&col_vals).max(1e-9);
                 let se = std_dev(&vals) / (vals.len() as f64).sqrt();
-                let _ = mean(&vals);
                 se / scale < self.relative_se
             }
         }
@@ -261,7 +269,7 @@ mod tests {
     ) -> AssignmentContext<'a> {
         AssignmentContext {
             schema: &d.schema,
-            answers: &d.answers,
+            answers: m,
             freeze: m.freeze_view(),
             inference: None,
             max_answers_per_cell: None,
@@ -342,7 +350,7 @@ mod tests {
         let m = log.to_matrix();
         let ctx = AssignmentContext {
             schema: &d.schema,
-            answers: &log,
+            answers: &m,
             freeze: m.freeze_view(),
             inference: None,
             max_answers_per_cell: None,
@@ -370,7 +378,7 @@ mod tests {
         let m = log.to_matrix();
         let ctx = AssignmentContext {
             schema: &d.schema,
-            answers: &log,
+            answers: &m,
             freeze: m.freeze_view(),
             inference: None,
             max_answers_per_cell: None,
@@ -392,7 +400,7 @@ mod tests {
         let m2 = contested.to_matrix();
         let ctx2 = AssignmentContext {
             schema: &d.schema,
-            answers: &contested,
+            answers: &m2,
             freeze: m2.freeze_view(),
             inference: None,
             max_answers_per_cell: None,

@@ -148,11 +148,11 @@ mod tests {
         // under extreme spammers, which the paper itself notes as CRH's
         // instability.)
         let mut unweighted = d.truth.clone();
+        let m = d.answers.to_matrix();
         for i in 0..d.rows() as u32 {
             for j in d.schema.continuous_columns() {
-                let vals: Vec<f64> = d
-                    .answers
-                    .for_cell(tcrowd_tabular::CellId::new(i, j as u32))
+                let vals: Vec<f64> = m
+                    .cell_answers(tcrowd_tabular::CellId::new(i, j as u32))
                     .map(|a| a.value.expect_continuous())
                     .collect();
                 unweighted[i as usize][j] = Value::Continuous(tcrowd_stat::describe::mean(&vals));

@@ -164,7 +164,7 @@ mod tests {
         let m = d.answers.to_matrix();
         let ctx = AssignmentContext {
             schema: &d.schema,
-            answers: &d.answers,
+            answers: &m,
             freeze: m.freeze_view(),
             inference: Some(&r),
             max_answers_per_cell: None,

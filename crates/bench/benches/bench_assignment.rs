@@ -103,7 +103,7 @@ fn assignment_select(c: &mut Criterion) {
         let model = CorrelationModel::fit_matrix(&d.schema, &matrix, &fit);
         let ctx = AssignmentContext {
             schema: &d.schema,
-            answers: &d.answers,
+            answers: &matrix,
             freeze: matrix.freeze_view(),
             inference: Some(&fit),
             max_answers_per_cell: None,

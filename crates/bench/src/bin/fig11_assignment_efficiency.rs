@@ -28,7 +28,7 @@ fn main() {
         let matrix = d.answers.to_matrix();
         let ctx = AssignmentContext {
             schema: &d.schema,
-            answers: &d.answers,
+            answers: &matrix,
             freeze: matrix.freeze_view(),
             inference: Some(&inference),
             max_answers_per_cell: None,

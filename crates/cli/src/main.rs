@@ -228,7 +228,7 @@ fn cmd_assign(args: &Args) -> Result<(), String> {
     let matrix = answers.to_matrix();
     let ctx = AssignmentContext {
         schema: &schema,
-        answers: &answers,
+        answers: &matrix,
         freeze: matrix.freeze_view(),
         inference: Some(&inference),
         max_answers_per_cell: None,

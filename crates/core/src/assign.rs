@@ -1,7 +1,7 @@
 //! Online task assignment (paper §5, Algorithm 2).
 //!
-//! A policy receives the incoming worker and the current state (answer log +
-//! inference result) and returns the cell(s) to assign. T-Crowd's two
+//! A policy receives the incoming worker and the current state (the frozen
+//! answers + inference result) and returns the cell(s) to assign. T-Crowd's two
 //! policies rank candidates by information gain:
 //!
 //! * [`InherentGainPolicy`] — Eq. 6, using the worker's fitted quality and
@@ -28,27 +28,24 @@ use crate::truth::TruthDist;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tcrowd_stat::clamp_prob;
-use tcrowd_tabular::{AnswerMatrix, AnswerQueries, CellId, FrozenView, Schema, Value, WorkerId};
+use tcrowd_tabular::{AnswerMatrix, CellId, FrozenView, Schema, Value, WorkerId};
 
 /// Everything a policy may consult when selecting tasks.
 pub struct AssignmentContext<'a> {
     /// The table schema.
     pub schema: &'a Schema,
-    /// The answer history so far, behind the representation-agnostic
-    /// [`AnswerQueries`] trait: library callers pass the live
-    /// [`tcrowd_tabular::AnswerLog`]; snapshot-serving callers (the service
-    /// layer) pass the frozen [`AnswerMatrix`] itself, so a published
-    /// snapshot needs no indexed log at all.
-    pub answers: &'a dyn AnswerQueries,
-    /// The caller's frozen columnar view of [`Self::answers`]. Matrix-side
-    /// policies (structure-aware, entity-aware) fit their models from this
-    /// freeze instead of each `select` call rebuilding one — the runner
-    /// keeps a single evolving freeze and delta-merges the log tail into it,
-    /// so per-HIT assignment no longer pays the `O(cells + W·R)` rebuild.
+    /// The answer history so far, frozen: every policy's point queries
+    /// (counts, repeats, cell values) and the gain policies' model fits read
+    /// it. Build it with [`tcrowd_tabular::AnswerLog::to_matrix`], or keep
+    /// one current across log appends with [`AnswerMatrix::merge_delta`] —
+    /// a stale freeze silently ignores the newest answers.
+    pub answers: &'a AnswerMatrix,
+    /// [`AnswerMatrix::freeze_view`] of [`Self::answers`]. No policy reads
+    /// it; it carries no data.
     pub freeze: FrozenView<'a>,
     /// The most recent truth-inference result. T-Crowd's gain policies
     /// require it; baseline policies (random, round-robin, raw-entropy,
-    /// CDAS) work from the answer log alone and ignore it.
+    /// CDAS) work from the answers alone and ignore it.
     pub inference: Option<&'a InferenceResult>,
     /// Optional per-cell redundancy cap: cells that already have this many
     /// answers are not assigned again.
@@ -56,7 +53,7 @@ pub struct AssignmentContext<'a> {
     /// Cells terminated by an adaptive stopping rule (confidence reached);
     /// they are excluded from assignment. `None` means nothing terminated.
     pub terminated: Option<&'a std::collections::HashSet<CellId>>,
-    /// A pre-fitted correlation model of [`Self::freeze`] +
+    /// A pre-fitted correlation model of [`Self::answers`] +
     /// [`Self::inference`]. The model is a pure function of the two, so
     /// callers serving many `select` calls per published state (the service
     /// layer caches one on each snapshot) fit it once here instead of
@@ -66,25 +63,6 @@ pub struct AssignmentContext<'a> {
 }
 
 impl<'a> AssignmentContext<'a> {
-    /// The frozen matrix, checked (in debug builds) to actually cover the
-    /// answer history: a stale freeze means the caller forgot to
-    /// delta-merge the log tail before assignment, and the fitted
-    /// correlation/entity models would silently ignore the newest answers.
-    pub fn matrix(&self) -> &'a AnswerMatrix {
-        debug_assert_eq!(
-            self.freeze.epoch(),
-            self.answers.len(),
-            "assignment context holds a stale freeze — merge the log tail \
-             (AnswerMatrix::merge_delta) before selecting",
-        );
-        self.freeze.matrix()
-    }
-
-    /// The freeze epoch (number of log answers the matrix covers).
-    pub fn epoch(&self) -> usize {
-        self.freeze.epoch()
-    }
-
     /// Cells the worker may be assigned: not yet answered by this worker and
     /// under the redundancy cap. Enumerates the table in row-major order.
     pub fn candidates(&self, worker: WorkerId) -> Vec<CellId> {
@@ -252,9 +230,9 @@ impl AssignmentPolicy for StructureAwarePolicy {
         let inference = ctx
             .inference
             .expect("StructureAwarePolicy requires an inference result in the context");
-        // The caller's shared freeze serves the correlation fit and the
-        // row-error scan (by-(worker, row) CSR view) — no per-HIT rebuild.
-        let matrix = ctx.matrix();
+        // The caller's freeze serves the correlation fit and the row-error
+        // scan (by-(worker, row) CSR view) — no per-HIT rebuild.
+        let matrix = ctx.answers;
         let fitted_here;
         let model = match ctx.correlation {
             Some(cached) => cached,
@@ -357,7 +335,7 @@ mod tests {
         let m = d.answers.to_matrix();
         let ctx = AssignmentContext {
             schema: &d.schema,
-            answers: &d.answers,
+            answers: &m,
             freeze: m.freeze_view(),
             inference: Some(&r),
             max_answers_per_cell: None,
@@ -367,7 +345,7 @@ mod tests {
         let w = m.worker_id(0);
         let cands = ctx.candidates(w);
         for c in &cands {
-            assert!(!d.answers.has_answered(w, *c));
+            assert!(!m.has_answered(w, *c));
         }
         // Cap at the current redundancy: every cell has exactly 3 answers,
         // so a cap of 3 empties the pool.
@@ -381,7 +359,7 @@ mod tests {
         let m = d.answers.to_matrix();
         let ctx = AssignmentContext {
             schema: &d.schema,
-            answers: &d.answers,
+            answers: &m,
             freeze: m.freeze_view(),
             inference: Some(&r),
             max_answers_per_cell: None,
@@ -453,7 +431,7 @@ mod tests {
                 let q = inference.cell_quality(worker, c);
                 let (v, q) = if structure_aware {
                     let observed: Vec<(usize, ErrorObservation)> = ctx
-                        .matrix()
+                        .answers
                         .answers_of(worker)
                         .filter(|a| a.cell.row == c.row)
                         .map(|a| {
@@ -494,7 +472,7 @@ mod tests {
         let model = CorrelationModel::fit_matrix(&d.schema, &m, &r);
         let ctx = AssignmentContext {
             schema: &d.schema,
-            answers: &d.answers,
+            answers: &m,
             freeze: m.freeze_view(),
             inference: Some(&r),
             max_answers_per_cell: None,
@@ -530,7 +508,7 @@ mod tests {
         let m = d.answers.to_matrix();
         let ctx = AssignmentContext {
             schema: &d.schema,
-            answers: &d.answers,
+            answers: &m,
             freeze: m.freeze_view(),
             inference: Some(&r),
             max_answers_per_cell: None,
@@ -550,7 +528,7 @@ mod tests {
         let m = d.answers.to_matrix();
         let ctx = AssignmentContext {
             schema: &d.schema,
-            answers: &d.answers,
+            answers: &m,
             freeze: m.freeze_view(),
             inference: Some(&r),
             max_answers_per_cell: None,

@@ -370,9 +370,9 @@ impl crate::assign::AssignmentPolicy for EntityAwarePolicy {
     ) -> Vec<CellId> {
         let inference =
             ctx.inference.expect("EntityAwarePolicy requires an inference result in the context");
-        // The caller's shared freeze serves both model fits and the
-        // row-error scan — no per-HIT rebuild.
-        let matrix = ctx.matrix();
+        // The caller's freeze serves both model fits and the row-error
+        // scan — no per-HIT rebuild.
+        let matrix = ctx.answers;
         let entity =
             EntityModel::fit_matrix(ctx.schema, matrix, inference, &self.grouping, &self.options);
         let corr = if self.use_attribute_correlation {
@@ -576,7 +576,7 @@ mod tests {
         let m = d.answers.to_matrix();
         let ctx = AssignmentContext {
             schema: &d.schema,
-            answers: &d.answers,
+            answers: &m,
             freeze: m.freeze_view(),
             inference: Some(&r),
             max_answers_per_cell: None,
@@ -601,7 +601,7 @@ mod tests {
         let m = d.answers.to_matrix();
         let ctx = AssignmentContext {
             schema: &d.schema,
-            answers: &d.answers,
+            answers: &m,
             freeze: m.freeze_view(),
             inference: Some(&r),
             max_answers_per_cell: None,

@@ -590,10 +590,11 @@ mod tests {
         let report = evaluate(&d.schema, &d.truth, &r.estimates());
 
         // Naive baseline: take the first answer of each cell.
+        let m = d.answers.to_matrix();
         let naive: Vec<Vec<Value>> = (0..d.rows() as u32)
             .map(|i| {
                 (0..d.cols() as u32)
-                    .map(|j| d.answers.for_cell(CellId::new(i, j)).next().expect("answered").value)
+                    .map(|j| m.cell_answers(CellId::new(i, j)).next().expect("answered").value)
                     .collect()
             })
             .collect();

@@ -48,7 +48,7 @@ fn top_k_equals_exhaustive_optimum() {
     let m = d.answers.to_matrix();
     let ctx = AssignmentContext {
         schema: &d.schema,
-        answers: &d.answers,
+        answers: &m,
         freeze: m.freeze_view(),
         inference: Some(&inference),
         max_answers_per_cell: None,

@@ -1785,8 +1785,6 @@ impl TableState {
         let snap = self.snapshot();
         let ctx = AssignmentContext {
             schema: &self.schema,
-            // The freeze answers the point queries too: a snapshot carries
-            // no indexed log at all.
             answers: snap.matrix.as_ref(),
             freeze: snap.matrix.freeze_view(),
             inference: Some(&snap.result),

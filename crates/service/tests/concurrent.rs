@@ -7,10 +7,20 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tcrowd_core::{diagnostics::max_z_discrepancy, FitState, TCrowd};
 use tcrowd_service::{TableConfig, TableRegistry};
 use tcrowd_tabular::{generate_dataset, GeneratorConfig, WorkerId};
+
+/// Block until `counter` reaches `n`. Bounded, so a thread that panicked
+/// before it counted fails the test instead of hanging it.
+fn await_count(counter: &AtomicUsize, n: usize, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counter.load(Ordering::SeqCst) < n {
+        assert!(Instant::now() < deadline, "{what} never ran");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
 
 #[test]
 fn concurrent_ingest_and_assignment_equal_serial_replay() {
@@ -42,8 +52,13 @@ fn concurrent_ingest_and_assignment_equal_serial_replay() {
         .expect("create table");
 
     const SUBMITTERS: usize = 4;
+    const READERS: usize = 2;
     let accepted = Arc::new(AtomicUsize::new(0));
     let done = Arc::new(AtomicBool::new(false));
+    // Readers served at least once. Submitters hold back their final batch
+    // until every reader has been, so they cannot finish (and the test set
+    // `done`) before a reader's first request.
+    let readers_served = Arc::new(AtomicUsize::new(0));
 
     // Submit threads: each pushes an interleaved slice of the generated
     // stream in small random-sized batches.
@@ -51,6 +66,7 @@ fn concurrent_ingest_and_assignment_equal_serial_replay() {
         .map(|t| {
             let table = Arc::clone(&table);
             let accepted = Arc::clone(&accepted);
+            let readers_served = Arc::clone(&readers_served);
             let mine: Vec<tcrowd_tabular::Answer> =
                 d.answers.all().iter().skip(t).step_by(SUBMITTERS).copied().collect();
             std::thread::spawn(move || {
@@ -58,6 +74,9 @@ fn concurrent_ingest_and_assignment_equal_serial_replay() {
                 let mut step = 1usize;
                 while at < mine.len() {
                     let hi = (at + step).min(mine.len());
+                    if hi == mine.len() {
+                        await_count(&readers_served, READERS, "a reader");
+                    }
                     table.submit(&mine[at..hi]).expect("valid answers must be accepted");
                     accepted.fetch_add(hi - at, Ordering::SeqCst);
                     at = hi;
@@ -71,10 +90,11 @@ fn concurrent_ingest_and_assignment_equal_serial_replay() {
     // Assignment/read threads: hammer the published snapshot while ingestion
     // runs. Every response must be internally consistent (in-range distinct
     // cells, fresh freeze) regardless of interleaving.
-    let read_threads: Vec<_> = (0..2)
+    let read_threads: Vec<_> = (0..READERS)
         .map(|t| {
             let table = Arc::clone(&table);
             let done = Arc::clone(&done);
+            let readers_served = Arc::clone(&readers_served);
             std::thread::spawn(move || {
                 let mut served = 0usize;
                 let mut worker = 1000 + t as u32;
@@ -91,6 +111,9 @@ fn concurrent_ingest_and_assignment_equal_serial_replay() {
                         assert!((c.row as usize) < 16 && (c.col as usize) < 4);
                     }
                     assert_eq!(snap.matrix.len(), snap.epoch, "freeze must cover its epoch");
+                    if served == 0 {
+                        readers_served.fetch_add(1, Ordering::SeqCst);
+                    }
                     served += 1;
                     worker += 2;
                 }
@@ -173,17 +196,29 @@ fn mid_fit_ingest_race_converges_to_offline_inference() {
     const SUBMITTERS: usize = 3;
     let accepted = Arc::new(AtomicUsize::new(0));
     let done = Arc::new(AtomicBool::new(false));
+    // The refit hammer's refreshes and `refresh_now` calls so far. Until it
+    // has refreshed once, each submitter waits for one more hammer call
+    // before its next batch, so ingestion cannot finish before the hammer
+    // has met a tail to refresh.
+    let hammer_refits = Arc::new(AtomicUsize::new(0));
+    let hammer_calls = Arc::new(AtomicUsize::new(0));
 
     let submit_threads: Vec<_> = (0..SUBMITTERS)
         .map(|t| {
             let table = Arc::clone(&table);
             let accepted = Arc::clone(&accepted);
+            let hammer_refits = Arc::clone(&hammer_refits);
+            let hammer_calls = Arc::clone(&hammer_calls);
             let mine: Vec<tcrowd_tabular::Answer> =
                 d.answers.all().iter().skip(t).step_by(SUBMITTERS).copied().collect();
             std::thread::spawn(move || {
                 let mut at = 0usize;
                 let mut step = 1usize;
                 while at < mine.len() {
+                    if hammer_refits.load(Ordering::SeqCst) == 0 {
+                        let calls = hammer_calls.load(Ordering::SeqCst);
+                        await_count(&hammer_calls, calls + 1, "the refit hammer");
+                    }
                     let hi = (at + step).min(mine.len());
                     table.submit(&mine[at..hi]).expect("ingest must never be refused mid-fit");
                     accepted.fetch_add(hi - at, Ordering::SeqCst);
@@ -201,17 +236,19 @@ fn mid_fit_ingest_race_converges_to_offline_inference() {
     let refit_thread = {
         let table = Arc::clone(&table);
         let done = Arc::clone(&done);
+        let hammer_refits = Arc::clone(&hammer_refits);
+        let hammer_calls = Arc::clone(&hammer_calls);
         std::thread::spawn(move || {
-            let mut refits = 0usize;
             let mut max_catchup = 0usize;
             while !done.load(Ordering::SeqCst) {
                 if table.refresh_now() {
-                    refits += 1;
+                    hammer_refits.fetch_add(1, Ordering::SeqCst);
                     max_catchup = max_catchup.max(table.snapshot().catchup_merged);
                 }
+                hammer_calls.fetch_add(1, Ordering::SeqCst);
                 std::thread::yield_now();
             }
-            (refits, max_catchup)
+            max_catchup
         })
     };
 
@@ -238,7 +275,8 @@ fn mid_fit_ingest_race_converges_to_offline_inference() {
         t.join().expect("submitter");
     }
     done.store(true, Ordering::SeqCst);
-    let (refits, max_catchup) = refit_thread.join().expect("refit thread");
+    let max_catchup = refit_thread.join().expect("refit thread");
+    let refits = hammer_refits.load(Ordering::SeqCst);
     invariant_thread.join().expect("invariant thread");
     assert!(refits > 0, "the refit hammer must have driven refreshes");
     assert_eq!(accepted.load(Ordering::SeqCst), d.answers.len());

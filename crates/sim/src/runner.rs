@@ -9,9 +9,12 @@
 
 use crate::pool::WorkerPool;
 use crate::stopping::{StoppingRule, TerminationState};
+use std::collections::HashSet;
 use tcrowd_baselines::TruthMethod;
 use tcrowd_core::{AssignmentContext, AssignmentPolicy, FitState, Seed, TCrowd};
-use tcrowd_tabular::{evaluate_with_answers, Answer, AnswerLog, AnswerMatrix, QualityReport};
+use tcrowd_tabular::{
+    evaluate_with_answers, Answer, AnswerLog, AnswerMatrix, CellId, QualityReport, WorkerId,
+};
 
 /// Which truth-inference method backs the run (both for the policy's context
 /// and for checkpoint evaluation).
@@ -98,16 +101,16 @@ pub struct RunResult {
 }
 
 /// Full EM refit (warm-started from the previous fit), then re-test the
-/// stopping rule against the fresh posterior.
+/// stopping rule against the fresh posterior, counting answers from the
+/// fit's freeze.
 fn refit(
     fit: &mut FitState,
     termination: &mut Option<TerminationState>,
     rule: Option<&StoppingRule>,
-    answers: &AnswerLog,
 ) {
     fit.refit(true);
     if let (Some(state), Some(rule)) = (termination.as_mut(), rule) {
-        state.update(fit.result(), rule, |c| answers.count_for_cell(c));
+        state.update(fit.result(), rule, |c| fit.matrix().count_for_cell(c));
     }
 }
 
@@ -143,42 +146,46 @@ impl Runner {
         let mut total_hits = 0usize;
 
         // ---- Seed phase: whole-row answers, `seed_rounds` workers per row.
-        for round in 0..self.cfg.seed_rounds {
+        // A seeding worker answers the whole row, so one who already seeded
+        // a row has answered every cell of it and skips it.
+        let mut seeded: HashSet<(WorkerId, u32)> = HashSet::new();
+        for _ in 0..self.cfg.seed_rounds {
             for i in 0..n_rows as u32 {
                 let w = pool.next_worker();
                 total_hits += 1;
-                let _ = round;
+                if !seeded.insert((w, i)) {
+                    continue;
+                }
                 for j in 0..n_cols as u32 {
-                    let cell = tcrowd_tabular::CellId::new(i, j);
-                    if answers.has_answered(w, cell) {
-                        continue;
-                    }
+                    let cell = CellId::new(i, j);
                     let value = pool.answer(w, cell);
                     answers.push(Answer { worker: w, cell, value });
                 }
             }
         }
 
-        // The T-Crowd backend drives the online loop (`FitState`): one
-        // evolving freeze, built after the seed phase and kept current by
-        // catching up on each HIT's answers — the §5.1 incremental posterior
-        // update, no EM — with a full refit every few HITs and at each
-        // checkpoint. The first fit is cold; every refit warm-starts from the
-        // previous one (the steady-state loop converges in a handful of
-        // iterations — see `BENCH_refresh.json`). Baseline runs never read
-        // the freeze (matrix-side policies require T-Crowd's inference
-        // result, and baseline evaluation goes through the log), so they keep
-        // the seed-phase one.
+        // Every backend reads one freeze of the log, caught up at the top of
+        // each turn. The T-Crowd backend drives the online loop
+        // (`FitState`), which owns that freeze: built after the seed phase
+        // and kept current by catching up on each HIT's answers — the §5.1
+        // incremental posterior update, no EM — with a full refit every few
+        // HITs and at each checkpoint. The first fit is cold; every refit
+        // warm-starts from the previous one (the steady-state loop converges
+        // in a handful of iterations — see `BENCH_refresh.json`). A baseline
+        // backend has no fit, so the runner keeps its freeze.
         let seed_freeze = AnswerMatrix::build(&answers);
-        let mut fit = match backend {
-            InferenceBackend::TCrowd(model) => Some(FitState::new(
-                model.clone(),
-                schema.clone(),
-                seed_freeze.clone(),
-                Vec::new(),
-                Seed::Cold,
-            )),
-            InferenceBackend::Baseline(_) => None,
+        let (mut fit, mut freeze) = match backend {
+            InferenceBackend::TCrowd(model) => {
+                let fit = FitState::new(
+                    model.clone(),
+                    schema.clone(),
+                    seed_freeze,
+                    Vec::new(),
+                    Seed::Cold,
+                );
+                (Some(fit), None)
+            }
+            InferenceBackend::Baseline(_) => (None, Some(seed_freeze)),
         };
 
         // ---- Main loop.
@@ -204,6 +211,9 @@ impl Runner {
             if let Some(fit) = fit.as_mut() {
                 fit.catch_up(&answers.slice_since(fit.epoch()));
             }
+            if let Some(m) = freeze.as_mut().filter(|m| m.epoch() < answers.len()) {
+                *m = m.merge_delta(&answers.all()[m.epoch()..]);
+            }
             let avg = answers.len() as f64 / n_cells;
             // Record any checkpoints we crossed.
             while avg + 1e-9 >= next_checkpoint
@@ -212,7 +222,7 @@ impl Runner {
                 // Refresh inference at checkpoints so the evaluation reflects
                 // all collected answers.
                 if let Some(fit) = fit.as_mut() {
-                    refit(fit, &mut termination, self.cfg.stopping.as_ref(), &answers);
+                    refit(fit, &mut termination, self.cfg.stopping.as_ref());
                     hits_since_inference = 0;
                 }
                 let rep = evaluate_now(&answers, fit.as_ref());
@@ -237,14 +247,20 @@ impl Runner {
             if let Some(fit) =
                 fit.as_mut().filter(|_| hits_since_inference >= self.cfg.inference_every)
             {
-                refit(fit, &mut termination, self.cfg.stopping.as_ref(), &answers);
+                refit(fit, &mut termination, self.cfg.stopping.as_ref());
                 hits_since_inference = 0;
             }
             let selected = {
+                let matrix = fit
+                    .as_ref()
+                    .map(FitState::matrix)
+                    .or(freeze.as_ref())
+                    .expect("every backend keeps a freeze");
+                debug_assert_eq!(matrix.epoch(), answers.len(), "assignment read a stale freeze");
                 let ctx = AssignmentContext {
                     schema: &schema,
-                    answers: &answers,
-                    freeze: fit.as_ref().map_or(&seed_freeze, FitState::matrix).freeze_view(),
+                    answers: matrix,
+                    freeze: matrix.freeze_view(),
                     inference: fit.as_ref().map(FitState::result),
                     max_answers_per_cell: self.cfg.max_answers_per_cell,
                     terminated: termination.as_ref().map(|t| t.set()),
@@ -536,6 +552,104 @@ mod tests {
                 (0.43333333333333335, 0.23366604540833066),
                 (0.43333333333333335, 0.19904678752197152),
                 (0.43333333333333335, 0.19907581159770354),
+            ],
+        );
+    }
+
+    /// Four baseline-policy runs under majority voting, checked against
+    /// figures recorded from the runner's output: the answer and HIT counts
+    /// exactly, and every checkpoint's quality (then the final report's)
+    /// bit for bit. The baseline policies read the context's answers cell
+    /// by cell and, for CDAS, column by column, so a change to how the
+    /// runner keeps those answers current that is not a pure refactoring
+    /// moves these numbers.
+    #[test]
+    fn baseline_trajectories_are_pinned() {
+        use tcrowd_baselines::{CdasPolicy, EntropyPolicy, LoopingPolicy};
+        let check = |r: &RunResult, counts: (usize, usize), pinned: &[(f64, f64)]| {
+            assert_eq!((r.total_answers, r.total_hits), counts, "{}: counts moved", r.label);
+            let seen: Vec<(f64, f64)> = r
+                .points
+                .iter()
+                .map(|p| (p.error_rate.unwrap(), p.mnad.unwrap()))
+                .chain([(r.final_report.error_rate.unwrap(), r.final_report.mnad.unwrap())])
+                .collect();
+            assert_eq!(seen.len(), pinned.len(), "{}: checkpoint count moved", r.label);
+            for (i, (&(e, m), &(err, mnad))) in seen.iter().zip(pinned).enumerate() {
+                assert!(
+                    e.to_bits() == err.to_bits() && m.to_bits() == mnad.to_bits(),
+                    "{} point {i}: ({e:?}, {m:?}) vs pinned ({err:?}, {mnad:?})",
+                    r.label
+                );
+            }
+        };
+        let backend = InferenceBackend::Baseline(&MajorityVoting);
+        let cfg = ExperimentConfig {
+            budget_avg_answers: 4.0,
+            checkpoint_step: 0.5,
+            ..Default::default()
+        };
+        let runner = Runner::new(cfg.clone());
+        let capped = Runner::new(ExperimentConfig { max_answers_per_cell: Some(3), ..cfg });
+
+        let random =
+            runner.run("random", &mut small_pool(21), &mut RandomPolicy::seeded(21), &backend);
+        check(
+            &random,
+            (240, 60),
+            &[
+                (0.36666666666666664, 0.6051958580554979),
+                (0.3333333333333333, 0.44974689260010836),
+                (0.3333333333333333, 0.4070624971812674),
+                (0.36666666666666664, 0.3968369081562017),
+                (0.3333333333333333, 0.2734889606788641),
+                (0.36666666666666664, 0.23191512065199987),
+                (0.26666666666666666, 0.23957143193695618),
+                (0.26666666666666666, 0.23957143193695618),
+            ],
+        );
+        let looping =
+            capped.run("looping", &mut small_pool(22), &mut LoopingPolicy::default(), &backend);
+        check(
+            &looping,
+            (180, 45),
+            &[
+                (0.43333333333333335, 0.7852283649147933),
+                (0.4666666666666667, 0.546020369601033),
+                (0.4666666666666667, 0.5396048131437086),
+                (0.3333333333333333, 0.4927341376883111),
+                (0.26666666666666666, 0.5420063703874429),
+                (0.26666666666666666, 0.5420063703874429),
+            ],
+        );
+        let entropy = runner.run("entropy", &mut small_pool(23), &mut EntropyPolicy, &backend);
+        check(
+            &entropy,
+            (240, 60),
+            &[
+                (0.3, 0.8321674116962654),
+                (0.3, 0.23424375414139637),
+                (0.3, 0.10540758548990004),
+                (0.3, 0.11196621348844972),
+                (0.3, 0.08544614136254206),
+                (0.3, 0.08307782734687008),
+                (0.3, 0.07902867456670686),
+                (0.3, 0.07902867456670686),
+            ],
+        );
+        let cdas = runner.run("cdas", &mut small_pool(24), &mut CdasPolicy::seeded(24), &backend);
+        check(
+            &cdas,
+            (240, 60),
+            &[
+                (0.6, 0.6621740378854779),
+                (0.4666666666666667, 0.5959781887128403),
+                (0.5333333333333333, 0.5299070249959733),
+                (0.5, 0.40630621067027894),
+                (0.4, 0.3805887823682826),
+                (0.36666666666666664, 0.39875614114346614),
+                (0.26666666666666666, 0.2534857314246973),
+                (0.26666666666666666, 0.2534857314246973),
             ],
         );
     }

@@ -117,9 +117,10 @@ impl TerminationState {
 mod tests {
     use super::*;
     use tcrowd_core::TCrowd;
-    use tcrowd_tabular::{generate_dataset, GeneratorConfig};
+    use tcrowd_tabular::{generate_dataset, AnswerMatrix, Dataset, GeneratorConfig};
 
-    fn inference(seed: u64, answers_per_task: usize) -> (tcrowd_tabular::Dataset, InferenceResult) {
+    /// A generated table, its freeze and its fit.
+    fn inference(seed: u64, answers_per_task: usize) -> (Dataset, AnswerMatrix, InferenceResult) {
         let d = generate_dataset(
             &GeneratorConfig {
                 rows: 20,
@@ -131,37 +132,38 @@ mod tests {
             seed,
         );
         let r = TCrowd::default_full().infer(&d.schema, &d.answers);
-        (d, r)
+        let m = d.answers.to_matrix();
+        (d, m, r)
     }
 
     #[test]
     fn nothing_terminates_below_min_answers() {
-        let (d, r) = inference(1, 3);
+        let (_, m, r) = inference(1, 3);
         let mut state = TerminationState::new();
         let rule = StoppingRule { min_answers: 10, ..Default::default() };
-        let newly = state.update(&r, &rule, |c| d.answers.count_for_cell(c));
+        let newly = state.update(&r, &rule, |c| m.count_for_cell(c));
         assert_eq!(newly, 0);
         assert!(state.is_empty());
     }
 
     #[test]
     fn lenient_rule_terminates_everything() {
-        let (d, r) = inference(2, 3);
+        let (_, m, r) = inference(2, 3);
         let mut state = TerminationState::new();
         let rule = StoppingRule { p_stop: 0.0, max_std: f64::INFINITY, min_answers: 1 };
-        state.update(&r, &rule, |c| d.answers.count_for_cell(c));
+        state.update(&r, &rule, |c| m.count_for_cell(c));
         assert!(state.all_terminated(20, 4));
     }
 
     #[test]
     fn more_answers_terminate_more_cells() {
         let rule = StoppingRule::default();
-        let (d3, r3) = inference(3, 3);
-        let (d8, r8) = inference(3, 8);
+        let (_, m3, r3) = inference(3, 3);
+        let (_, m8, r8) = inference(3, 8);
         let mut s3 = TerminationState::new();
         let mut s8 = TerminationState::new();
-        s3.update(&r3, &rule, |c| d3.answers.count_for_cell(c));
-        s8.update(&r8, &rule, |c| d8.answers.count_for_cell(c));
+        s3.update(&r3, &rule, |c| m3.count_for_cell(c));
+        s8.update(&r8, &rule, |c| m8.count_for_cell(c));
         assert!(
             s8.len() >= s3.len(),
             "8 answers/task should settle at least as many cells as 3 ({} vs {})",
@@ -173,11 +175,11 @@ mod tests {
 
     #[test]
     fn termination_is_sticky_and_update_is_idempotent() {
-        let (d, r) = inference(4, 5);
+        let (_, m, r) = inference(4, 5);
         let mut state = TerminationState::new();
         let rule = StoppingRule::default();
-        let first = state.update(&r, &rule, |c| d.answers.count_for_cell(c));
-        let second = state.update(&r, &rule, |c| d.answers.count_for_cell(c));
+        let first = state.update(&r, &rule, |c| m.count_for_cell(c));
+        let second = state.update(&r, &rule, |c| m.count_for_cell(c));
         assert_eq!(second, 0, "second pass must terminate nothing new");
         assert_eq!(state.len(), first);
     }
@@ -185,15 +187,14 @@ mod tests {
     #[test]
     fn terminated_set_plugs_into_assignment_context() {
         use tcrowd_core::{AssignmentContext, AssignmentPolicy, InherentGainPolicy};
-        let (d, r) = inference(5, 2);
+        let (d, m, r) = inference(5, 2);
         let mut state = TerminationState::new();
         // Terminate roughly half the table with a moderate rule.
         let rule = StoppingRule { p_stop: 0.5, max_std: 1.0, min_answers: 1 };
-        state.update(&r, &rule, |c| d.answers.count_for_cell(c));
-        let m = d.answers.to_matrix();
+        state.update(&r, &rule, |c| m.count_for_cell(c));
         let ctx = AssignmentContext {
             schema: &d.schema,
-            answers: &d.answers,
+            answers: &m,
             freeze: m.freeze_view(),
             inference: Some(&r),
             max_answers_per_cell: None,

@@ -2,12 +2,13 @@
 //!
 //! The answer set `A = {a^u_ij}` is the sole input of truth inference
 //! (Definition 3) and the main input of task assignment (§5). Model code
-//! reads it three ways — all answers of a *cell* (E-step), all answers of a
-//! *worker* (M-step quality update), and all answers of a worker on one
-//! *row* (structure-aware gain, Eq. 7). Every such sweep reads the frozen
-//! [`crate::AnswerMatrix`], which serves all three groupings from one
-//! CSR layout; the log itself keeps only the per-cell index, for the point
-//! queries a live loop makes between freezes, so an append is `O(1)`.
+//! reads it three ways — all answers of a *cell* (E-step, Eq. 4; the
+//! assignment policies' point queries), all answers of a *worker* (M-step
+//! quality update), and all answers of a worker on one *row*
+//! (structure-aware gain, Eq. 7). Every one of those reads goes through the
+//! frozen [`crate::AnswerMatrix`], which serves all three groupings from one
+//! CSR layout; the log itself is the write side — answers in arrival order
+//! and nothing else, so an append is one `Vec` push.
 
 use crate::schema::Schema;
 use crate::value::Value;
@@ -50,29 +51,22 @@ pub struct Answer {
     pub value: Value,
 }
 
-/// The answer set `A`, in arrival order, with a per-cell index.
+/// The answer set `A` of a fixed `rows × cols` table, in arrival order.
 ///
-/// Shape-aware: constructed for a fixed `rows × cols` table so the per-cell
-/// index can be a dense vector rather than a hash map. Grouped reads by
-/// worker or by (worker, row) go through [`AnswerLog::to_matrix`].
-///
-/// Equality is derived over shape, answers *and* the per-cell index; since
-/// the index is a deterministic function of the push sequence, two logs
-/// compare equal exactly when they hold the same answers in the same order
-/// for the same shape.
+/// Every read grouped by cell, worker or (worker, row) goes through
+/// [`AnswerLog::to_matrix`]. Two logs compare equal exactly when they hold
+/// the same answers in the same order for the same shape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnswerLog {
     rows: usize,
     cols: usize,
     answers: Vec<Answer>,
-    /// `cell -> indices into answers` (dense, row-major).
-    by_cell: Vec<Vec<u32>>,
 }
 
 impl AnswerLog {
     /// Create an empty log for a `rows × cols` table.
     pub fn new(rows: usize, cols: usize) -> Self {
-        AnswerLog { rows, cols, answers: Vec::new(), by_cell: vec![Vec::new(); rows * cols] }
+        AnswerLog { rows, cols, answers: Vec::new() }
     }
 
     /// Number of rows `N`.
@@ -99,22 +93,13 @@ impl AnswerLog {
         self.answers.is_empty()
     }
 
-    #[inline]
-    fn cell_slot(&self, cell: CellId) -> usize {
-        debug_assert!((cell.row as usize) < self.rows && (cell.col as usize) < self.cols);
-        cell.row as usize * self.cols + cell.col as usize
-    }
-
     /// Append one answer. Panics if the cell is out of the table's shape.
     pub fn push(&mut self, answer: Answer) {
         assert!(
             (answer.cell.row as usize) < self.rows && (answer.cell.col as usize) < self.cols,
             "answer for cell outside the table shape"
         );
-        let idx = self.answers.len() as u32;
-        let slot = self.cell_slot(answer.cell);
         self.answers.push(answer);
-        self.by_cell[slot].push(idx);
     }
 
     /// Validate every answer against a schema (datatype + domain), returning
@@ -133,21 +118,6 @@ impl AnswerLog {
     #[inline]
     pub fn all(&self) -> &[Answer] {
         &self.answers
-    }
-
-    /// Answers for one cell (`A_ij`).
-    pub fn for_cell(&self, cell: CellId) -> impl Iterator<Item = &Answer> + '_ {
-        self.by_cell[self.cell_slot(cell)].iter().map(move |&i| &self.answers[i as usize])
-    }
-
-    /// Number of answers for one cell.
-    pub fn count_for_cell(&self, cell: CellId) -> usize {
-        self.by_cell[self.cell_slot(cell)].len()
-    }
-
-    /// True if `worker` already answered `cell` (platforms forbid repeats).
-    pub fn has_answered(&self, worker: WorkerId, cell: CellId) -> bool {
-        self.for_cell(cell).any(|a| a.worker == worker)
     }
 
     /// Freeze this log into its columnar sweep-side form.
@@ -182,75 +152,6 @@ impl AnswerLog {
     }
 }
 
-/// The point queries assignment policies make against the answer history,
-/// abstracted over the *representation*: the mutable [`AnswerLog`] answers
-/// them from its per-cell index, the frozen
-/// [`crate::AnswerMatrix`] from its CSR views. Library callers (the
-/// simulator, offline experiments) pass the live log; the service layer
-/// passes the snapshot's freeze, so a published snapshot never needs an
-/// `O(n)`-to-build indexed log at all.
-pub trait AnswerQueries {
-    /// Number of table rows `N`.
-    fn rows(&self) -> usize;
-    /// Number of table columns `M`.
-    fn cols(&self) -> usize;
-    /// Total number of answers `|A|`.
-    fn len(&self) -> usize;
-    /// True when no answers have been recorded.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Number of answers on one cell.
-    fn count_for_cell(&self, cell: CellId) -> usize;
-    /// True if `worker` already answered `cell` (platforms forbid repeats).
-    fn has_answered(&self, worker: WorkerId, cell: CellId) -> bool;
-    /// The values claimed for one cell, in insertion order.
-    fn cell_values(&self, cell: CellId) -> Vec<Value>;
-    /// Visit one cell's values in insertion order without materialising
-    /// them — what per-candidate scoring loops (vote entropy, CDAS
-    /// termination) call once per cell on the assignment hot path.
-    fn for_each_cell_value(&self, cell: CellId, f: &mut dyn FnMut(&Value));
-    /// Every continuous value claimed anywhere in one column (the raw
-    /// answer spread CDAS-style termination scales against).
-    fn continuous_column_values(&self, col: u32) -> Vec<f64>;
-}
-
-impl AnswerQueries for AnswerLog {
-    fn rows(&self) -> usize {
-        AnswerLog::rows(self)
-    }
-    fn cols(&self) -> usize {
-        AnswerLog::cols(self)
-    }
-    fn len(&self) -> usize {
-        AnswerLog::len(self)
-    }
-    fn count_for_cell(&self, cell: CellId) -> usize {
-        AnswerLog::count_for_cell(self, cell)
-    }
-    fn has_answered(&self, worker: WorkerId, cell: CellId) -> bool {
-        AnswerLog::has_answered(self, worker, cell)
-    }
-    fn cell_values(&self, cell: CellId) -> Vec<Value> {
-        self.for_cell(cell).map(|a| a.value).collect()
-    }
-    fn for_each_cell_value(&self, cell: CellId, f: &mut dyn FnMut(&Value)) {
-        for a in self.for_cell(cell) {
-            f(&a.value);
-        }
-    }
-    fn continuous_column_values(&self, col: u32) -> Vec<f64> {
-        self.all()
-            .iter()
-            .filter(|a| a.cell.col == col)
-            .filter_map(|a| match a.value {
-                Value::Continuous(x) => Some(x),
-                Value::Categorical(_) => None,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,20 +183,13 @@ mod tests {
     }
 
     #[test]
-    fn indexes_stay_consistent() {
-        let log = log_with_answers();
-        assert_eq!(log.len(), 4);
-        assert_eq!(log.count_for_cell(CellId::new(0, 0)), 2);
-        assert_eq!(log.count_for_cell(CellId::new(1, 0)), 0);
-        let c00: Vec<WorkerId> = log.for_cell(CellId::new(0, 0)).map(|a| a.worker).collect();
-        assert_eq!(c00, vec![WorkerId(1), WorkerId(2)]);
-    }
-
-    #[test]
     fn has_answered_and_average() {
         let log = log_with_answers();
-        assert!(log.has_answered(WorkerId(1), CellId::new(0, 0)));
-        assert!(!log.has_answered(WorkerId(2), CellId::new(0, 1)));
+        let m = log.to_matrix();
+        assert!(m.has_answered(WorkerId(1), CellId::new(0, 0)));
+        assert!(!m.has_answered(WorkerId(2), CellId::new(0, 1)));
+        assert_eq!(m.count_for_cell(CellId::new(0, 0)), 2);
+        assert_eq!(m.count_for_cell(CellId::new(1, 0)), 0);
         assert!((log.avg_answers_per_task() - 4.0 / 6.0).abs() < 1e-12);
     }
 

@@ -356,8 +356,9 @@ mod tests {
         assert_eq!(d.cols(), 6);
         assert_eq!(d.answers.len(), 30 * 6 * 4);
         assert!((d.answers.avg_answers_per_task() - 4.0).abs() < 1e-12);
+        let m = d.answers.to_matrix();
         for cell in d.answers.cells() {
-            assert_eq!(d.answers.count_for_cell(cell), 4);
+            assert_eq!(m.count_for_cell(cell), 4);
         }
         assert_eq!(d.validate(), Ok(()));
     }

@@ -511,7 +511,7 @@ pub mod binary {
     ///
     /// Decoding with [`get_log`] reproduces a **bit-identical** log: same
     /// shape, same answers in the same order — and therefore identical
-    /// derived indexes, freezes and inference results.
+    /// freezes and inference results.
     pub fn put_log(buf: &mut Vec<u8>, log: &AnswerLog) {
         put_u64(buf, log.rows() as u64);
         put_u64(buf, log.cols() as u64);

@@ -8,21 +8,20 @@
 //! model it provides everything the evaluation (§6) needs:
 //!
 //! * [`schema`] / [`value`] — column types, schemas and cell values.
-//! * [`answer`] — the mutable append log (arrival order plus a per-cell
-//!   index for point queries).
-//! * [`matrix`] — the frozen columnar (CSR) answer store every sweep-side
-//!   consumer iterates, and the one home of the by-worker and by-(worker,
-//!   row) groupings; see its docs for the layout and complexity table.
-//!   Freezes are **incrementally refreshable**: [`AnswerMatrix::merge_delta`]
-//!   splices a log tail into an existing freeze (per-answer work on the
-//!   delta only, field-for-field identical to a rebuild), each freeze
-//!   carries an [`epoch`](matrix::AnswerMatrix::epoch) marking the log
-//!   length it covers, and [`FrozenView`] is the copyable
-//!   staleness-checkable handle consumers hold across log appends.
-//! * [`quarantine`] — worker-exclusion filter views: serve inference and
-//!   assignment queries minus a quarantined worker set without deleting
-//!   anything from the log ([`QuarantineView`],
-//!   [`AnswerMatrix::without_workers`](matrix::AnswerMatrix::without_workers)).
+//! * [`answer`] — the mutable append log (answers in arrival order, nothing
+//!   else).
+//! * [`matrix`] — the frozen columnar (CSR) answer store every reader
+//!   queries: the by-cell, by-worker and by-(worker, row) groupings and the
+//!   point queries assignment makes; see its docs for the layout and
+//!   complexity table. Freezes are **incrementally refreshable**:
+//!   [`AnswerMatrix::merge_delta`] splices a log tail into an existing
+//!   freeze (per-answer work on the delta only, field-for-field identical to
+//!   a rebuild), and each freeze carries an
+//!   [`epoch`](matrix::AnswerMatrix::epoch) marking the log length it
+//!   covers.
+//! * [`quarantine`] — worker exclusion: a freeze minus a quarantined worker
+//!   set, without deleting anything from the log
+//!   ([`AnswerMatrix::without_workers`](matrix::AnswerMatrix::without_workers)).
 //! * [`dataset`] — ground truth + answers + statistics (Table 6).
 //! * [`generator`] — the synthetic data generator of §6.5.1.
 //! * [`noise`] — the γ-noise injector of §6.5.2.
@@ -52,14 +51,13 @@ pub mod shared;
 pub mod tsv;
 pub mod value;
 
-pub use answer::{Answer, AnswerLog, AnswerQueries, CellId, WorkerId};
+pub use answer::{Answer, AnswerLog, CellId, WorkerId};
 pub use dataset::{Dataset, DatasetStatistics};
 pub use generator::{
     generate_dataset, EntityGroups, GeneratorConfig, RowFamiliarity, WorkerQualityConfig,
 };
 pub use matrix::{AnswerMatrix, FrozenView, MatrixAnswer};
 pub use metrics::{evaluate, evaluate_with_answers, ColumnQuality, QualityReport};
-pub use quarantine::QuarantineView;
 pub use schema::{Column, ColumnType, Schema};
 pub use shared::{LogSlice, SharedLog};
 pub use value::Value;

@@ -1,11 +1,12 @@
 //! [`AnswerMatrix`] — the frozen columnar (CSR) answer store.
 //!
 //! [`crate::AnswerLog`] is the *mutable* append log a live platform feeds:
-//! answers in arrival order plus a per-cell index for point queries. Every
-//! inference or assignment sweep, however, wants to scan answers
-//! **grouped** — by cell (E-step, Eq. 4), by worker (M-step quality update,
-//! Eq. 5), or by (worker, row) (structure-aware gain, Eq. 7) — and the
-//! matrix is the one place those groupings live.
+//! answers in arrival order and nothing else. Every inference or assignment
+//! read, however, wants answers **grouped** — by cell (E-step, Eq. 4, and
+//! the policies' point queries: a cell's count, its values, whether a worker
+//! already answered it), by worker (M-step quality update, Eq. 5), or by
+//! (worker, row) (structure-aware gain, Eq. 7) — and the matrix is the one
+//! place those groupings live.
 //!
 //! `AnswerMatrix` is the sweep-side dual: built once from a log, it stores
 //! the answers as a struct-of-arrays payload in **cell-major order** with
@@ -49,11 +50,11 @@
 //! untouched payload regions move by bulk `memcpy`, and the result is
 //! **field-for-field identical** to a full rebuild (property-tested). The
 //! matrix's [`epoch`](AnswerMatrix::epoch) — the number of log answers it
-//! froze — tells consumers whether their freeze is stale; [`FrozenView`]
-//! packages the `(matrix, epoch)` pair as a copyable handle.
+//! froze — tells consumers whether their freeze is stale.
 
 use crate::answer::{Answer, AnswerLog, CellId, WorkerId};
 use crate::value::Value;
+use std::marker::PhantomData;
 
 /// One answer as viewed through the matrix: the payload row `index` plus the
 /// decoded fields.
@@ -130,35 +131,12 @@ fn build_worker_views(
     (worker_order, worker_offsets, worker_row_offsets)
 }
 
-/// A copyable handle pairing a frozen [`AnswerMatrix`] with the epoch it was
-/// frozen at (the number of log answers it covers). Consumers holding a view
-/// across log appends can ask [`FrozenView::is_stale`] whether the freeze
-/// still reflects the log before trusting sweep results.
+/// What [`AnswerMatrix::freeze_view`] returns: a zero-sized, copyable
+/// borrow of a freeze. It carries no data — a consumer that needs the
+/// matrix holds `&AnswerMatrix` — and exists as the type of
+/// `tcrowd_core::AssignmentContext::freeze`, which no policy reads.
 #[derive(Debug, Clone, Copy)]
-pub struct FrozenView<'a> {
-    matrix: &'a AnswerMatrix,
-    epoch: usize,
-}
-
-impl<'a> FrozenView<'a> {
-    /// The frozen matrix behind this view.
-    #[inline]
-    pub fn matrix(&self) -> &'a AnswerMatrix {
-        self.matrix
-    }
-
-    /// The freeze epoch: the source-log length at freeze time.
-    #[inline]
-    pub fn epoch(&self) -> usize {
-        self.epoch
-    }
-
-    /// True when `log` has grown past (or shrunk below) this freeze.
-    #[inline]
-    pub fn is_stale(&self, log: &AnswerLog) -> bool {
-        self.epoch != log.len()
-    }
-}
+pub struct FrozenView<'a>(PhantomData<&'a AnswerMatrix>);
 
 impl AnswerMatrix {
     /// Freeze an [`AnswerLog`] into its columnar form.
@@ -618,11 +596,10 @@ impl AnswerMatrix {
         self.epoch() != log.len()
     }
 
-    /// A copyable `(matrix, epoch)` handle for consumers that hold the
-    /// freeze across log appends.
+    /// The [`FrozenView`] borrow of this freeze.
     #[inline]
     pub fn freeze_view(&self) -> FrozenView<'_> {
-        FrozenView { matrix: self, epoch: self.epoch() }
+        FrozenView(PhantomData)
     }
 
     // ---- shape ----
@@ -839,48 +816,6 @@ impl AnswerMatrix {
     }
 }
 
-/// The freeze answers the same point queries as the mutable log, from its
-/// CSR views. Within a cell both representations agree answer-for-answer
-/// (insertion order is preserved cell-locally); whole-column scans come
-/// back in cell-major rather than arrival order, which every consumer of
-/// this trait treats as a set.
-impl crate::answer::AnswerQueries for AnswerMatrix {
-    fn rows(&self) -> usize {
-        AnswerMatrix::rows(self)
-    }
-    fn cols(&self) -> usize {
-        AnswerMatrix::cols(self)
-    }
-    fn len(&self) -> usize {
-        AnswerMatrix::len(self)
-    }
-    fn count_for_cell(&self, cell: CellId) -> usize {
-        AnswerMatrix::count_for_cell(self, cell)
-    }
-    fn has_answered(&self, worker: WorkerId, cell: CellId) -> bool {
-        AnswerMatrix::has_answered(self, worker, cell)
-    }
-    fn cell_values(&self, cell: CellId) -> Vec<Value> {
-        self.cell_answers(cell).map(|a| a.value).collect()
-    }
-    fn for_each_cell_value(&self, cell: CellId, f: &mut dyn FnMut(&Value)) {
-        for k in self.cell_range(cell) {
-            let v = if self.categorical[k] {
-                Value::Categorical(self.labels[k])
-            } else {
-                Value::Continuous(self.values[k])
-            };
-            f(&v);
-        }
-    }
-    fn continuous_column_values(&self, col: u32) -> Vec<f64> {
-        (0..self.len())
-            .filter(|&k| self.col_of[k] == col && !self.categorical[k])
-            .map(|k| self.values[k])
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -925,14 +860,17 @@ mod tests {
         let log = sample_log();
         let m = AnswerMatrix::build(&log);
         assert_eq!(m.len(), log.len());
-        // By cell.
+        // By cell: the cell's answers in arrival order, and the point
+        // queries over them.
         for cell in log.cells() {
-            let mut naive: Vec<Answer> = log.for_cell(cell).copied().collect();
-            let mut csr: Vec<Answer> =
+            let naive: Vec<Answer> = log.all().iter().filter(|a| a.cell == cell).copied().collect();
+            let csr: Vec<Answer> =
                 m.cell_answers(cell).map(|a| m.to_answer(a.index as usize)).collect();
-            naive.sort_by_key(|a| a.worker);
-            csr.sort_by_key(|a| a.worker);
             assert_eq!(naive, csr, "cell {cell:?}");
+            assert_eq!(m.count_for_cell(cell), naive.len());
+            for w in [2, 4, 7, 9].map(WorkerId) {
+                assert_eq!(m.has_answered(w, cell), naive.iter().any(|a| a.worker == w));
+            }
         }
         // By worker and by (worker, row): within a row the view is
         // cell-major, so the naive scan is sorted by column (stable, so
@@ -1034,16 +972,12 @@ mod tests {
         let m = AnswerMatrix::build(&log);
         assert_eq!(m.epoch(), log.len());
         assert!(!m.is_stale(&log));
-        let view = m.freeze_view();
-        assert_eq!(view.epoch(), log.len());
-        assert!(!view.is_stale(&log));
         log.push(Answer {
             worker: WorkerId(4),
             cell: CellId::new(1, 1),
             value: Value::Continuous(3.0),
         });
         assert!(m.is_stale(&log));
-        assert!(view.is_stale(&log));
         let m2 = m.merge_delta(&log.all()[m.epoch()..]);
         assert!(!m2.is_stale(&log));
         assert_eq!(m2, AnswerMatrix::build(&log));

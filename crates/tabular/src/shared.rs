@@ -99,10 +99,10 @@ impl AnswerLog {
 ///
 /// Cloning copies only the chunk list (`O(log n)` `Arc` bumps); appending a
 /// [`LogSlice`] adds one chunk and coalesces trailing chunks no larger than
-/// the new one. Unlike [`AnswerLog`] it maintains **no indexes** — point
-/// queries belong to the frozen [`crate::AnswerMatrix`]; this type exists
-/// for the arrival-order consumers (log dumps, store snapshot deltas,
-/// offline replay).
+/// the new one. Like [`AnswerLog`] it answers no grouped or point query —
+/// those belong to the frozen [`crate::AnswerMatrix`]; this type exists for
+/// the arrival-order consumers (log dumps, store snapshot deltas, offline
+/// replay).
 #[derive(Debug, Clone)]
 pub struct SharedLog {
     rows: usize,

@@ -21,20 +21,28 @@ fn small_cfg() -> impl Strategy<Value = GeneratorConfig> {
 
 proptest! {
     #[test]
-    fn answer_log_indexes_are_consistent(
+    fn freeze_point_queries_match_a_log_scan(
         cfg in small_cfg(),
         seed in any::<u64>(),
     ) {
         let d = generate_dataset(&cfg, seed);
         let log = &d.answers;
-        // Sum over per-cell index equals total length.
-        let by_cell_total: usize = log.cells().map(|c| log.count_for_cell(c)).sum();
+        let m = log.to_matrix();
+        // Per-cell counts sum to the total length.
+        let by_cell_total: usize = log.cells().map(|c| m.count_for_cell(c)).sum();
         prop_assert_eq!(by_cell_total, log.len());
-        // Each cell's index lists exactly that cell's answers, in log order.
+        // Each cell lists exactly that cell's answers, in log order, and
+        // `has_answered` agrees with a scan for every worker (plus one the
+        // freeze never saw).
+        let unseen = WorkerId(u32::MAX);
         for c in log.cells() {
-            let indexed: Vec<&Answer> = log.for_cell(c).collect();
-            let scanned: Vec<&Answer> = log.all().iter().filter(|a| a.cell == c).collect();
-            prop_assert_eq!(indexed, scanned);
+            let frozen: Vec<Answer> =
+                m.cell_answers(c).map(|a| m.to_answer(a.index as usize)).collect();
+            let scanned: Vec<Answer> = log.all().iter().filter(|a| a.cell == c).copied().collect();
+            for &w in m.worker_ids().iter().chain([&unseen]) {
+                prop_assert_eq!(m.has_answered(w, c), scanned.iter().any(|a| a.worker == w));
+            }
+            prop_assert_eq!(frozen, scanned);
         }
     }
 

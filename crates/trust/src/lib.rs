@@ -137,7 +137,7 @@ pub enum TrustState {
     /// Flagged but still contributing: the score dipped below the suspect
     /// threshold (or a collusion signal fired) and has not recovered.
     Suspect,
-    /// Excluded from truth inference (the quarantine filter view hides the
+    /// Excluded from truth inference (EM runs over a freeze without the
     /// worker's answers); the log keeps everything, so release is exact.
     Quarantined,
 }

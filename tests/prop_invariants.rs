@@ -123,7 +123,7 @@ proptest! {
         let m = d.answers.to_matrix();
         let ctx = tcrowd::core::AssignmentContext {
             schema: &d.schema,
-            answers: &d.answers,
+            answers: &m,
             freeze: m.freeze_view(),
             inference: Some(&r),
             max_answers_per_cell: None,
@@ -142,7 +142,7 @@ proptest! {
             dedup.dedup();
             prop_assert_eq!(dedup.len(), picks.len(), "duplicate cells from {}", policy.name());
             for c in &picks {
-                prop_assert!(!d.answers.has_answered(fresh, *c));
+                prop_assert!(!m.has_answered(fresh, *c));
             }
         }
     }
@@ -206,17 +206,18 @@ proptest! {
     fn termination_is_monotone_and_idempotent((cfg, seed) in config_strategy()) {
         let d = generate_dataset(&cfg, seed);
         let r = TCrowd::default_full().infer(&d.schema, &d.answers);
+        let m = d.answers.to_matrix();
         let mut state = TerminationState::new();
         let strict = StoppingRule { p_stop: 0.999, max_std: 1e-6, min_answers: 1 };
         let lenient = StoppingRule { p_stop: 0.5, max_std: 1.0, min_answers: 1 };
-        let first = state.update(&r, &strict, |c| d.answers.count_for_cell(c));
+        let first = state.update(&r, &strict, |c| m.count_for_cell(c));
         let after_strict = state.len();
         prop_assert_eq!(first, after_strict);
         // A more lenient rule can only add cells.
-        state.update(&r, &lenient, |c| d.answers.count_for_cell(c));
+        state.update(&r, &lenient, |c| m.count_for_cell(c));
         prop_assert!(state.len() >= after_strict);
         // Idempotent under re-application.
-        let again = state.update(&r, &lenient, |c| d.answers.count_for_cell(c));
+        let again = state.update(&r, &lenient, |c| m.count_for_cell(c));
         prop_assert_eq!(again, 0);
         prop_assert!(state.len() <= d.rows() * d.cols());
     }
@@ -235,7 +236,7 @@ proptest! {
         // By-cell view agrees with a naive scan (same multiset, same
         // insertion order within the cell).
         for cell in log.cells() {
-            let naive: Vec<_> = log.for_cell(cell).copied().collect();
+            let naive: Vec<_> = log.all().iter().filter(|a| a.cell == cell).copied().collect();
             let csr: Vec<_> = m.cell_answers(cell)
                 .map(|a| tcrowd::tabular::Answer { worker: a.worker, cell: a.cell, value: a.value })
                 .collect();
