@@ -109,13 +109,10 @@ fn em_throughput(c: &mut Criterion) {
     let reps = if quick { 1 } else { 3 };
 
     let seq = TCrowd::new(TCrowdOptions {
-        em: EmOptions { parallel_estep: false, parallel_mstep: false, ..Default::default() },
+        em: EmOptions { threads: 1, ..Default::default() },
         ..Default::default()
     });
-    let par = TCrowd::new(TCrowdOptions {
-        em: EmOptions { parallel_estep: true, parallel_mstep: true, ..Default::default() },
-        ..Default::default()
-    });
+    let par = TCrowd::new(TCrowdOptions::default());
 
     // Correctness gates before timing.
     let fast = seq.infer(&d.schema, &d.answers);

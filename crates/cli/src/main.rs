@@ -17,12 +17,12 @@ mod args;
 
 use args::Args;
 use std::path::Path;
-use tcrowd_baselines::{EntropyPolicy, LoopingPolicy, QascaPolicy, RandomPolicy};
 use tcrowd_core::diagnostics;
 use tcrowd_core::{
-    AssignmentContext, AssignmentPolicy, EntityAwarePolicy, InherentGainPolicy, RowGrouping,
-    StructureAwarePolicy, TCrowd,
+    AssignmentContext, AssignmentPolicy, InherentGainPolicy, RowGrouping, StructureAwarePolicy,
+    TCrowd,
 };
+use tcrowd_service::make_policy;
 use tcrowd_sim::{
     ExperimentConfig, InferenceBackend, Runner, StoppingRule, WorkerPool, WorkerPoolConfig,
 };
@@ -315,28 +315,6 @@ fn cmd_diagnose(args: &Args) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// Build a named assignment policy for the simulator commands.
-fn make_policy(name: &str, rows: usize, seed: u64) -> Result<Box<dyn AssignmentPolicy>, String> {
-    Ok(match name {
-        "structure-aware" => Box::new(StructureAwarePolicy::default()),
-        "inherent" => Box::new(InherentGainPolicy::default()),
-        "entity" => Box::new(EntityAwarePolicy::new(RowGrouping::Learned {
-            groups: (rows / 10).clamp(2, 8),
-            seed,
-        })),
-        "qasca" => Box::new(QascaPolicy),
-        "random" => Box::new(RandomPolicy::seeded(seed)),
-        "looping" => Box::new(LoopingPolicy::default()),
-        "entropy" => Box::new(EntropyPolicy),
-        other => {
-            return Err(format!(
-                "unknown policy '{other}' (expected structure-aware, inherent, entity, \
-                 qasca, random, looping or entropy)"
-            ))
-        }
-    })
 }
 
 /// Shared world construction for `simulate` and `compare`.

@@ -14,12 +14,10 @@
 //! structure-aware policy converts the prediction into an adjusted quality /
 //! observation variance and re-uses the inherent-gain machinery.
 
-#![allow(clippy::needless_range_loop)] // index loops here walk several parallel arrays
 use crate::inference::InferenceResult;
 use crate::truth::TruthDist;
 use tcrowd_stat::bernoulli::Bernoulli;
-use tcrowd_stat::bivariate::BivariateNormal;
-use tcrowd_stat::describe::pearson;
+use tcrowd_stat::bivariate::{BivariateNormal, PairSums};
 use tcrowd_stat::normal::Normal;
 use tcrowd_stat::{clamp_prob, EPS};
 use tcrowd_tabular::{AnswerLog, AnswerMatrix, Schema, Value};
@@ -139,58 +137,57 @@ impl CorrelationModel {
         Self::fit_matrix(schema, &AnswerMatrix::build(answers), result)
     }
 
-    /// Fit from a frozen columnar answer set: the by-(worker, row) CSR view
-    /// yields each `L^u_i` group as one contiguous run, workers ascending —
-    /// the pair collection is allocation-free and deterministic.
+    /// Fit from a frozen columnar answer set in one pass over its
+    /// by-(worker, row) runs — each run is one `L^u_i` group. Every pair of
+    /// errors in a run is added to the moment sums of its column pair, and
+    /// `support`, `W` and the four conditional cases are read off those sums:
+    /// memory is one accumulator per column pair, whatever the answer count.
     pub fn fit_matrix(schema: &Schema, matrix: &AnswerMatrix, result: &InferenceResult) -> Self {
         let m = schema.num_columns();
-        // Collect per-(worker,row) error tuples: col -> observation.
-        let mut pairs: Vec<Vec<Vec<(ErrorObservation, ErrorObservation)>>> =
-            vec![vec![Vec::new(); m]; m];
-        let mut group: Vec<(usize, ErrorObservation)> = Vec::new();
+        // `sums[j * m + k]` for `j < k` holds the pairs `(e_j, e_k)`; the
+        // `(k, j)` view is its transpose.
+        let mut sums = vec![OutcomeSums::default(); m * m];
+        let rows = matrix.answer_rows();
+        let mut group: Vec<(usize, bool, f64)> = Vec::new();
         for w in 0..matrix.num_workers() {
-            // The worker's answers are grouped by ascending row; split runs.
             let idx = matrix.worker_answer_indices(w);
-            let mut start = 0;
-            while start < idx.len() {
-                let row = matrix.answer_rows()[idx[start] as usize];
-                let mut end = start + 1;
-                while end < idx.len() && matrix.answer_rows()[idx[end] as usize] == row {
-                    end += 1;
-                }
+            for run in idx.chunk_by(|&a, &b| rows[a as usize] == rows[b as usize]) {
                 group.clear();
-                for &k in &idx[start..end] {
-                    let a = matrix.to_answer(k as usize);
-                    group.push((a.cell.col as usize, observe_error(result, &a)));
-                }
-                for &(j, ej) in &group {
-                    for &(k, ek) in &group {
-                        if j != k {
-                            pairs[j][k].push((ej, ek));
-                        }
+                group.extend(run.iter().map(|&i| {
+                    let a = matrix.to_answer(i as usize);
+                    let (wrong, e) = match observe_error(result, &a) {
+                        ErrorObservation::Categorical(wrong) => (wrong, f64::from(u8::from(wrong))),
+                        ErrorObservation::Continuous(e) => (false, e),
+                    };
+                    (a.cell.col as usize, wrong, e)
+                }));
+                // A run lists its answers in cell order, so columns ascend;
+                // two answers on one cell form no pair.
+                for (s, &(j, wj, ej)) in group.iter().enumerate() {
+                    for &(k, wk, ek) in group[s + 1..].iter().filter(|&&(k, ..)| k != j) {
+                        debug_assert!(j < k, "a (worker, row) run is in cell order");
+                        sums[j * m + k][wj as usize][wk as usize].add(ej, ek);
                     }
                 }
-                start = end;
             }
         }
 
         let mut w = vec![0.0; m * m];
-        let mut cond = Vec::with_capacity(m * m);
+        let mut cond = vec![Conditional::Unavailable; m * m];
         let mut support = vec![0usize; m * m];
         for j in 0..m {
-            for k in 0..m {
-                let idx = j * m + k;
-                if j == k {
-                    cond.push(Conditional::Unavailable);
-                    continue;
+            for k in j + 1..m {
+                let g = sums[j * m + k];
+                // The `(k, j)` view swaps the outcome axes and each pair.
+                let t =
+                    [[g[0][0], g[1][0]], [g[0][1], g[1][1]]].map(|r| r.map(PairSums::transpose));
+                let total = total(&g);
+                for (a, b, view) in [(j, k, g), (k, j, t)] {
+                    support[a * m + b] = total.n as usize;
+                    // Eq. 8: Pearson on the numeric encodings of the error pair.
+                    w[a * m + b] = total.pearson();
+                    cond[a * m + b] = fit_conditional(schema, a, b, &view);
                 }
-                let p = &pairs[j][k];
-                support[idx] = p.len();
-                // Eq. 8: Pearson on the numeric encodings of the error pair.
-                let ej: Vec<f64> = p.iter().map(|(a, _)| error_as_f64(a)).collect();
-                let ek: Vec<f64> = p.iter().map(|(_, b)| error_as_f64(b)).collect();
-                w[idx] = pearson(&ej, &ek);
-                cond.push(fit_conditional(schema, j, k, p));
             }
         }
         CorrelationModel { n_cols: m, w, cond, support }
@@ -276,102 +273,42 @@ impl CorrelationModel {
     }
 }
 
-fn error_as_f64(e: &ErrorObservation) -> f64 {
-    match e {
-        ErrorObservation::Categorical(wrong) => *wrong as i32 as f64,
-        ErrorObservation::Continuous(x) => *x,
-    }
+/// Moment sums of the pairs `(e_j, e_k)` of one column pair, split by each
+/// side's outcome as `[wrong_j][wrong_k]` (a continuous error is never
+/// "wrong", so it always lands in index 0).
+type OutcomeSums = [[PairSums; 2]; 2];
+
+fn total(g: &OutcomeSums) -> PairSums {
+    g[0][0] + g[0][1] + g[1][0] + g[1][1]
 }
 
-fn fit_conditional(
-    schema: &Schema,
-    j: usize,
-    k: usize,
-    pairs: &[(ErrorObservation, ErrorObservation)],
-) -> Conditional {
-    if pairs.len() < MIN_SUPPORT {
+/// Table 5's four datatype cases by maximum likelihood, from the sums of
+/// `(e_j, e_k)`.
+fn fit_conditional(schema: &Schema, j: usize, k: usize, g: &OutcomeSums) -> Conditional {
+    let total = total(g);
+    if total.n < MIN_SUPPORT as f64 {
         return Conditional::Unavailable;
     }
-    let j_cat = schema.column_type(j).is_categorical();
-    let k_cat = schema.column_type(k).is_categorical();
-    match (j_cat, k_cat) {
-        (true, true) => {
-            // Case (a): two Bernoulli parameters, split by e_k.
-            let given = |wrong_k: bool| {
-                Bernoulli::mle_smoothed(pairs.iter().filter_map(|(ej, ek)| match (ej, ek) {
-                    (ErrorObservation::Categorical(wj), ErrorObservation::Categorical(wk))
-                        if *wk == wrong_k =>
-                    {
-                        Some(*wj)
-                    }
-                    _ => None,
-                }))
-                .p
-            };
-            Conditional::CatCat {
-                p_wrong_given_correct: given(false),
-                p_wrong_given_wrong: given(true),
-            }
-        }
-        (false, false) => {
-            // Case (b): bivariate Gaussian MLE.
-            let xy: Vec<(f64, f64)> = pairs
-                .iter()
-                .filter_map(|(ej, ek)| match (ej, ek) {
-                    (ErrorObservation::Continuous(a), ErrorObservation::Continuous(b)) => {
-                        Some((*a, *b))
-                    }
-                    _ => None,
-                })
-                .collect();
-            Conditional::ContCont(BivariateNormal::mle(&xy))
-        }
-        (false, true) => {
-            // Case (c): Gaussian of e_j per e_k outcome.
-            let split = |wrong_k: bool| {
-                let vals: Vec<f64> = pairs
-                    .iter()
-                    .filter_map(|(ej, ek)| match (ej, ek) {
-                        (ErrorObservation::Continuous(a), ErrorObservation::Categorical(wk))
-                            if *wk == wrong_k =>
-                        {
-                            Some(*a)
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                Normal::mle(&vals)
-            };
-            Conditional::ContGivenCat { given_correct: split(false), given_wrong: split(true) }
-        }
-        (true, false) => {
-            // Case (d): class-conditional Gaussians of e_k plus the marginal
-            // of e_j, inverted with Bayes at query time.
-            let split = |wrong_j: bool| {
-                let vals: Vec<f64> = pairs
-                    .iter()
-                    .filter_map(|(ej, ek)| match (ej, ek) {
-                        (ErrorObservation::Categorical(wj), ErrorObservation::Continuous(b))
-                            if *wj == wrong_j =>
-                        {
-                            Some(*b)
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                Normal::mle(&vals)
-            };
-            let p_wrong = Bernoulli::mle_smoothed(pairs.iter().filter_map(|(ej, _)| match ej {
-                ErrorObservation::Categorical(w) => Some(*w),
-                _ => None,
-            }))
-            .p;
-            Conditional::CatGivenCont {
-                ek_given_correct: split(false),
-                ek_given_wrong: split(true),
-                p_wrong,
-            }
-        }
+    match (schema.column_type(j).is_categorical(), schema.column_type(k).is_categorical()) {
+        // Case (a): two Bernoulli parameters, split by e_k.
+        (true, true) => Conditional::CatCat {
+            p_wrong_given_correct: Bernoulli::mle_smoothed(g[1][0].n, g[0][0].n + g[1][0].n).p,
+            p_wrong_given_wrong: Bernoulli::mle_smoothed(g[1][1].n, g[0][1].n + g[1][1].n).p,
+        },
+        // Case (b): bivariate Gaussian MLE.
+        (false, false) => Conditional::ContCont(BivariateNormal::mle(&total)),
+        // Case (c): Gaussian of e_j per e_k outcome.
+        (false, true) => Conditional::ContGivenCat {
+            given_correct: Normal::mle(g[0][0].n, g[0][0].x, g[0][0].xx),
+            given_wrong: Normal::mle(g[0][1].n, g[0][1].x, g[0][1].xx),
+        },
+        // Case (d): class-conditional Gaussians of e_k plus the marginal of
+        // e_j, inverted with Bayes at query time.
+        (true, false) => Conditional::CatGivenCont {
+            ek_given_correct: Normal::mle(g[0][0].n, g[0][0].y, g[0][0].yy),
+            ek_given_wrong: Normal::mle(g[1][0].n, g[1][0].y, g[1][0].yy),
+            p_wrong: Bernoulli::mle_smoothed(g[1][0].n, total.n).p,
+        },
     }
 }
 
@@ -379,17 +316,24 @@ fn fit_conditional(
 mod tests {
     use super::*;
     use crate::inference::TCrowd;
+    use tcrowd_stat::describe::{covariance, mean, pearson, variance};
     use tcrowd_tabular::real_sim;
-    use tcrowd_tabular::{generate_dataset, GeneratorConfig, RowFamiliarity};
+    use tcrowd_tabular::{generate_dataset, Answer, Dataset, GeneratorConfig, RowFamiliarity};
+    use ErrorObservation::{Categorical, Continuous};
 
-    fn correlated_dataset(seed: u64) -> tcrowd_tabular::Dataset {
+    fn generated(
+        rows: usize,
+        categorical_ratio: f64,
+        answers_per_task: usize,
+        seed: u64,
+    ) -> Dataset {
         generate_dataset(
             &GeneratorConfig {
-                rows: 150,
+                rows,
                 columns: 4,
-                categorical_ratio: 0.5,
+                categorical_ratio,
                 num_workers: 30,
-                answers_per_task: 4,
+                answers_per_task,
                 row_familiarity: Some(RowFamiliarity {
                     p_unfamiliar: 0.35,
                     difficulty_factor: 50.0,
@@ -398,6 +342,195 @@ mod tests {
             },
             seed,
         )
+    }
+
+    fn correlated_dataset(seed: u64) -> Dataset {
+        generated(150, 0.5, 4, seed)
+    }
+
+    /// Every (worker, row) group `L^u_i` of observed errors, read through the
+    /// freeze's point view rather than by splitting runs.
+    fn error_groups(
+        matrix: &AnswerMatrix,
+        r: &InferenceResult,
+    ) -> Vec<Vec<(usize, ErrorObservation)>> {
+        let mut groups = Vec::new();
+        for w in 0..matrix.num_workers() {
+            for row in 0..matrix.rows() as u32 {
+                let group: Vec<_> = matrix
+                    .worker_row_answer_indices(w, row)
+                    .iter()
+                    .map(|&i| {
+                        let a = matrix.to_answer(i as usize);
+                        (a.cell.col as usize, observe_error(r, &a))
+                    })
+                    .collect();
+                if !group.is_empty() {
+                    groups.push(group);
+                }
+            }
+        }
+        groups
+    }
+
+    /// The model the slow way: every co-observed pair copied into a list per
+    /// ordered column pair, and each estimate a two-pass moment over a
+    /// filtered copy of that list.
+    fn two_pass_oracle(
+        schema: &Schema,
+        matrix: &AnswerMatrix,
+        r: &InferenceResult,
+    ) -> CorrelationModel {
+        let m = schema.num_columns();
+        let mut pairs = vec![vec![Vec::new(); m]; m];
+        for group in error_groups(matrix, r) {
+            for &(j, ej) in &group {
+                for &(k, ek) in &group {
+                    if j != k {
+                        pairs[j][k].push((ej, ek));
+                    }
+                }
+            }
+        }
+        let num = |e: &ErrorObservation| match *e {
+            Categorical(wrong) => f64::from(u8::from(wrong)),
+            Continuous(x) => x,
+        };
+        let wrong = |e: &ErrorObservation| matches!(e, Categorical(true));
+        let normal = |v: Vec<f64>| match v.len() {
+            0 => Normal::new(0.0, 1.0),
+            _ => Normal::new(mean(&v), variance(&v).max(EPS)),
+        };
+        let smoothed =
+            |v: Vec<bool>| (v.iter().filter(|&&x| x).count() as f64 + 1.0) / (v.len() as f64 + 2.0);
+        let mut model = CorrelationModel {
+            n_cols: m,
+            w: vec![0.0; m * m],
+            cond: vec![Conditional::Unavailable; m * m],
+            support: vec![0; m * m],
+        };
+        for (j, row) in pairs.iter().enumerate() {
+            for (k, p) in row.iter().enumerate().filter(|&(k, _)| k != j) {
+                let (x, y): (Vec<f64>, Vec<f64>) = p.iter().map(|(a, b)| (num(a), num(b))).unzip();
+                model.support[j * m + k] = p.len();
+                model.w[j * m + k] = pearson(&x, &y);
+                if p.len() < MIN_SUPPORT {
+                    continue;
+                }
+                let j_given = |wk: bool| p.iter().filter(move |(_, b)| wrong(b) == wk);
+                let k_given = |wj: bool| p.iter().filter(move |(a, _)| wrong(a) == wj);
+                model.cond[j * m + k] = match (
+                    schema.column_type(j).is_categorical(),
+                    schema.column_type(k).is_categorical(),
+                ) {
+                    (true, true) => Conditional::CatCat {
+                        p_wrong_given_correct: smoothed(
+                            j_given(false).map(|(a, _)| wrong(a)).collect(),
+                        ),
+                        p_wrong_given_wrong: smoothed(
+                            j_given(true).map(|(a, _)| wrong(a)).collect(),
+                        ),
+                    },
+                    (false, false) => {
+                        let (vx, vy) = (variance(&x), variance(&y));
+                        let rho = if vx <= EPS || vy <= EPS {
+                            0.0
+                        } else {
+                            covariance(&x, &y) / (vx.sqrt() * vy.sqrt())
+                        };
+                        let (vx, vy) = (vx.max(EPS), vy.max(EPS));
+                        Conditional::ContCont(BivariateNormal::new(mean(&x), mean(&y), vx, vy, rho))
+                    }
+                    (false, true) => Conditional::ContGivenCat {
+                        given_correct: normal(j_given(false).map(|(a, _)| num(a)).collect()),
+                        given_wrong: normal(j_given(true).map(|(a, _)| num(a)).collect()),
+                    },
+                    (true, false) => Conditional::CatGivenCont {
+                        ek_given_correct: normal(k_given(false).map(|(_, b)| num(b)).collect()),
+                        ek_given_wrong: normal(k_given(true).map(|(_, b)| num(b)).collect()),
+                        p_wrong: smoothed(p.iter().map(|(a, _)| wrong(a)).collect()),
+                    },
+                };
+            }
+        }
+        model
+    }
+
+    /// Fit `d` both ways and compare `support` exactly, `W` and every
+    /// column's `conditional_error` (given each (worker, row) group) within
+    /// 1e-12. Returns the fit.
+    fn assert_matches_two_pass(d: &Dataset) -> CorrelationModel {
+        let r = TCrowd::default_full().infer(&d.schema, &d.answers);
+        let matrix = AnswerMatrix::build(&d.answers);
+        let fast = CorrelationModel::fit_matrix(&d.schema, &matrix, &r);
+        let oracle = two_pass_oracle(&d.schema, &matrix, &r);
+        let m = d.schema.num_columns();
+        let (mut w_gap, mut pred_gap) = (0.0f64, 0.0f64);
+        for j in 0..m {
+            for k in 0..m {
+                assert_eq!(fast.support(j, k), oracle.support(j, k), "support[{j}][{k}]");
+                w_gap = w_gap.max((fast.wjk(j, k) - oracle.wjk(j, k)).abs());
+            }
+        }
+        for group in error_groups(&matrix, &r) {
+            for j in 0..m {
+                let (a, b) =
+                    (fast.conditional_error(j, &group), oracle.conditional_error(j, &group));
+                let gap = match (a, b) {
+                    (None, None) => 0.0,
+                    (
+                        Some(PredictedError::Categorical(p)),
+                        Some(PredictedError::Categorical(q)),
+                    ) => (p - q).abs(),
+                    (
+                        Some(PredictedError::Continuous { mean: m1, var: v1 }),
+                        Some(PredictedError::Continuous { mean: m2, var: v2 }),
+                    ) => (m1 - m2).abs().max((v1 - v2).abs()),
+                    _ => panic!("column {j} given {group:?}: {a:?} vs {b:?}"),
+                };
+                pred_gap = pred_gap.max(gap);
+            }
+        }
+        assert!(w_gap < 1e-12, "{}: W differs by {w_gap:e}", d.schema.name);
+        assert!(pred_gap < 1e-12, "{}: conditional_error differs by {pred_gap:e}", d.schema.name);
+        fast
+    }
+
+    #[test]
+    fn sums_fit_matches_the_two_pass_pair_lists() {
+        let mut cases: Vec<Dataset> =
+            [0.0, 0.5, 1.0].map(|ratio| generated(150, ratio, 4, 11)).into();
+        cases.extend([real_sim::celebrity(2), real_sim::restaurant(2), real_sim::emotion(2)]);
+        // The workers of the first 40 answers answer those cells again,
+        // with other values.
+        let mut dup = generated(60, 0.5, 3, 12);
+        let again: Vec<Answer> = dup.answers.all()[..40]
+            .iter()
+            .map(|a| match a.value {
+                Value::Categorical(l) => {
+                    Answer { value: Value::Categorical(u32::from(l == 0)), ..*a }
+                }
+                Value::Continuous(x) => Answer { value: Value::Continuous(x + 0.5), ..*a },
+            })
+            .collect();
+        for a in again {
+            dup.answers.push(a);
+        }
+        cases.push(dup);
+        // Sparse co-observation: column 3 is answered on three rows only, so
+        // its pairs fall under MIN_SUPPORT while the others do not.
+        let mut sparse = generated(40, 0.5, 2, 13);
+        let mut log = AnswerLog::new(40, 4);
+        for a in sparse.answers.all().iter().filter(|a| a.cell.col != 3 || a.cell.row < 3) {
+            log.push(*a);
+        }
+        sparse.answers = log;
+        let fit = assert_matches_two_pass(&sparse);
+        assert!((1..MIN_SUPPORT).contains(&fit.support(0, 3)), "{}", fit.support(0, 3));
+        assert!(fit.support(0, 1) >= MIN_SUPPORT);
+        for d in &cases {
+            assert_matches_two_pass(d);
+        }
     }
 
     #[test]
@@ -409,9 +542,11 @@ mod tests {
             for k in 0..4 {
                 let w = c.wjk(j, k);
                 assert!((-1.0..=1.0).contains(&w), "W[{j}][{k}] = {w}");
-                if j != k {
-                    assert!((c.wjk(j, k) - c.wjk(k, j)).abs() < 1e-9, "Pearson is symmetric");
-                }
+                assert_eq!(
+                    w.to_bits(),
+                    c.wjk(k, j).to_bits(),
+                    "(j, k) and (k, j) share their sums"
+                );
             }
         }
     }

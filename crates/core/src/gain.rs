@@ -131,7 +131,7 @@ where
     F: Fn(CellId) -> f64 + Sync,
 {
     const PARALLEL_THRESHOLD: usize = 8192;
-    if !cfg!(feature = "parallel") || candidates.len() < PARALLEL_THRESHOLD {
+    if candidates.len() < PARALLEL_THRESHOLD {
         return candidates.iter().map(|&c| per_cell(c)).collect();
     }
     let threads =

@@ -191,11 +191,17 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so a bound keeps a hostile body (10 KB of `[`) from overflowing
+/// a worker thread's stack; the API's deepest document nests 5 levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a JSON document; the whole input must be one value (trailing
-/// whitespace allowed). Errors carry the byte offset.
+/// whitespace allowed) nested at most [`MAX_DEPTH`] deep. Errors carry the
+/// byte offset.
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -208,6 +214,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -249,12 +257,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(&format!("unexpected byte 0x{c:02x}"))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -468,6 +488,19 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).unwrap_err().contains("nesting deeper"));
+        assert!(
+            parse(&format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH))).is_ok()
+        );
+        assert!(parse(&format!("{}1{}", "{\"a\":[".repeat(33), "]}".repeat(33))).is_err());
+        // Unclosed, far past the cap: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

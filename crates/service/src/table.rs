@@ -2227,6 +2227,10 @@ mod tests {
         // Simulated deterministically: ingest, tombstone, then drive the
         // publish path a racing refresh would run.
         let (t, d) = make_table(usize::MAX);
+        // Only this test's refreshes may publish: a timer tick queued on the
+        // fitter lock during the first refit would otherwise take the next
+        // submit's tail before the tombstone.
+        t.stop_refresher();
         t.submit(&d.answers.all()[..6]).unwrap();
         assert!(t.refresh_now());
         let epoch_before = t.snapshot().epoch;
@@ -2236,7 +2240,6 @@ mod tests {
         assert_eq!(t.snapshot().epoch, epoch_before, "snapshot must be unchanged");
         // Ingest after deletion is refused too.
         assert!(t.submit(&d.answers.all()[..1]).is_err());
-        t.stop_refresher();
     }
 
     #[test]
@@ -2246,6 +2249,10 @@ mod tests {
         // refresh — the catch-up phase must fold them into the published
         // snapshot (log, freeze and epoch) without an extra refresh cycle.
         let (t, d) = make_table(usize::MAX);
+        // Only this test's refreshes may publish: a timer tick queued on the
+        // fitter lock during the first refit would otherwise take the second
+        // half's tail, and the second `refresh_now` would find nothing new.
+        t.stop_refresher();
         let split = d.answers.len() / 2;
         t.submit(&d.answers.all()[..split]).unwrap();
         assert!(t.refresh_now());
@@ -2265,7 +2272,6 @@ mod tests {
         assert!(snap.last_refit_ms >= 0.0);
         // The shared log is the committed order.
         assert_eq!(snap.log.to_vec(), d.answers.all());
-        t.stop_refresher();
     }
 
     #[test]

@@ -474,3 +474,21 @@ fn served_truth_matches_offline_inference_on_the_served_log() {
     registry.shutdown();
     server.shutdown();
 }
+
+/// A deeply nested body is a client error, not a crash: the parser's
+/// recursion is bounded, so 100,000 `[` (far under `MAX_BODY`) gets the
+/// usual 400 and the same server keeps answering.
+#[test]
+fn deeply_nested_body_gets_400_and_the_server_keeps_serving() {
+    let (registry, server) = tcrowd_service::start("127.0.0.1:0", 2).expect("start server");
+    let client = Client { addr: server.addr() };
+    let (status, r) = client.post("/tables", &"[".repeat(100_000));
+    assert_eq!(status, 400, "{r}");
+    assert!(r.get("error").unwrap().as_str().unwrap().contains("invalid JSON"), "{r}");
+    let (status, health) = client.get("/healthz");
+    assert_eq!(status, 200);
+    assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
+
+    registry.shutdown();
+    server.shutdown();
+}

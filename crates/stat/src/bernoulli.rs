@@ -36,22 +36,14 @@ impl Bernoulli {
         -(p * p.ln() + (1.0 - p) * (1.0 - p).ln())
     }
 
-    /// Maximum-likelihood estimate from a sequence of outcomes.
+    /// Maximum-likelihood estimate from `successes` out of `trials`.
     ///
     /// Applies add-one (Laplace) smoothing so downstream conditionals never
     /// see a hard 0/1 probability from sparse data — the correlation model of
     /// §5.2 conditions on events that may have been observed only a handful
     /// of times.
-    pub fn mle_smoothed(outcomes: impl IntoIterator<Item = bool>) -> Self {
-        let mut n = 0u64;
-        let mut k = 0u64;
-        for o in outcomes {
-            n += 1;
-            if o {
-                k += 1;
-            }
-        }
-        Bernoulli::new((k as f64 + 1.0) / (n as f64 + 2.0))
+    pub fn mle_smoothed(successes: f64, trials: f64) -> Self {
+        Bernoulli::new((successes + 1.0) / (trials + 2.0))
     }
 
     /// Draw one sample.
@@ -87,18 +79,18 @@ mod tests {
     #[test]
     fn mle_with_smoothing() {
         // 3 successes out of 4 → (3+1)/(4+2) = 2/3.
-        let fit = Bernoulli::mle_smoothed([true, true, true, false]);
+        let fit = Bernoulli::mle_smoothed(3.0, 4.0);
         assert!((fit.p - 2.0 / 3.0).abs() < 1e-12);
         // Empty data → uniform prior 1/2.
-        let empty = Bernoulli::mle_smoothed(std::iter::empty());
+        let empty = Bernoulli::mle_smoothed(0.0, 0.0);
         assert!((empty.p - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn smoothing_avoids_degenerate_probabilities() {
-        let all_true = Bernoulli::mle_smoothed(std::iter::repeat_n(true, 5));
+        let all_true = Bernoulli::mle_smoothed(5.0, 5.0);
         assert!(all_true.p < 1.0);
-        let all_false = Bernoulli::mle_smoothed(std::iter::repeat_n(false, 5));
+        let all_false = Bernoulli::mle_smoothed(0.0, 5.0);
         assert!(all_false.p > 0.0);
     }
 

@@ -4,9 +4,82 @@
 //! `k` are both continuous, the joint error distribution `P(e_j, e_k)` is a
 //! bivariate Gaussian, and the conditional used in Eq. 7 is
 //! `P(e_j | e_k = x) = N(μ_j + ρ σ_j/σ_k (x − μ_k), (1 − ρ²) σ_j²)`.
+//!
+//! Fits read [`PairSums`], the running moment sums of the paired sample, so
+//! a fitter accumulates as it scans and keeps no copy of the pairs.
 
 use crate::normal::Normal;
 use crate::{clamp_var, EPS};
+
+/// Running sums `n, Σx, Σy, Σx², Σy², Σxy` of a paired sample: the
+/// sufficient statistics of a bivariate Gaussian, and of its Pearson
+/// correlation. `Default` is the empty sample.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PairSums {
+    /// Number of pairs.
+    pub n: f64,
+    /// `Σx`.
+    pub x: f64,
+    /// `Σy`.
+    pub y: f64,
+    /// `Σx²`.
+    pub xx: f64,
+    /// `Σy²`.
+    pub yy: f64,
+    /// `Σxy`.
+    pub xy: f64,
+}
+
+impl PairSums {
+    /// Add one pair.
+    #[inline]
+    pub fn add(&mut self, x: f64, y: f64) {
+        self.n += 1.0;
+        self.x += x;
+        self.y += y;
+        self.xx += x * x;
+        self.yy += y * y;
+        self.xy += x * y;
+    }
+
+    /// The same sample with the two components swapped.
+    pub fn transpose(self) -> Self {
+        PairSums { n: self.n, x: self.y, y: self.x, xx: self.yy, yy: self.xx, xy: self.xy }
+    }
+
+    /// Maximum-likelihood moments `(mean_x, mean_y, var_x, var_y, cov)`
+    /// (population variances); all zero for the empty sample.
+    fn moments(&self) -> (f64, f64, f64, f64, f64) {
+        let n = self.n.max(1.0);
+        let (mx, my) = (self.x / n, self.y / n);
+        (mx, my, self.xx / n - mx * mx, self.yy / n - my * my, self.xy / n - mx * my)
+    }
+
+    /// Pearson correlation coefficient; `0.0` when either side is
+    /// (near-)constant, as [`crate::describe::pearson`] over the pairs.
+    pub fn pearson(&self) -> f64 {
+        let (_, _, va, vb, cov) = self.moments();
+        if va <= EPS || vb <= EPS {
+            return 0.0;
+        }
+        (cov / (va.sqrt() * vb.sqrt())).clamp(-1.0, 1.0)
+    }
+}
+
+impl std::ops::Add for PairSums {
+    type Output = PairSums;
+
+    fn add(self, o: PairSums) -> PairSums {
+        PairSums {
+            n: self.n + o.n,
+            x: self.x + o.x,
+            y: self.y + o.y,
+            xx: self.xx + o.xx,
+            yy: self.yy + o.yy,
+            xy: self.xy + o.xy,
+        }
+    }
+}
 
 /// A bivariate normal over `(x₁, x₂)` parameterised by means, variances and
 /// the correlation coefficient `ρ ∈ (−1, 1)`.
@@ -40,31 +113,16 @@ impl BivariateNormal {
         }
     }
 
-    /// Maximum-likelihood fit from paired samples.
+    /// Maximum-likelihood fit from the moment sums of paired samples.
     ///
     /// Fewer than two pairs (or degenerate marginals) yield an independent
     /// standard-ish fit with `ρ = 0`, so a sparse correlation table degrades
     /// gracefully to "no structural information" rather than failing.
-    pub fn mle(pairs: &[(f64, f64)]) -> Self {
-        if pairs.len() < 2 {
-            let (m1, m2) = pairs.first().copied().unwrap_or((0.0, 0.0));
-            return BivariateNormal::new(m1, m2, 1.0, 1.0, 0.0);
+    pub fn mle(sums: &PairSums) -> Self {
+        let (mean1, mean2, v1, v2, cov) = sums.moments();
+        if sums.n < 2.0 {
+            return BivariateNormal::new(mean1, mean2, 1.0, 1.0, 0.0);
         }
-        let n = pairs.len() as f64;
-        let mean1 = pairs.iter().map(|p| p.0).sum::<f64>() / n;
-        let mean2 = pairs.iter().map(|p| p.1).sum::<f64>() / n;
-        let mut v1 = 0.0;
-        let mut v2 = 0.0;
-        let mut cov = 0.0;
-        for &(a, b) in pairs {
-            let (da, db) = (a - mean1, b - mean2);
-            v1 += da * da;
-            v2 += db * db;
-            cov += da * db;
-        }
-        v1 /= n;
-        v2 /= n;
-        cov /= n;
         let rho = if v1 <= EPS || v2 <= EPS { 0.0 } else { cov / (v1.sqrt() * v2.sqrt()) };
         BivariateNormal::new(mean1, mean2, v1.max(EPS), v2.max(EPS), rho)
     }
@@ -119,6 +177,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn sums(pairs: &[(f64, f64)]) -> PairSums {
+        let mut s = PairSums::default();
+        for &(x, y) in pairs {
+            s.add(x, y);
+        }
+        s
+    }
+
     fn correlated_pairs(rho: f64, n: usize, seed: u64) -> Vec<(f64, f64)> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
@@ -135,7 +201,7 @@ mod tests {
     #[test]
     fn mle_recovers_correlation() {
         let pairs = correlated_pairs(0.7, 60_000, 5);
-        let fit = BivariateNormal::mle(&pairs);
+        let fit = BivariateNormal::mle(&sums(&pairs));
         assert!((fit.rho - 0.7).abs() < 0.02, "rho = {}", fit.rho);
         assert!((fit.mean1 - 1.0).abs() < 0.05);
         assert!((fit.mean2 + 0.5).abs() < 0.02);
@@ -192,13 +258,34 @@ mod tests {
 
     #[test]
     fn degenerate_fit_is_independent() {
-        let fit = BivariateNormal::mle(&[(1.0, 2.0)]);
+        let fit = BivariateNormal::mle(&sums(&[(1.0, 2.0)]));
         assert_eq!(fit.rho, 0.0);
-        let empty = BivariateNormal::mle(&[]);
+        assert_eq!((fit.mean1, fit.mean2), (1.0, 2.0));
+        let empty = BivariateNormal::mle(&PairSums::default());
         assert_eq!(empty.rho, 0.0);
+        assert_eq!((empty.mean1, empty.mean2), (0.0, 0.0));
         // Constant column → rho must be 0, not NaN.
-        let constant = BivariateNormal::mle(&[(1.0, 5.0), (1.0, 6.0), (1.0, 7.0)]);
+        let constant = BivariateNormal::mle(&sums(&[(1.0, 5.0), (1.0, 6.0), (1.0, 7.0)]));
         assert_eq!(constant.rho, 0.0);
+    }
+
+    #[test]
+    fn pair_sums_match_two_pass_moments() {
+        use crate::describe::{mean, pearson, variance};
+        let pairs = correlated_pairs(-0.4, 2_000, 9);
+        let s = sums(&pairs);
+        let (xs, ys): (Vec<f64>, Vec<f64>) = pairs.iter().copied().unzip();
+        assert!((s.pearson() - pearson(&xs, &ys)).abs() < 1e-12);
+        assert_eq!(s.transpose().pearson().to_bits(), s.pearson().to_bits());
+        let fit = BivariateNormal::mle(&s);
+        assert!((fit.mean1 - mean(&xs)).abs() < 1e-12);
+        assert!((fit.var2 - variance(&ys)).abs() < 1e-12);
+        // Sums of two halves equal the sums of the whole.
+        let (a, b) = pairs.split_at(700);
+        assert!(((sums(a) + sums(b)).xy - s.xy).abs() < 1e-9);
+        // Empty and constant samples read as uncorrelated, never NaN.
+        assert_eq!(PairSums::default().pearson(), 0.0);
+        assert_eq!(sums(&[(1.0, 2.0), (1.0, 3.0)]).pearson(), 0.0);
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //!
 //! * [`special`] — `erf`, `erfc`, `erf_inv`, standard-normal CDF/quantile,
 //!   χ² quantile (Wilson–Hilferty).
-//! * [`normal`] — univariate Gaussian with Bayesian updates and sampling.
-//! * [`bernoulli`] — Bernoulli distribution and MLE.
-//! * [`bivariate`] — bivariate Gaussian with exact conditionals.
+//! * [`normal`] — univariate Gaussian with Bayesian updates, sampling and
+//!   its MLE from a sample's sums.
+//! * [`bernoulli`] — Bernoulli distribution and its smoothed MLE from counts.
+//! * [`bivariate`] — bivariate Gaussian with exact conditionals, fitted from
+//!   the moment sums of a paired sample ([`bivariate::PairSums`]).
 //! * [`entropy`] — Shannon and differential entropy helpers.
 //! * [`describe`] — descriptive statistics (mean, variance, median, Pearson…).
 //! * [`cluster`] — k-means (missing-aware) and the adjusted Rand index, for

@@ -110,18 +110,17 @@ impl Normal {
         self.mean + self.std() * sample_std_normal(rng)
     }
 
-    /// Maximum-likelihood fit (sample mean, population variance) of `data`.
+    /// Maximum-likelihood fit (sample mean, population variance) of a sample
+    /// given by its size `n`, sum `Σx` and sum of squares `Σx²`.
     ///
-    /// Returns `N(0, 1)`-ish degenerate defaults for empty input and floors
-    /// the variance at [`EPS`] for constant input.
-    pub fn mle(data: &[f64]) -> Normal {
-        if data.is_empty() {
+    /// Returns `N(0, 1)`-ish degenerate defaults for an empty sample and
+    /// floors the variance at [`EPS`] for constant input.
+    pub fn mle(n: f64, sum: f64, sum_sq: f64) -> Normal {
+        if n == 0.0 {
             return Normal::new(0.0, 1.0);
         }
-        let n = data.len() as f64;
-        let mean = data.iter().sum::<f64>() / n;
-        let var = data.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-        Normal::new(mean, var.max(EPS))
+        let mean = sum / n;
+        Normal::new(mean, (sum_sq / n - mean * mean).max(EPS))
     }
 }
 
@@ -130,6 +129,10 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn fit(data: &[f64]) -> Normal {
+        Normal::mle(data.len() as f64, data.iter().sum(), data.iter().map(|x| x * x).sum())
+    }
 
     #[test]
     fn pdf_integrates_to_one_numerically() {
@@ -215,15 +218,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let truth = Normal::new(-3.0, 4.0);
         let data: Vec<f64> = (0..20_000).map(|_| truth.sample(&mut rng)).collect();
-        let fit = Normal::mle(&data);
+        let fit = fit(&data);
         assert!((fit.mean - truth.mean).abs() < 0.05, "mean = {}", fit.mean);
         assert!((fit.var - truth.var).abs() < 0.15, "var = {}", fit.var);
     }
 
     #[test]
     fn mle_degenerate_inputs() {
-        assert_eq!(Normal::mle(&[]).var, 1.0);
-        let constant = Normal::mle(&[2.0, 2.0, 2.0]);
+        assert_eq!(fit(&[]).var, 1.0);
+        let constant = fit(&[2.0, 2.0, 2.0]);
         assert_eq!(constant.mean, 2.0);
         assert!(constant.var <= 1e-10);
     }
@@ -240,7 +243,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let n = Normal::new(2.0, 9.0);
         let samples: Vec<f64> = (0..50_000).map(|_| n.sample(&mut rng)).collect();
-        let fit = Normal::mle(&samples);
+        let fit = fit(&samples);
         assert!((fit.mean - 2.0).abs() < 0.1);
         assert!((fit.var - 9.0).abs() < 0.3);
     }

@@ -82,7 +82,8 @@ proptest! {
 
     #[test]
     fn bernoulli_mle_stays_in_open_interval(outcomes in prop::collection::vec(any::<bool>(), 0..40)) {
-        let b = Bernoulli::mle_smoothed(outcomes);
+        let wrong = outcomes.iter().filter(|&&o| o).count();
+        let b = Bernoulli::mle_smoothed(wrong as f64, outcomes.len() as f64);
         prop_assert!(b.p > 0.0 && b.p < 1.0);
     }
 
