@@ -13,7 +13,7 @@
 //!
 //! * **full-rebuild-cold** — every refit rebuilds the matrix from the log
 //!   and runs EM from scratch at the default (production) tolerance.
-//! * **delta-merge-warm** — every refit splices the log tail into the
+//! * **delta-merge-warm** — every refit merges the log tail into the
 //!   previous freeze and runs a short warm-started EM polish (loose ELBO
 //!   tolerance sized for refits — the next refit re-polishes anyway).
 //!

@@ -861,8 +861,8 @@ fn service_load(c: &mut Criterion) {
     group.finish();
 
     // Close the admin keep-alive connection before shutting down: shutdown
-    // joins the workers, and a worker parked on an idle connection only
-    // returns at its read timeout (30 s).
+    // joins the workers, and a worker waiting on an idle connection only
+    // returns when it closes or idles out (30 s).
     drop(admin);
     registry.shutdown();
     server.shutdown();

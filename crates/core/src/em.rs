@@ -50,33 +50,6 @@ pub struct EmOptions {
     pub learn_row_difficulty: bool,
     /// Learn per-column difficulties `β_j` (disable for the ablation study).
     pub learn_col_difficulty: bool,
-    /// Initial worker *quality* `q₀` (probability of a correct categorical
-    /// answer) before the first M-step. The corresponding variance is derived
-    /// through the inverse erf link, `φ₀ = (ε / (√2·erf⁻¹(q₀)))²`, so the
-    /// starting point is calibrated to whatever `ε` resolves to.
-    ///
-    /// This matters: a *fixed* starting `φ` can imply `q < 1/|L|` under a
-    /// small `ε`, which makes the first E-step treat every worker as
-    /// adversarial and flip the posterior of small-cardinality columns — a
-    /// local optimum EM never escapes. Must lie in `(0, 1)`.
-    pub init_quality: f64,
-    /// Strength (inverse variance) of the Gaussian prior on `ln φ`.
-    ///
-    /// Pure maximum-likelihood EM on categorical answers exhibits the
-    /// classic confidence spiral: a worker whose answers currently agree
-    /// with the posterior gets `q → 1`, which lets that single worker pin
-    /// cell posteriors, which further inflates their quality. A weak MAP
-    /// prior (`ln φ ~ N(ln φ₀, 1/strength)`, with `φ₀` from
-    /// [`EmOptions::init_quality`]) bounds the spiral without
-    /// noticeably biasing well-observed workers.
-    pub phi_prior_strength: f64,
-    /// Strength of the Gaussian priors on `ln α` and `ln β` (centred at 0 —
-    /// difficulties are multiplicative corrections, so the prior says
-    /// "average difficulty" until the data insists otherwise).
-    pub difficulty_prior_strength: f64,
-    /// Bounds on `ln φ` (and `ln α`, `ln β`) keeping the optimiser inside a
-    /// numerically sane box.
-    pub ln_param_bound: f64,
     /// Threads the E-step (cells are independent) and every M-step
     /// objective/gradient evaluation are split across: `0` (the default)
     /// means one per available core, `1` runs serially. Work is cut at fixed
@@ -94,10 +67,6 @@ impl Default for EmOptions {
             param_tol: 0.0,
             learn_row_difficulty: true,
             learn_col_difficulty: true,
-            init_quality: 0.7,
-            phi_prior_strength: 1.0,
-            difficulty_prior_strength: 4.0,
-            ln_param_bound: 12.0,
             threads: 0,
         }
     }
@@ -291,11 +260,41 @@ pub struct EmTimings {
 
 const LN_2PI: f64 = 1.8378770664093453;
 
-/// The variance `φ₀` implied by the initial quality under window `epsilon`:
+/// Initial worker *quality* `q₀` (probability of a correct categorical
+/// answer) before the first M-step. The corresponding variance is derived
+/// through the inverse erf link, `φ₀ = (ε / (√2·erf⁻¹(q₀)))²`
+/// ([`initial_phi`]), so the starting point is calibrated to whatever `ε`
+/// resolves to.
+///
+/// This matters: a *fixed* starting `φ` can imply `q < 1/|L|` under a small
+/// `ε`, which makes the first E-step treat every worker as adversarial and
+/// flip the posterior of small-cardinality columns — a local optimum EM
+/// never escapes.
+const INIT_QUALITY: f64 = 0.7;
+
+/// Strength (inverse variance) of the Gaussian prior on `ln φ`.
+///
+/// Pure maximum-likelihood EM on categorical answers exhibits the classic
+/// confidence spiral: a worker whose answers currently agree with the
+/// posterior gets `q → 1`, which lets that single worker pin cell
+/// posteriors, which further inflates their quality. A weak MAP prior
+/// (`ln φ ~ N(ln φ₀, 1/strength)`, with `φ₀` from [`INIT_QUALITY`]) bounds
+/// the spiral without noticeably biasing well-observed workers.
+pub(crate) const PHI_PRIOR_STRENGTH: f64 = 1.0;
+
+/// Strength of the Gaussian priors on `ln α` and `ln β` (centred at 0 —
+/// difficulties are multiplicative corrections, so the prior says "average
+/// difficulty" until the data insists otherwise).
+pub(crate) const DIFFICULTY_PRIOR_STRENGTH: f64 = 4.0;
+
+/// Bounds on `ln φ` (and `ln α`, `ln β`) keeping the optimiser inside a
+/// numerically sane box.
+pub(crate) const LN_PARAM_BOUND: f64 = 12.0;
+
+/// The variance `φ₀` implied by [`INIT_QUALITY`] under window `epsilon`:
 /// inverts `q = erf(ε/√(2φ))`.
-pub(crate) fn initial_phi(epsilon: f64, init_quality: f64) -> f64 {
-    let q0 = init_quality.clamp(0.05, 0.99);
-    let x = tcrowd_stat::special::erf_inv(q0).max(EPS);
+pub(crate) fn initial_phi(epsilon: f64) -> f64 {
+    let x = tcrowd_stat::special::erf_inv(INIT_QUALITY).max(EPS);
     let phi = epsilon / (std::f64::consts::SQRT_2 * x);
     (phi * phi).max(EPS)
 }
@@ -327,7 +326,7 @@ pub(crate) fn run_em(ws: &Workspace, opts: &EmOptions) -> EmState {
 /// Run the full EM loop, optionally seeding the parameters from a previous
 /// fit (see [`WarmStart`]).
 pub(crate) fn run_em_from(ws: &Workspace, opts: &EmOptions, warm: Option<&WarmStart>) -> EmState {
-    let bound = opts.ln_param_bound;
+    let bound = LN_PARAM_BOUND;
     let (ln_alpha, ln_beta, ln_phi) = match warm {
         Some(w) => {
             assert_eq!(w.ln_alpha.len(), ws.n_rows, "warm-start row count mismatch");
@@ -339,7 +338,7 @@ pub(crate) fn run_em_from(ws: &Workspace, opts: &EmOptions, warm: Option<&WarmSt
         None => (
             vec![0.0; ws.n_rows],
             vec![0.0; ws.n_cols],
-            vec![initial_phi(ws.epsilon, opts.init_quality).ln(); ws.n_workers],
+            vec![initial_phi(ws.epsilon).ln(); ws.n_workers],
         ),
     };
     let mut state = EmState {
@@ -831,10 +830,10 @@ impl Block {
     }
 
     /// `(prior strength, prior centre)` of this block's parameters.
-    pub(crate) fn prior(self, opts: &EmOptions, phi_center: f64) -> (f64, f64) {
+    pub(crate) fn prior(self, phi_center: f64) -> (f64, f64) {
         match self {
-            Block::Phi => (opts.phi_prior_strength, phi_center),
-            Block::Alpha | Block::Beta => (opts.difficulty_prior_strength, 0.0),
+            Block::Phi => (PHI_PRIOR_STRENGTH, phi_center),
+            Block::Alpha | Block::Beta => (DIFFICULTY_PRIOR_STRENGTH, 0.0),
         }
     }
 }
@@ -847,8 +846,8 @@ pub(crate) fn newton_step(grad: f64, curv: f64) -> f64 {
     step.clamp(-1.0, 1.0)
 }
 
-/// The MAP log-prior of the parameters (see the field docs on
-/// [`EmOptions`]); unlearned difficulty blocks contribute nothing.
+/// The MAP log-prior of the parameters (see [`PHI_PRIOR_STRENGTH`] and
+/// [`DIFFICULTY_PRIOR_STRENGTH`]); unlearned difficulty blocks contribute nothing.
 pub(crate) fn log_prior(
     la: &[f64],
     lb: &[f64],
@@ -858,13 +857,13 @@ pub(crate) fn log_prior(
 ) -> f64 {
     let mut v = 0.0;
     if opts.learn_row_difficulty {
-        v -= 0.5 * opts.difficulty_prior_strength * la.iter().map(|x| x * x).sum::<f64>();
+        v -= 0.5 * DIFFICULTY_PRIOR_STRENGTH * la.iter().map(|x| x * x).sum::<f64>();
     }
     if opts.learn_col_difficulty {
-        v -= 0.5 * opts.difficulty_prior_strength * lb.iter().map(|x| x * x).sum::<f64>();
+        v -= 0.5 * DIFFICULTY_PRIOR_STRENGTH * lb.iter().map(|x| x * x).sum::<f64>();
     }
     v - 0.5
-        * opts.phi_prior_strength
+        * PHI_PRIOR_STRENGTH
         * lp.iter().map(|x| (x - phi_center) * (x - phi_center)).sum::<f64>()
 }
 
@@ -875,7 +874,7 @@ pub(crate) fn log_prior(
 /// crawl along them. This moves straight to the priors' maximum along both
 /// (a 2×2 linear solve; one direction when a difficulty block is frozen),
 /// without a pass over the answers. Skipped if it would leave the
-/// `±ln_param_bound` box.
+/// `±LN_PARAM_BOUND` box.
 pub(crate) fn gauge_step(
     la: &mut [f64],
     lb: &mut [f64],
@@ -887,7 +886,7 @@ pub(crate) fn gauge_step(
     if !learn_a && !learn_b {
         return;
     }
-    let (ld, lf) = (opts.difficulty_prior_strength, opts.phi_prior_strength);
+    let (ld, lf) = (DIFFICULTY_PRIOR_STRENGTH, PHI_PRIOR_STRENGTH);
     let u = lf * lp.len() as f64;
     let (a11, a22) = (ld * la.len() as f64 + u, ld * lb.len() as f64 + u);
     let sp = lf * lp.iter().map(|x| x - phi_center).sum::<f64>();
@@ -902,7 +901,7 @@ pub(crate) fn gauge_step(
         _ => (0.0, r2 / a22),
     };
     let cd = c + d;
-    let bound = opts.ln_param_bound;
+    let bound = LN_PARAM_BOUND;
     let inside = |v: &[f64], shift: f64| v.iter().all(|x| (x + shift).abs() <= bound);
     if !c.is_finite() || !d.is_finite() || !inside(la, c) || !inside(lb, d) || !inside(lp, -cd) {
         return;
@@ -955,7 +954,7 @@ impl MStep<'_> {
             self.opts.learn_row_difficulty.then_some(&state.ln_alpha[..]),
             self.opts.learn_col_difficulty.then_some(&state.ln_beta[..]),
             &state.ln_phi,
-            Some(self.opts.ln_param_bound),
+            Some(LN_PARAM_BOUND),
             true,
             self.kern,
             scratch,
@@ -993,7 +992,7 @@ impl MStep<'_> {
             grad[k as usize] += cur.cat_g[j];
             curv[k as usize] += cur.cat_h[j];
         }
-        let (lam, center) = block.prior(self.opts, self.phi_center);
+        let (lam, center) = block.prior(self.phi_center);
         for (k, &x) in params.iter().enumerate() {
             grad[k] -= lam * (x - center);
             curv[k] -= lam;
@@ -1034,7 +1033,7 @@ impl MStep<'_> {
             curv.iter().all(|&h| h < 0.0) && 0.5 * slope < MSTEP_NOISE_REL * value.abs();
         base.clear();
         base.extend_from_slice(state.block(block));
-        let bound = self.opts.ln_param_bound;
+        let bound = LN_PARAM_BOUND;
         let mut t = 1.0;
         for evals in 1..=MSTEP_MAX_BACKTRACKS + 1 {
             let params = state.block_mut(block);
@@ -1075,8 +1074,7 @@ fn m_step(
     pool: Option<&WorkerPool>,
 ) -> usize {
     build_cache(ws, &state.truths, scratch);
-    let ms =
-        MStep { ws, opts, kern, pool, phi_center: initial_phi(ws.epsilon, opts.init_quality).ln() };
+    let ms = MStep { ws, opts, kern, pool, phi_center: initial_phi(ws.epsilon).ln() };
     let mut data = ms.data(state, scratch);
     std::mem::swap(&mut scratch.eval, &mut scratch.cur);
     let mut evals = 1;
@@ -1144,7 +1142,7 @@ pub(crate) fn compute_elbo(
     scratch: &mut EmScratch,
     pool: Option<&WorkerPool>,
 ) -> f64 {
-    let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
+    let phi_center = initial_phi(ws.epsilon).ln();
     let mut elbo = log_prior(&state.ln_alpha, &state.ln_beta, &state.ln_phi, opts, phi_center);
     build_cache(ws, &state.truths, scratch);
     elbo += eval_answers(
@@ -1445,7 +1443,7 @@ mod tests {
     }
 
     fn mstep_for<'a>(ws: &'a Workspace, opts: &'a EmOptions) -> MStep<'a> {
-        let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
+        let phi_center = initial_phi(ws.epsilon).ln();
         MStep { ws, opts, kern: kernels(), pool: None, phi_center }
     }
 
@@ -1593,7 +1591,7 @@ mod tests {
         assert!(state.ln_alpha.iter().all(|v| *v == 0.0));
         assert!(state.ln_beta.iter().all(|v| *v == 0.0));
         // φ must still have been learned (moved off the calibrated init).
-        let phi0 = initial_phi(ws.epsilon, opts.init_quality).ln();
+        let phi0 = initial_phi(ws.epsilon).ln();
         assert!(state.ln_phi.iter().any(|v| (*v - phi0).abs() > 1e-6));
     }
 

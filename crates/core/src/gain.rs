@@ -15,11 +15,10 @@
 //! estimator mirroring the paper's Monte-Carlo description is provided for
 //! the ablation study.
 
-use crate::inference::InferenceResult;
 use crate::truth::TruthDist;
 use rand::rngs::StdRng;
 use tcrowd_stat::{clamp_prob, clamp_var};
-use tcrowd_tabular::{CellId, WorkerId};
+use tcrowd_tabular::CellId;
 
 /// How the expected posterior entropy of a *continuous* cell is estimated.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -107,20 +106,6 @@ fn categorical_gain(p: &[f64], q: f64) -> f64 {
         .sum();
     let h_answer_given_truth = -(q * q.ln() + (1.0 - q) * r.ln());
     h_answer - h_answer_given_truth
-}
-
-/// Inherent information gain `IG_q(c_ij)` (Eq. 6): the gain of assigning
-/// `cell` to `worker`, using the worker's fitted quality and the cell's
-/// fitted difficulty.
-pub fn inherent_gain(
-    result: &InferenceResult,
-    worker: WorkerId,
-    cell: CellId,
-    estimator: GainEstimator,
-    rng: &mut StdRng,
-) -> f64 {
-    let (v, q) = result.worker_params(worker).variance_and_quality(cell);
-    gain_with_params(result.truth_z(cell), v, q, estimator, rng)
 }
 
 /// Compute gains for many candidate cells, splitting across threads when the

@@ -245,7 +245,7 @@ impl TCrowd {
             // one gauge-shift away from it. Unseen workers get the calibrated
             // initial variance, expressed in the same gauge.
             let (ma, mb) = p.renorm_shift;
-            let phi0 = initial_phi(epsilon, self.opts.em.init_quality).ln() - ma - mb;
+            let phi0 = initial_phi(epsilon).ln() - ma - mb;
             let safe_ln = |v: f64| v.max(tcrowd_stat::EPS).ln();
             WarmStart {
                 ln_alpha: p.alpha.iter().map(|&v| safe_ln(v) + ma).collect(),

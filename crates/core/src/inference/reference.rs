@@ -21,7 +21,7 @@
 use super::{population_median_phi, EpsilonSpec, InferenceResult, TCrowd};
 use crate::em::{
     gauge_step, initial_phi, log_prior, newton_step, Block, ColKind, EmOptions, EmTimings,
-    MSTEP_MAX_BACKTRACKS, MSTEP_NOISE_REL, MSTEP_SWEEPS, MSTEP_SWEEP_TOL,
+    LN_PARAM_BOUND, MSTEP_MAX_BACKTRACKS, MSTEP_NOISE_REL, MSTEP_SWEEPS, MSTEP_SWEEP_TOL,
 };
 use crate::model::{cat_answer_ln_likelihood, quality_dlnv, quality_from_variance};
 use crate::truth::TruthDist;
@@ -210,7 +210,7 @@ fn run_em_reference(
     let n_workers = ws.workers.len();
     let mut ln_alpha = vec![0.0; ws.n_rows];
     let mut ln_beta = vec![0.0; ws.n_cols];
-    let mut ln_phi = vec![initial_phi(ws.epsilon, opts.init_quality).ln(); n_workers];
+    let mut ln_phi = vec![initial_phi(ws.epsilon).ln(); n_workers];
     let mut truths: Vec<TruthDist> = (0..ws.n_rows * ws.n_cols)
         .map(|slot| match ws.col_kind[slot % ws.n_cols] {
             ColKind::Cat(l) => TruthDist::uniform(l),
@@ -271,7 +271,7 @@ fn run_em_reference(
     };
 
     let elbo_of = |truths: &[TruthDist], la: &[f64], lb: &[f64], lp: &[f64]| -> f64 {
-        let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
+        let phi_center = initial_phi(ws.epsilon).ln();
         let mut elbo = log_prior(la, lb, lp, opts, phi_center);
         for row in 0..ws.n_rows as u32 {
             for col in 0..ws.n_cols as u32 {
@@ -332,8 +332,8 @@ fn run_em_reference(
 
         let learn_a = opts.learn_row_difficulty;
         let learn_b = opts.learn_col_difficulty;
-        let bound = opts.ln_param_bound;
-        let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
+        let bound = LN_PARAM_BOUND;
+        let phi_center = initial_phi(ws.epsilon).ln();
         // The per-answer objective sum, with each answer's first and second
         // derivative in ln v written to `g` / `h` (indexed like `answers`).
         let data_of = |la: &[f64], lb: &[f64], lp: &[f64], g: &mut [f64], h: &mut [f64]| {
@@ -403,7 +403,7 @@ fn run_em_reference(
                     grad[k] += g[i];
                     curv[k] += h[i];
                 }
-                let (lam, center) = block.prior(opts, phi_center);
+                let (lam, center) = block.prior(phi_center);
                 for (k, &x) in params.iter().enumerate() {
                     grad[k] -= lam * (x - center);
                     curv[k] -= lam;

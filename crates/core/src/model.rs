@@ -4,7 +4,6 @@
 //! are z-scored per column before inference, so one global quality window `ε`
 //! is meaningful across heterogeneous domains.
 
-use std::f64::consts::FRAC_2_SQRT_PI;
 use tcrowd_stat::special::{erf, erf_derivative};
 use tcrowd_stat::{clamp_prob, clamp_var};
 
@@ -43,16 +42,6 @@ pub fn quality_x_from_ln_variance(epsilon: f64, ln_v: f64) -> f64 {
 #[inline]
 pub fn quality_from_ln_variance_fast(epsilon: f64, ln_v: f64) -> f64 {
     clamp_prob(tcrowd_stat::lut::erf_fast(quality_x_from_ln_variance(epsilon, ln_v)))
-}
-
-/// Fast `(q, dq/d ln v)` pair from `ln v`, sharing the link argument between
-/// the quality and its gradient (the categorical M-step needs both).
-#[inline]
-pub fn quality_pair_from_ln_variance_fast(epsilon: f64, ln_v: f64) -> (f64, f64) {
-    let x = quality_x_from_ln_variance(epsilon, ln_v);
-    let q = clamp_prob(tcrowd_stat::lut::erf_fast(x));
-    let dq = FRAC_2_SQRT_PI * tcrowd_stat::lut::exp_neg_sq_fast(x) * (-x / 2.0);
-    (q, dq)
 }
 
 /// Log-likelihood of a categorical answer given that the truth is `correct`

@@ -260,21 +260,10 @@ impl Registry {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Whether collection is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// The shared enabled flag (for gating [`EventRing`](crate::EventRing)s
     /// on the same switch).
     pub fn enabled_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.enabled)
-    }
-
-    /// Milliseconds of monotonic time since the registry was created; the
-    /// timestamp base event rings share.
-    pub fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis().min(u64::MAX as u128) as u64
     }
 
     /// The registry's monotonic start instant.

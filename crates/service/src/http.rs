@@ -7,19 +7,35 @@
 //! TCP handshakes), and `%xx` query decoding. Requests are capped at
 //! [`MAX_BODY`] bytes; anything malformed is answered with `400` and the
 //! connection is dropped, so a confused peer cannot wedge a worker thread.
+//!
+//! Idle keep-alive connections cannot starve the pool either. Between
+//! requests a worker waits on its connection in short slices. When another
+//! connection is queued and this one has no request yet, the worker parks it
+//! and takes the queued one. Parked connections are polled with a
+//! non-blocking `peek` at each request boundary that finds nothing queued,
+//! and by a free worker every slice; one goes back to the queue once its
+//! next request starts arriving.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::collections::VecDeque;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Upper bound on request bodies (1 MiB of JSON ≈ 20k batched answers).
 pub const MAX_BODY: usize = 1 << 20;
 
-/// Per-connection socket read timeout; a stalled peer frees its worker
-/// thread after this long.
+/// How long a request that has started may take to arrive in full; a
+/// stalled peer frees its worker thread after this long. It is also how long
+/// a connection may sit idle between requests before it is closed.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long a worker waits on an idle connection before checking the queue
+/// again, and how often a free worker polls parked idle connections. Each
+/// slice that expires wakes a thread, which costs CPU even when nothing
+/// happens.
+const IDLE_SLICE: Duration = Duration::from_millis(20);
 
 /// One parsed request.
 #[derive(Debug)]
@@ -168,10 +184,7 @@ fn sanitize_request_id(raw: &str) -> Option<String> {
 }
 
 /// `read_line` with the [`MAX_LINE`] allocation cap.
-fn read_line_capped(
-    reader: &mut BufReader<TcpStream>,
-    line: &mut String,
-) -> std::io::Result<usize> {
+fn read_line_capped(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<usize> {
     let n = reader.by_ref().take(MAX_LINE).read_line(line)?;
     if n as u64 >= MAX_LINE && !line.ends_with('\n') {
         return Err(bad("line too long"));
@@ -181,7 +194,7 @@ fn read_line_capped(
 
 /// Read one request off the connection. `Ok(None)` means the peer closed
 /// cleanly between requests; `Err` covers malformed input and timeouts.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<Request>> {
+pub fn read_request(reader: &mut impl BufRead) -> std::io::Result<Option<Request>> {
     let mut line = String::new();
     if read_line_capped(reader, &mut line)? == 0 {
         return Ok(None);
@@ -278,7 +291,7 @@ pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 /// [`ServerHandle::shutdown`].
 pub struct ServerHandle {
     addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
+    conns: Arc<Conns>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -290,11 +303,15 @@ impl ServerHandle {
     }
 
     /// Stop accepting, drain the worker pool and join every thread.
-    /// In-flight requests finish. A worker parked on an **idle keep-alive
-    /// connection** only returns at its read timeout, so close client
-    /// connections before calling this when prompt shutdown matters.
+    /// In-flight requests finish. A worker waiting on an **idle keep-alive
+    /// connection** only returns when it closes or idles out
+    /// (`READ_TIMEOUT`, 30 s), so close client connections before calling this
+    /// when prompt shutdown matters.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        // Set under the lock, so a worker cannot check it and then miss the
+        // wake-up.
+        self.conns.lock().stopped = true;
+        self.conns.queued.notify_all();
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
@@ -306,83 +323,236 @@ impl ServerHandle {
     }
 }
 
+/// A connection's read side. The socket's read timeout is one
+/// [`IDLE_SLICE`], and a read retries those timeouts until `deadline`.
+struct SliceRead {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for SliceRead {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e) if is_timeout(&e) && Instant::now() < self.deadline => {}
+                r => return r,
+            }
+        }
+    }
+}
+
+/// A read that found no data: a timeout, a non-blocking read, or a signal.
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted)
+}
+
+/// A connection between requests: its buffered read side, a write handle,
+/// and when its last request finished.
+struct Conn {
+    reader: BufReader<SliceRead>,
+    writer: TcpStream,
+    idle_since: Instant,
+}
+
+/// The connections no worker holds, shared by the accept thread and the
+/// workers.
+#[derive(Default)]
+struct Conns {
+    state: Mutex<ConnState>,
+    /// Signalled when a connection is queued or the server stops.
+    queued: Condvar,
+}
+
+#[derive(Default)]
+struct ConnState {
+    /// New connections, and parked ones whose next request has started
+    /// arriving, in the order they became ready.
+    queue: VecDeque<Conn>,
+    /// Idle connections, left non-blocking for [`Conns::poll`].
+    parked: Vec<Conn>,
+    /// Whether a free worker is polling `parked` every [`IDLE_SLICE`].
+    polling: bool,
+    stopped: bool,
+}
+
+impl Conns {
+    fn lock(&self) -> MutexGuard<'_, ConnState> {
+        self.state.lock().expect("conns lock")
+    }
+
+    /// Queue a connection for the next free worker.
+    fn push(&self, conn: Conn) {
+        self.lock().queue.push_back(conn);
+        self.queued.notify_one();
+    }
+
+    /// Queue the parked connections whose next request has started arriving,
+    /// waking a free worker for each, and drop the closed, failed and expired
+    /// ones.
+    fn poll(&self, state: &mut ConnState) {
+        let now = Instant::now();
+        let mut i = 0;
+        while i < state.parked.len() {
+            let conn = &state.parked[i];
+            let stream = &conn.reader.get_ref().stream;
+            match stream.peek(&mut [0u8]) {
+                Err(e)
+                    if e.kind() == ErrorKind::WouldBlock
+                        && now.duration_since(conn.idle_since) < READ_TIMEOUT =>
+                {
+                    i += 1
+                }
+                Ok(n) if n > 0 && stream.set_nonblocking(false).is_ok() => {
+                    let conn = state.parked.swap_remove(i);
+                    state.queue.push_back(conn);
+                    self.queued.notify_one();
+                }
+                _ => drop(state.parked.swap_remove(i)), // closed, failed or expired
+            }
+        }
+    }
+
+    /// True when a connection is queued, after polling the parked ones if
+    /// none was.
+    fn contended(&self) -> bool {
+        let mut state = self.lock();
+        if state.queue.is_empty() {
+            self.poll(&mut state);
+        }
+        !state.queue.is_empty()
+    }
+
+    /// Park the idle `conn` and put a queued connection in its place. False,
+    /// leaving `conn` as it is, when nothing is queued.
+    fn swap(&self, conn: &mut Conn) -> bool {
+        let mut state = self.lock();
+        let Some(mut next) = state.queue.pop_front() else { return false };
+        std::mem::swap(conn, &mut next);
+        state.parked.push(next);
+        true
+    }
+
+    /// The next queued connection for a free worker; `None` once the server
+    /// has stopped and the queue is empty. While connections are parked, one
+    /// free worker polls them every [`IDLE_SLICE`].
+    fn next(&self) -> Option<Conn> {
+        let mut state = self.lock();
+        loop {
+            if let Some(conn) = state.queue.pop_front() {
+                return Some(conn);
+            }
+            if state.stopped {
+                return None;
+            }
+            if state.parked.is_empty() || state.polling {
+                state = self.queued.wait(state).expect("conns lock");
+            } else {
+                state.polling = true;
+                state = self.queued.wait_timeout(state, IDLE_SLICE).expect("conns lock").0;
+                state.polling = false;
+                self.poll(&mut state);
+            }
+        }
+    }
+}
+
 /// Start serving `handler` on `addr` (use port 0 for an ephemeral port) with
 /// `threads` worker threads.
 pub fn serve(addr: &str, threads: usize, handler: Handler) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
+    let conns = Arc::new(Conns::default());
 
     let workers: Vec<_> = (0..threads.max(1))
         .map(|_| {
-            let rx = Arc::clone(&rx);
+            let conns = Arc::clone(&conns);
             let handler = Arc::clone(&handler);
-            std::thread::spawn(move || loop {
-                // Holding the receiver lock only while popping keeps the pool
-                // work-stealing: whichever thread is free takes the next
-                // connection.
-                let stream = match rx.lock().expect("rx lock").recv() {
-                    Ok(s) => s,
-                    Err(_) => return, // sender dropped: shutting down
-                };
-                handle_connection(stream, &handler);
+            std::thread::spawn(move || {
+                // Whichever worker is free takes the next queued connection.
+                while let Some(mut conn) = conns.next() {
+                    while await_request(&mut conn, &conns) && serve_request(&mut conn, &handler) {}
+                }
             })
         })
         .collect();
 
-    let accept_stop = Arc::clone(&stop);
+    let accept_conns = Arc::clone(&conns);
     let accept_thread = std::thread::spawn(move || {
         for stream in listener.incoming() {
-            if accept_stop.load(Ordering::SeqCst) {
+            if accept_conns.lock().stopped {
                 break;
             }
-            if let Ok(stream) = stream {
-                // Dropped sender (impossible while this loop runs) would mean
-                // the pool is gone; just stop accepting then.
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
+            let Ok(stream) = stream else { continue };
+            let _ = stream.set_nodelay(true);
+            let _ = stream.set_read_timeout(Some(IDLE_SLICE));
+            let Ok(writer) = stream.try_clone() else { continue };
+            let now = Instant::now();
+            let reader = BufReader::new(SliceRead { stream, deadline: now });
+            accept_conns.push(Conn { reader, writer, idle_since: now });
         }
-        // `tx` drops here, draining the worker pool.
     });
 
-    Ok(ServerHandle { addr: local, stop, accept_thread: Some(accept_thread), workers })
+    Ok(ServerHandle { addr: local, conns, accept_thread: Some(accept_thread), workers })
 }
 
-fn handle_connection(stream: TcpStream, handler: &Handler) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_request(&mut reader) {
-            Ok(Some(req)) => {
-                let keep = req.keep_alive;
-                let mut resp = handler(&req);
-                // Echo the correlation id so clients can match responses to
-                // their own ids (or learn the server-generated one).
-                resp.headers.push(("X-Request-Id", req.request_id.clone()));
-                if write_response(&mut writer, &resp, keep).is_err() || !keep {
-                    return;
+/// Wait for the next request on `conn` without holding the worker while
+/// another connection is queued: if `conn` has no request yet then, it is
+/// parked and the queued connection takes its place. With nothing queued
+/// the worker blocks on `conn`, polling parked connections and checking the
+/// queue every [`IDLE_SLICE`]. A request that has started gets
+/// [`READ_TIMEOUT`] to arrive in full. False when the connection closed,
+/// failed or idled out.
+fn await_request(conn: &mut Conn, conns: &Conns) -> bool {
+    while conn.reader.buffer().is_empty() {
+        let contended = conns.contended();
+        let read = conn.reader.get_mut();
+        read.deadline = Instant::now();
+        // Only look when contended; a parked connection stays non-blocking,
+        // or `peek` would block with the queue locked.
+        if contended && read.stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        match conn.reader.fill_buf() {
+            Ok([]) => return false,
+            Ok(_) => {}
+            Err(e) if is_timeout(&e) && contended => {
+                if conns.swap(conn) {
+                    continue;
                 }
             }
-            Ok(None) => return,
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                let resp = Response::json(
-                    400,
-                    format!("{{\"error\":\"{}\"}}", e.to_string().replace('"', "'")),
-                );
-                let _ = write_response(&mut writer, &resp, false);
-                return;
-            }
-            Err(_) => return, // timeout or reset
+            Err(e) if is_timeout(&e) && conn.idle_since.elapsed() < READ_TIMEOUT => {}
+            Err(_) => return false,
         }
+        if contended && conn.reader.get_ref().stream.set_nonblocking(false).is_err() {
+            return false;
+        }
+    }
+    conn.reader.get_mut().deadline = Instant::now() + READ_TIMEOUT;
+    true
+}
+
+/// Read and answer one request on `conn`; false when the connection is done.
+fn serve_request(conn: &mut Conn, handler: &Handler) -> bool {
+    match read_request(&mut conn.reader) {
+        Ok(Some(req)) => {
+            let keep = req.keep_alive;
+            let mut resp = handler(&req);
+            // Echo the correlation id so clients can match responses to
+            // their own ids (or learn the server-generated one).
+            resp.headers.push(("X-Request-Id", req.request_id.clone()));
+            conn.idle_since = Instant::now();
+            write_response(&mut conn.writer, &resp, keep).is_ok() && keep
+        }
+        Ok(None) => false,
+        Err(e) if e.kind() == ErrorKind::InvalidData => {
+            let resp = Response::json(
+                400,
+                format!("{{\"error\":\"{}\"}}", e.to_string().replace('"', "'")),
+            );
+            let _ = write_response(&mut conn.writer, &resp, false);
+            false
+        }
+        Err(_) => false, // timeout or reset
     }
 }
 
@@ -463,8 +633,8 @@ mod tests {
             assert!(String::from_utf8(body).unwrap().contains("\"len\":5"));
         }
         // Close the keep-alive connection before shutting down: shutdown
-        // joins the workers, and a worker parked on an idle connection only
-        // returns at its read timeout.
+        // joins the workers, and a worker waiting on an idle connection only
+        // returns when it closes or idles out.
         drop(s);
         server.shutdown();
     }
@@ -495,6 +665,37 @@ mod tests {
         let many = format!("GET / HTTP/1.1\r\n{}\r\n", "X-H: v\r\n".repeat(150));
         let reply = abusive(&many);
         assert!(reply.is_empty() || reply.starts_with("HTTP/1.1 400"), "header flood: {reply}");
+        server.shutdown();
+    }
+
+    /// Idle keep-alive connections outnumbering the workers must not stop
+    /// a new connection from being served, and each of them must still be
+    /// served once its request arrives.
+    #[test]
+    fn idle_connections_do_not_starve_the_pool() {
+        let server = echo_server();
+        let addr = server.addr();
+        let mut idle: Vec<TcpStream> = (0..20).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let request = "GET /healthz HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n";
+        let started = Instant::now();
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        s.write_all(request.as_bytes()).unwrap();
+        let mut reply = String::new();
+        let read = s.read_to_string(&mut reply);
+        let elapsed = started.elapsed();
+        assert!(read.is_ok() && reply.starts_with("HTTP/1.1 200"), "{read:?}: {reply}");
+        // A pool held by the idle connections would leave this request to
+        // the client's 2 s read timeout; the bound leaves room for a loaded
+        // host.
+        assert!(elapsed < Duration::from_secs(1), "/healthz took {elapsed:?}");
+        for (i, c) in idle.iter_mut().enumerate() {
+            c.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            c.write_all(request.as_bytes()).unwrap();
+            let mut reply = String::new();
+            let read = c.read_to_string(&mut reply);
+            assert!(read.is_ok() && reply.starts_with("HTTP/1.1 200"), "idle {i}: {reply}");
+        }
         server.shutdown();
     }
 

@@ -222,11 +222,6 @@ impl TableObs {
         self.health.set(code);
     }
 
-    /// Current health gauge value.
-    pub fn health_code(&self) -> i64 {
-        self.health.get()
-    }
-
     /// A [`tcrowd_store::ObsSink`] routing WAL/snapshot timings from the
     /// durability layer into this bundle's histograms.
     pub fn store_sink(self: &Arc<Self>) -> tcrowd_store::ObsHandle {

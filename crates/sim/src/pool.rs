@@ -437,14 +437,6 @@ impl WorkerPool {
     pub fn truth(&self) -> &[Vec<Value>] {
         &self.truth
     }
-
-    /// Domain width of a continuous column (test/diagnostic helper).
-    pub fn domain_width(&self, col: usize) -> Option<f64> {
-        match self.schema.column_type(col) {
-            ColumnType::Continuous { min, max } => Some(max - min),
-            ColumnType::Categorical { .. } => None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -20,16 +20,6 @@ impl Bernoulli {
         Bernoulli { p: clamp_prob(p) }
     }
 
-    /// Probability mass of outcome `x` (`true` ↦ `p`, `false` ↦ `1-p`).
-    #[inline]
-    pub fn pmf(&self, x: bool) -> f64 {
-        if x {
-            self.p
-        } else {
-            1.0 - self.p
-        }
-    }
-
     /// Shannon entropy in nats.
     pub fn entropy(&self) -> f64 {
         let p = self.p;

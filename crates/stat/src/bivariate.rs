@@ -132,11 +132,6 @@ impl BivariateNormal {
         Normal::new(self.mean1, self.var1)
     }
 
-    /// Marginal distribution of the second component.
-    pub fn marginal2(&self) -> Normal {
-        Normal::new(self.mean2, self.var2)
-    }
-
     /// Conditional distribution of the first component given `x₂ = x`.
     ///
     /// `N(μ₁ + ρ σ₁/σ₂ (x − μ₂), (1 − ρ²) σ₁²)` — the formula quoted verbatim
@@ -146,15 +141,6 @@ impl BivariateNormal {
         let s2 = self.var2.sqrt();
         let mean = self.mean1 + self.rho * s1 / s2 * (x - self.mean2);
         let var = (1.0 - self.rho * self.rho) * self.var1;
-        Normal::new(mean, var)
-    }
-
-    /// Conditional distribution of the second component given `x₁ = x`.
-    pub fn conditional2_given1(&self, x: f64) -> Normal {
-        let s1 = self.var1.sqrt();
-        let s2 = self.var2.sqrt();
-        let mean = self.mean2 + self.rho * s2 / s1 * (x - self.mean1);
-        let var = (1.0 - self.rho * self.rho) * self.var2;
         Normal::new(mean, var)
     }
 

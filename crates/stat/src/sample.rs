@@ -24,12 +24,6 @@ pub fn sample_std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
-/// Draw a `N(mean, std²)` variate.
-#[inline]
-pub fn sample_normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
-    mean + std * sample_std_normal(rng)
-}
-
 /// Draw an index in `0..weights.len()` proportionally to `weights`.
 ///
 /// Zero or negative weights contribute no mass; panics if the total mass is

@@ -1,8 +1,8 @@
 //! Differential tests for the batch kernels: the portable generic path and
 //! the AVX2 wide path must be **bit-equal** for every input and every output
 //! (sums, gradients and the categorical curvature) — including the
-//! clamp boundaries (±`ln_param_bound` ⇒ ln v = ±12 by default), tiny/huge
-//! variances, lane-tail lengths (n % 4 ≠ 0) and empty slices. On hosts
+//! clamp boundaries (EM's ±12 bound on ln v), tiny/huge variances,
+//! lane-tail lengths (n % 4 ≠ 0) and empty slices. On hosts
 //! without AVX2 the wide-path assertions are skipped (the generic-vs-naive
 //! accuracy tests still run); CI runs at least one AVX2-capable job.
 

@@ -433,11 +433,6 @@ impl Wal {
         &self.dir
     }
 
-    /// Sequence number of the active segment.
-    pub fn segment_seq(&self) -> u64 {
-        self.seg_seq
-    }
-
     /// Override the rotation threshold (bytes of the active segment).
     /// `u64::MAX` disables rotation (used by `rewrite_wal`, whose output
     /// must be a single fresh segment).

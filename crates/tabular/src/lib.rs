@@ -14,9 +14,10 @@
 //!   queries: the by-cell, by-worker and by-(worker, row) groupings and the
 //!   point queries assignment makes; see its docs for the layout and
 //!   complexity table. Freezes are **incrementally refreshable**:
-//!   [`AnswerMatrix::merge_delta`] splices a log tail into an existing
-//!   freeze (per-answer work on the delta only, field-for-field identical to
-//!   a rebuild), and each freeze carries an
+//!   [`AnswerMatrix::merge_delta`] folds a log tail into an existing freeze
+//!   (one counting sort; id resolution and value decoding on the delta
+//!   only) and is the one builder — `AnswerMatrix::build` merges the whole
+//!   log onto an empty matrix — and each freeze carries an
 //!   [`epoch`](matrix::AnswerMatrix::epoch) marking the log length it
 //!   covers.
 //! * [`quarantine`] — worker exclusion: a freeze minus a quarantined worker

@@ -8,7 +8,7 @@
 //! (worker, row) (structure-aware gain, Eq. 7) — and the matrix is the one
 //! place those groupings live.
 //!
-//! `AnswerMatrix` is the sweep-side dual: built once from a log, it stores
+//! `AnswerMatrix` is the sweep-side dual: frozen from a log, it stores
 //! the answers as a struct-of-arrays payload in **cell-major order** with
 //! three compressed-sparse (CSR-style) views over contiguous `u32` arrays:
 //!
@@ -29,7 +29,8 @@
 //!
 //! | Operation | Cost |
 //! |---|---|
-//! | `build` | `O(n + R·C + W·R)` counting sorts (`n` answers, `R×C` table, `W` workers; ≤ the `O(n log n)` comparison-sort bound) |
+//! | `merge_delta` of `Δ` answers onto `n` | `O((W + Δ) log(W + Δ) + n + R·C + W·R)`: the worker tables merged, one counting sort by cell, block moves of the old payload, the worker views re-counted (`R×C` table, `W` workers) |
+//! | `build` of `n` answers | `merge_delta` onto an empty matrix: `O(n log n + R·C + W·R)`, the `n log n` being the worker-id sort |
 //! | one full by-cell sweep | `O(n + R·C)`, contiguous |
 //! | one full by-worker sweep | `O(n + W)`, one indirection per answer |
 //! | answers of one cell | `O(1)` slice lookup |
@@ -42,15 +43,17 @@
 //! ## Incremental refresh
 //!
 //! An online loop (assign → collect → re-infer) freezes the log over and
-//! over, with only a handful of new answers between freezes. Rebuilding from
-//! scratch re-scans the whole log and re-resolves every worker id;
-//! [`AnswerMatrix::merge_delta`] instead splices a small sorted delta into
-//! the existing cell-major payload: the per-answer work (id resolution,
-//! value decoding, counting-sort scatter) is confined to the delta, the
-//! untouched payload regions move by bulk `memcpy`, and the result is
-//! **field-for-field identical** to a full rebuild (property-tested). The
-//! matrix's [`epoch`](AnswerMatrix::epoch) — the number of log answers it
-//! froze — tells consumers whether their freeze is stale.
+//! over, with only a handful of new answers between freezes.
+//! [`AnswerMatrix::merge_delta`] folds the log tail into an existing freeze
+//! and is the only construction algorithm: [`AnswerMatrix::build`] merges
+//! the whole log onto an empty matrix. The per-answer work of resolving ids
+//! and decoding values is confined to the delta; the old payload moves by
+//! bulk copies between the cells the delta touches, and the worker views
+//! are re-counted over the merged payload. A merge is **field-for-field
+//! identical** to a rebuild of the whole log (property-tested against an
+//! independent oracle). The matrix's [`epoch`](AnswerMatrix::epoch) — the
+//! number of log answers it froze — tells consumers whether their freeze is
+//! stale.
 
 use crate::answer::{Answer, AnswerLog, CellId, WorkerId};
 use crate::value::Value;
@@ -96,38 +99,36 @@ pub struct AnswerMatrix {
     worker_row_offsets: Vec<u32>,
 }
 
-/// Second counting sort of [`AnswerMatrix::build`]: payload indices grouped
-/// by (worker, row). Scanning the payload in cell-major order keeps the
-/// grouping sorted by row (and insertion) within each worker, so one
-/// permutation serves both the by-worker and the by-(worker, row) views.
-/// [`AnswerMatrix::merge_delta`] does not re-run this — it splices the old
-/// permutation through the per-slot shift map instead — but both paths
-/// produce the same pure function of the payload lanes, so a delta-merged
-/// matrix and a full rebuild get bit-identical view arrays.
+/// The by-worker and by-(worker, row) views of a payload: one counting sort
+/// of the payload indices by (worker, row). Within a key the indices keep
+/// payload (cell-major) order, so each worker's run is sorted by row and one
+/// permutation serves both views.
 fn build_worker_views(
     n_rows: usize,
     n_workers: usize,
     row_of: &[u32],
     worker_of: &[u32],
 ) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    let n = row_of.len();
+    let key = |k: usize| worker_of[k] as usize * n_rows + row_of[k] as usize;
+    // Count each key, then turn the counts into run ends.
     let mut worker_row_offsets = vec![0u32; n_workers * n_rows + 1];
-    for k in 0..n {
-        let key = worker_of[k] as usize * n_rows + row_of[k] as usize;
-        worker_row_offsets[key + 1] += 1;
+    for k in 0..row_of.len() {
+        worker_row_offsets[key(k)] += 1;
     }
-    for s in 0..n_workers * n_rows {
-        worker_row_offsets[s + 1] += worker_row_offsets[s];
+    let mut end = 0u32;
+    for off in &mut worker_row_offsets {
+        end += *off;
+        *off = end;
     }
-    let mut wr_cursor = worker_row_offsets.clone();
-    let mut worker_order = vec![0u32; n];
-    for k in 0..n {
-        let key = worker_of[k] as usize * n_rows + row_of[k] as usize;
-        worker_order[wr_cursor[key] as usize] = k as u32;
-        wr_cursor[key] += 1;
+    // Filling each run from its end while scanning the payload backwards
+    // leaves every offset at its run's start.
+    let mut worker_order = vec![0u32; row_of.len()];
+    for k in (0..row_of.len()).rev() {
+        let start = &mut worker_row_offsets[key(k)];
+        *start -= 1;
+        worker_order[*start as usize] = k as u32;
     }
-    let worker_offsets: Vec<u32> =
-        (0..=n_workers).map(|w| worker_row_offsets[w * n_rows]).collect();
+    let worker_offsets = (0..=n_workers).map(|w| worker_row_offsets[w * n_rows]).collect();
     (worker_order, worker_offsets, worker_row_offsets)
 }
 
@@ -139,30 +140,92 @@ fn build_worker_views(
 pub struct FrozenView<'a>(PhantomData<&'a AnswerMatrix>);
 
 impl AnswerMatrix {
-    /// Freeze an [`AnswerLog`] into its columnar form.
-    pub fn build(log: &AnswerLog) -> AnswerMatrix {
-        let n_rows = log.rows();
-        let n_cols = log.cols();
-        let n = log.len();
-        let slots = n_rows * n_cols;
+    /// The freeze of an empty log of the given shape.
+    fn empty(n_rows: usize, n_cols: usize) -> AnswerMatrix {
+        AnswerMatrix {
+            n_rows,
+            n_cols,
+            row_of: Vec::new(),
+            col_of: Vec::new(),
+            worker_of: Vec::new(),
+            labels: Vec::new(),
+            values: Vec::new(),
+            categorical: Vec::new(),
+            log_position: Vec::new(),
+            worker_ids: Vec::new(),
+            cell_offsets: vec![0; n_rows * n_cols + 1],
+            worker_order: Vec::new(),
+            worker_offsets: vec![0],
+            worker_row_offsets: vec![0],
+        }
+    }
 
-        // Dense worker table in sorted-id order.
-        let mut worker_ids: Vec<WorkerId> = log.all().iter().map(|a| a.worker).collect();
+    /// Freeze an [`AnswerLog`] into its columnar form: the whole log merged
+    /// onto an empty matrix of its shape.
+    pub fn build(log: &AnswerLog) -> AnswerMatrix {
+        AnswerMatrix::empty(log.rows(), log.cols()).merge_delta(log.all())
+    }
+
+    /// Merge the log tail `tail` (the answers appended since this matrix was
+    /// frozen, in log order) into a new frozen matrix covering the full log.
+    /// It is the only way a matrix is built: [`AnswerMatrix::build`] merges
+    /// the whole log onto an empty matrix, so the result is field-for-field
+    /// identical to `AnswerMatrix::build(full_log)` — same payload order,
+    /// same offsets, same worker table — which the differential proptest
+    /// suite asserts.
+    ///
+    /// One counting sort: the delta is counted per cell, which fixes every
+    /// cell's new range (its old answers, then its delta answers, which are
+    /// newer). The old payload moves in blocks — a run of cells between two
+    /// touched ones keeps one shift — with worker indices remapped into the
+    /// merged worker table, the delta is scattered in log order to the top
+    /// of its cells' ranges, and `build_worker_views` re-counts both
+    /// worker views over the merged payload.
+    ///
+    /// Cost: `O((W + Δ) log(W + Δ))` to merge the worker tables and resolve
+    /// the ids, `O(R·C)` for the cell counts and offsets, and `O(n + W·R)`
+    /// for the block moves and the worker views.
+    ///
+    /// # Panics
+    /// If a delta answer lies outside the table shape.
+    pub fn merge_delta(&self, tail: &[Answer]) -> AnswerMatrix {
+        if tail.is_empty() {
+            return self.clone();
+        }
+        let (n_rows, n_cols) = (self.n_rows, self.n_cols);
+        let slots = n_rows * n_cols;
+        let n_old = self.len();
+        let n = n_old + tail.len();
+        let slot = |a: &Answer| a.cell.row as usize * n_cols + a.cell.col as usize;
+
+        // Dense worker table in sorted-id order; `remap` takes an old dense
+        // index to its index in the merged table.
+        let mut worker_ids: Vec<WorkerId> =
+            self.worker_ids.iter().copied().chain(tail.iter().map(|a| a.worker)).collect();
         worker_ids.sort_unstable();
         worker_ids.dedup();
         let widx =
             |w: WorkerId| -> u32 { worker_ids.binary_search(&w).expect("worker present") as u32 };
+        let remap: Vec<u32> = self.worker_ids.iter().map(|&w| widx(w)).collect();
 
-        // Counting sort into cell-major payload order (stable: the log is
-        // scanned in insertion order).
-        let mut cell_offsets = vec![0u32; slots + 1];
-        for a in log.all() {
-            cell_offsets[a.cell.row as usize * n_cols + a.cell.col as usize + 1] += 1;
+        // Count the delta per cell; a cell's new range holds its old answers
+        // and then its delta answers.
+        let mut added = vec![0u32; slots];
+        for a in tail {
+            assert!(
+                (a.cell.row as usize) < n_rows && (a.cell.col as usize) < n_cols,
+                "delta answer outside the table shape"
+            );
+            added[slot(a)] += 1;
         }
-        for s in 0..slots {
-            cell_offsets[s + 1] += cell_offsets[s];
+        let mut cell_offsets = Vec::with_capacity(slots + 1);
+        cell_offsets.push(0u32);
+        let mut end = 0u32;
+        for (old, &d) in self.cell_offsets.windows(2).zip(&added) {
+            end += old[1] - old[0] + d;
+            cell_offsets.push(end);
         }
-        let mut cursor = cell_offsets.clone();
+
         let mut row_of = vec![0u32; n];
         let mut col_of = vec![0u32; n];
         let mut worker_of = vec![0u32; n];
@@ -170,10 +233,43 @@ impl AnswerMatrix {
         let mut values = vec![0.0f64; n];
         let mut categorical = vec![false; n];
         let mut log_position = vec![0u32; n];
-        for (pos, a) in log.all().iter().enumerate() {
-            let slot = a.cell.row as usize * n_cols + a.cell.col as usize;
-            let k = cursor[slot] as usize;
-            cursor[slot] += 1;
+
+        // Move the old payload: the cells between two touched ones share one
+        // shift, so each such run moves as a block.
+        let mut moved = 0usize;
+        let mut move_block = |end: usize, shift: usize| {
+            // A merge onto an empty matrix has an empty run at every cell.
+            if end == moved {
+                return;
+            }
+            let (src, dst) = (moved..end, moved + shift..end + shift);
+            row_of[dst.clone()].copy_from_slice(&self.row_of[src.clone()]);
+            col_of[dst.clone()].copy_from_slice(&self.col_of[src.clone()]);
+            for (w, &old) in worker_of[dst.clone()].iter_mut().zip(&self.worker_of[src.clone()]) {
+                *w = remap[old as usize];
+            }
+            labels[dst.clone()].copy_from_slice(&self.labels[src.clone()]);
+            values[dst.clone()].copy_from_slice(&self.values[src.clone()]);
+            categorical[dst.clone()].copy_from_slice(&self.categorical[src.clone()]);
+            log_position[dst].copy_from_slice(&self.log_position[src]);
+            moved = end;
+        };
+        let mut shift = 0usize;
+        for (s, &d) in added.iter().enumerate() {
+            if d > 0 {
+                move_block(self.cell_offsets[s + 1] as usize, shift);
+                shift += d as usize;
+            }
+        }
+        move_block(n_old, shift);
+
+        // Scatter the delta, in log order, to the top of each cell's range.
+        let mut cursor: Vec<u32> =
+            added.iter().zip(&cell_offsets[1..]).map(|(&d, &end)| end - d).collect();
+        for (i, a) in tail.iter().enumerate() {
+            let s = slot(a);
+            let k = cursor[s] as usize;
+            cursor[s] += 1;
             row_of[k] = a.cell.row;
             col_of[k] = a.cell.col;
             worker_of[k] = widx(a.worker);
@@ -184,7 +280,7 @@ impl AnswerMatrix {
                 }
                 Value::Continuous(x) => values[k] = x,
             }
-            log_position[k] = pos as u32;
+            log_position[k] = (n_old + i) as u32;
         }
 
         let (worker_order, worker_offsets, worker_row_offsets) =
@@ -206,379 +302,6 @@ impl AnswerMatrix {
             worker_offsets,
             worker_row_offsets,
         }
-    }
-
-    /// Splice the log tail `tail` (the answers appended since this matrix was
-    /// frozen, in log order) into a new frozen matrix covering the full log.
-    ///
-    /// The result is field-for-field identical to
-    /// `AnswerMatrix::build(full_log)` — same payload order, same offsets,
-    /// same worker table — which the differential proptest suite asserts.
-    ///
-    /// Cost: the per-answer work (worker-id resolution, value decoding,
-    /// counting-sort scatter) is `O(Δ log Δ + Δ log W)` on the delta alone;
-    /// the untouched payload moves by bulk `memcpy` between touched cells
-    /// (`O(n)` bytes, no per-answer branching), the cell-offset shift is one
-    /// `O(R·C)` pass, and the worker views are **spliced** from the old
-    /// permutation through the per-slot shift map (see
-    /// `splice_worker_views`) — delta-only per-answer work plus
-    /// bulk shifted copies — instead of being re-derived by counting sort.
-    /// A full [`AnswerMatrix::build`] pays the per-answer constant on all
-    /// `n` answers instead; in the steady-state refit loop (small `Δ`) the
-    /// merge is the cheaper path, which `bench_refresh` records.
-    pub fn merge_delta(&self, tail: &[Answer]) -> AnswerMatrix {
-        if tail.is_empty() {
-            return self.clone();
-        }
-        let n_rows = self.n_rows;
-        let n_cols = self.n_cols;
-        let slots = n_rows * n_cols;
-        let n_old = self.len();
-        let n_new = n_old + tail.len();
-
-        // Delta in cell-major order, ties by log order (`i` breaks ties, so
-        // the unstable sort is deterministic).
-        let mut delta: Vec<(usize, u32)> = tail
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                assert!(
-                    (a.cell.row as usize) < n_rows && (a.cell.col as usize) < n_cols,
-                    "delta answer outside the table shape"
-                );
-                (a.cell.row as usize * n_cols + a.cell.col as usize, i as u32)
-            })
-            .collect();
-        delta.sort_unstable();
-
-        // Merge the (sorted) worker tables. Steady state — no unseen worker
-        // in the delta — keeps the old table and skips the index remap.
-        let mut fresh_ids: Vec<WorkerId> = tail
-            .iter()
-            .map(|a| a.worker)
-            .filter(|w| self.worker_ids.binary_search(w).is_err())
-            .collect();
-        fresh_ids.sort_unstable();
-        fresh_ids.dedup();
-        let (worker_ids, old_remap) = if fresh_ids.is_empty() {
-            (self.worker_ids.clone(), None)
-        } else {
-            let mut merged = Vec::with_capacity(self.worker_ids.len() + fresh_ids.len());
-            let mut remap = vec![0u32; self.worker_ids.len()];
-            let (mut i, mut j) = (0, 0);
-            while i < self.worker_ids.len() || j < fresh_ids.len() {
-                if j >= fresh_ids.len()
-                    || (i < self.worker_ids.len() && self.worker_ids[i] < fresh_ids[j])
-                {
-                    remap[i] = merged.len() as u32;
-                    merged.push(self.worker_ids[i]);
-                    i += 1;
-                } else {
-                    merged.push(fresh_ids[j]);
-                    j += 1;
-                }
-            }
-            (merged, Some(remap))
-        };
-        let widx =
-            |w: WorkerId| -> u32 { worker_ids.binary_search(&w).expect("worker present") as u32 };
-
-        // New cell offsets: old offsets shifted by the running delta count.
-        let mut cell_offsets = vec![0u32; slots + 1];
-        {
-            let mut d = 0usize;
-            let mut added = 0u32;
-            for (s, off) in cell_offsets.iter_mut().enumerate().take(slots) {
-                *off = self.cell_offsets[s] + added;
-                while d < delta.len() && delta[d].0 == s {
-                    added += 1;
-                    d += 1;
-                }
-            }
-            cell_offsets[slots] = n_new as u32;
-        }
-
-        // Splice plan: alternating (old payload run, delta run) pairs. Delta
-        // answers of a cell go after its old answers — they are newer, so
-        // insertion order within the cell is preserved — and old runs between
-        // touched cells move in one piece.
-        let mut segs: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> = Vec::new();
-        {
-            let mut copied = 0usize;
-            let mut d = 0usize;
-            while d < delta.len() {
-                let slot = delta[d].0;
-                let old_end = self.cell_offsets[slot + 1] as usize;
-                let d0 = d;
-                while d < delta.len() && delta[d].0 == slot {
-                    d += 1;
-                }
-                segs.push((copied..old_end, d0..d));
-                copied = old_end;
-            }
-            segs.push((copied..n_old, delta.len()..delta.len()));
-        }
-        // Per-lane splices: bulk `extend_from_slice` for old runs, decoded
-        // pushes for the delta.
-        let tail_at = |dr: &std::ops::Range<usize>| delta[dr.clone()].iter();
-        let mut row_of = Vec::with_capacity(n_new);
-        let mut col_of = Vec::with_capacity(n_new);
-        let mut worker_of = Vec::with_capacity(n_new);
-        let mut labels = Vec::with_capacity(n_new);
-        let mut values = Vec::with_capacity(n_new);
-        let mut categorical = Vec::with_capacity(n_new);
-        let mut log_position = Vec::with_capacity(n_new);
-        for (o, dr) in &segs {
-            row_of.extend_from_slice(&self.row_of[o.clone()]);
-            row_of.extend(tail_at(dr).map(|&(_, i)| tail[i as usize].cell.row));
-            col_of.extend_from_slice(&self.col_of[o.clone()]);
-            col_of.extend(tail_at(dr).map(|&(_, i)| tail[i as usize].cell.col));
-            match &old_remap {
-                None => worker_of.extend_from_slice(&self.worker_of[o.clone()]),
-                Some(r) => {
-                    worker_of.extend(self.worker_of[o.clone()].iter().map(|&w| r[w as usize]))
-                }
-            }
-            worker_of.extend(tail_at(dr).map(|&(_, i)| widx(tail[i as usize].worker)));
-            labels.extend_from_slice(&self.labels[o.clone()]);
-            labels.extend(tail_at(dr).map(|&(_, i)| match tail[i as usize].value {
-                Value::Categorical(l) => l,
-                Value::Continuous(_) => 0,
-            }));
-            values.extend_from_slice(&self.values[o.clone()]);
-            values.extend(tail_at(dr).map(|&(_, i)| match tail[i as usize].value {
-                Value::Categorical(_) => 0.0,
-                Value::Continuous(x) => x,
-            }));
-            categorical.extend_from_slice(&self.categorical[o.clone()]);
-            categorical.extend(tail_at(dr).map(|&(_, i)| tail[i as usize].value.is_categorical()));
-            log_position.extend_from_slice(&self.log_position[o.clone()]);
-            log_position.extend(tail_at(dr).map(|&(_, i)| (n_old + i as usize) as u32));
-        }
-
-        let (worker_order, worker_offsets, worker_row_offsets) = self.splice_worker_views(
-            tail,
-            &delta,
-            &cell_offsets,
-            &worker_ids,
-            old_remap.as_deref(),
-            &widx,
-        );
-
-        AnswerMatrix {
-            n_rows,
-            n_cols,
-            row_of,
-            col_of,
-            worker_of,
-            labels,
-            values,
-            categorical,
-            log_position,
-            worker_ids,
-            cell_offsets,
-            worker_order,
-            worker_offsets,
-            worker_row_offsets,
-        }
-    }
-
-    /// Splice the old by-worker views through the per-slot shift map instead
-    /// of re-deriving them with a counting sort over the whole payload.
-    ///
-    /// The new cell offsets pin down where every old payload row lands
-    /// (`new index = old index + (new_offsets[slot] − old_offsets[slot])`,
-    /// since a cell's delta answers go *after* its old answers) and where
-    /// every delta answer lands (the top of its cell's new range). Old
-    /// `worker_order` runs are therefore still correctly ordered — within a
-    /// (worker, row) group the payload indices stay ascending under the
-    /// shift — so each group is a two-list merge of the shifted old run and
-    /// that group's delta entries.
-    ///
-    /// Cost: per-answer work (sorting by (worker, row), worker-id
-    /// resolution, merge interleaving) is confined to the delta
-    /// (`O(Δ log Δ + Δ log W)`); the untouched runs move as bulk shifted
-    /// copies (`O(n)` sequential, branch-free per answer — the same class as
-    /// the payload memcpys); the offset arithmetic is `O(W·R + R·C)`. The
-    /// previous path re-ran [`build_worker_views`], paying the counting-sort
-    /// scatter on all `n` answers.
-    ///
-    /// Returns `(worker_order, worker_offsets, worker_row_offsets)`,
-    /// bit-identical to what [`build_worker_views`] would produce for the
-    /// merged payload (the differential proptest suite asserts it).
-    #[allow(clippy::too_many_arguments)]
-    fn splice_worker_views(
-        &self,
-        tail: &[Answer],
-        delta: &[(usize, u32)],
-        new_cell_offsets: &[u32],
-        new_worker_ids: &[WorkerId],
-        old_remap: Option<&[u32]>,
-        widx: &dyn Fn(WorkerId) -> u32,
-    ) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        let n_rows = self.n_rows;
-        let n_old = self.len();
-        let n_new = n_old + delta.len();
-        let n_workers = new_worker_ids.len();
-
-        // Old payload index -> new payload index: one sequential pass over
-        // the cell-major payload, adding each slot's shift to its run.
-        let mut new_index_of_old = vec![0u32; n_old];
-        for (&new_off, old) in new_cell_offsets.iter().zip(self.cell_offsets.windows(2)) {
-            let shift = new_off - old[0];
-            for k in old[0]..old[1] {
-                new_index_of_old[k as usize] = k + shift;
-            }
-        }
-
-        // Delta view entries (new worker index, row, new payload index),
-        // sorted by that triple. A cell's delta answers sit at the top of its
-        // new range, in `delta` (= cell-major, log-order ties) order.
-        let mut dv: Vec<(u32, u32, u32)> = Vec::with_capacity(delta.len());
-        {
-            let mut d = 0usize;
-            while d < delta.len() {
-                let s = delta[d].0;
-                // First delta position in slot s: old end + this slot's shift.
-                let mut idx =
-                    self.cell_offsets[s + 1] + (new_cell_offsets[s] - self.cell_offsets[s]);
-                while d < delta.len() && delta[d].0 == s {
-                    let a = &tail[delta[d].1 as usize];
-                    dv.push((widx(a.worker), a.cell.row, idx));
-                    idx += 1;
-                    d += 1;
-                }
-            }
-        }
-        dv.sort_unstable();
-
-        // New (worker, row) offsets. Steady state (no unseen worker): the
-        // old offsets shifted by the delta's running count — one memcpy plus
-        // bulk `+= constant` runs between touched keys, no counting sort.
-        // With fresh workers the key space itself changes, so fall back to
-        // re-counting through the remap.
-        let wr = match old_remap {
-            None => {
-                let mut wr = self.worker_row_offsets.clone();
-                let mut cum = 0u32;
-                let mut from = 0usize;
-                let mut d = 0usize;
-                while d < dv.len() {
-                    let key = dv[d].0 as usize * n_rows + dv[d].1 as usize;
-                    // Offsets in (previous touched key, key] gained `cum`
-                    // delta entries at strictly-smaller keys.
-                    if cum > 0 {
-                        for slot in &mut wr[from..=key] {
-                            *slot += cum;
-                        }
-                    }
-                    from = key + 1;
-                    while d < dv.len() && dv[d].0 as usize * n_rows + dv[d].1 as usize == key {
-                        cum += 1;
-                        d += 1;
-                    }
-                }
-                for slot in &mut wr[from..] {
-                    *slot += cum;
-                }
-                wr
-            }
-            Some(remap) => {
-                let mut wr = vec![0u32; n_workers * n_rows + 1];
-                for (w_old, &w_new) in remap.iter().enumerate() {
-                    let w_new = w_new as usize;
-                    for r in 0..n_rows {
-                        wr[w_new * n_rows + r + 1] += self.worker_row_offsets
-                            [w_old * n_rows + r + 1]
-                            - self.worker_row_offsets[w_old * n_rows + r];
-                    }
-                }
-                for &(w, r, _) in &dv {
-                    wr[w as usize * n_rows + r as usize + 1] += 1;
-                }
-                for s in 0..n_workers * n_rows {
-                    wr[s + 1] += wr[s];
-                }
-                wr
-            }
-        };
-
-        // New worker index -> old worker index (fresh workers have none).
-        let old_of_new: Vec<Option<usize>> = match old_remap {
-            None => (0..n_workers).map(Some).collect(),
-            Some(remap) => {
-                let mut inv = vec![None; n_workers];
-                for (old, &new) in remap.iter().enumerate() {
-                    inv[new as usize] = Some(old);
-                }
-                inv
-            }
-        };
-
-        // Splice: per worker, bulk-shift the old run; workers with delta
-        // entries merge them in row group by row group.
-        let mut order = Vec::with_capacity(n_new);
-        let mut dp = 0usize;
-        for (w_new, &w_old) in old_of_new.iter().enumerate() {
-            let d0 = dp;
-            while dp < dv.len() && dv[dp].0 == w_new as u32 {
-                dp += 1;
-            }
-            let dw = &dv[d0..dp];
-            let old_seg: &[u32] = match w_old {
-                Some(wo) => {
-                    let lo = self.worker_offsets[wo] as usize;
-                    let hi = self.worker_offsets[wo + 1] as usize;
-                    &self.worker_order[lo..hi]
-                }
-                None => &[],
-            };
-            if dw.is_empty() {
-                order.extend(old_seg.iter().map(|&k| new_index_of_old[k as usize]));
-                continue;
-            }
-            let Some(wo) = w_old else {
-                // Fresh worker: delta entries only, already in (row, index)
-                // order.
-                order.extend(dw.iter().map(|&(_, _, idx)| idx));
-                continue;
-            };
-            let wr_base = wo * n_rows;
-            let seg_start = self.worker_offsets[wo];
-            let mut pos = 0usize;
-            let mut di = 0usize;
-            while di < dw.len() {
-                let row = dw[di].1 as usize;
-                let row_start = (self.worker_row_offsets[wr_base + row] - seg_start) as usize;
-                let row_end = (self.worker_row_offsets[wr_base + row + 1] - seg_start) as usize;
-                // Rows before this delta row move untouched.
-                order.extend(old_seg[pos..row_start].iter().map(|&k| new_index_of_old[k as usize]));
-                pos = row_start;
-                // Merge this row group by new payload index.
-                let dj = {
-                    let mut j = di;
-                    while j < dw.len() && dw[j].1 as usize == row {
-                        j += 1;
-                    }
-                    j
-                };
-                for &(_, _, didx) in &dw[di..dj] {
-                    while pos < row_end && new_index_of_old[old_seg[pos] as usize] < didx {
-                        order.push(new_index_of_old[old_seg[pos] as usize]);
-                        pos += 1;
-                    }
-                    order.push(didx);
-                }
-                order.extend(old_seg[pos..row_end].iter().map(|&k| new_index_of_old[k as usize]));
-                pos = row_end;
-                di = dj;
-            }
-            order.extend(old_seg[pos..].iter().map(|&k| new_index_of_old[k as usize]));
-        }
-        debug_assert_eq!(order.len(), n_new);
-
-        let worker_offsets: Vec<u32> = (0..=n_workers).map(|w| wr[w * n_rows]).collect();
-        (order, worker_offsets, wr)
     }
 
     /// The freeze epoch: the source-log length this matrix reflects. A
