@@ -71,7 +71,9 @@ impl AssignmentPolicy for LoopingPolicy {
             return Vec::new();
         }
         let cols = ctx.answers.cols();
-        let mut picked = Vec::with_capacity(k);
+        // `k` is the caller's, unbounded; the loop never picks more than
+        // `total`.
+        let mut picked = Vec::with_capacity(k.min(total));
         // One full lap at most, skipping ineligible cells.
         for step in 0..total {
             if picked.len() >= k {
@@ -314,6 +316,15 @@ mod tests {
         assert_eq!(first, vec![CellId::new(0, 0), CellId::new(0, 1), CellId::new(0, 2)]);
         let second = p.select(w, 2, &ctx);
         assert_eq!(second, vec![CellId::new(0, 3), CellId::new(1, 0)]);
+    }
+
+    #[test]
+    fn looping_policy_picks_at_most_one_lap_for_any_k() {
+        let (d, _) = ctx_fixture(3);
+        let m = d.answers.to_matrix();
+        let ctx = make_ctx(&d, &m);
+        let picks = LoopingPolicy::default().select(WorkerId(500), usize::MAX, &ctx);
+        assert_eq!(picks.len(), d.rows() * d.cols(), "an unseen worker gets every cell once");
     }
 
     #[test]

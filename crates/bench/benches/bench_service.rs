@@ -860,9 +860,8 @@ fn service_load(c: &mut Criterion) {
     });
     group.finish();
 
-    // Close the admin keep-alive connection before shutting down: shutdown
-    // joins the workers, and a worker waiting on an idle connection only
-    // returns when it closes or idles out (30 s).
+    // Close the admin keep-alive connection before shutting down, though
+    // shutdown would close an idle one itself.
     drop(admin);
     registry.shutdown();
     server.shutdown();

@@ -95,8 +95,10 @@ USAGE:
   tcrowd serve    [--addr HOST:PORT] [--threads T] [--demo]
                   [--data-dir DIR] [--fsync always|flush|never]
                   [--max-pending N]
-                  # multi-table HTTP service (tcrowd-service crate); --demo
-                  # pre-creates a generated 40x5 table named 'demo'.
+                  # multi-table HTTP service (tcrowd-service crate), one
+                  # thread per connection; --threads bounds the requests
+                  # handled at once (default 8). --demo pre-creates a
+                  # generated 40x5 table named 'demo'.
                   # --data-dir makes tables durable: per-table WAL + snapshots
                   # (tcrowd-store), recover-on-boot after crash or restart.
                   # --max-pending bounds each table's refresh lag: ingest
@@ -474,7 +476,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "endpoints: /healthz /metrics /tables \
          /tables/:id/{{assignment,answers,truth,stats,refresh,events}}"
     );
-    // Serve until killed; the worker pool does all the work.
+    // Serve until killed; the connection threads do all the work.
     loop {
         std::thread::park();
     }

@@ -5,7 +5,6 @@ use crate::json::{parse, Json};
 use crate::registry::TableRegistry;
 use crate::table::{Snapshot, TableConfig, TableState};
 use std::sync::Arc;
-use std::time::Duration;
 use tcrowd_core::TruthDist;
 use tcrowd_tabular::{Answer, CellId, Column, ColumnType, Schema, Value, WorkerId};
 
@@ -251,7 +250,7 @@ fn value_to_json(ty: &ColumnType, v: &Value) -> Json {
         }
         (_, Value::Continuous(x)) => Json::from(*x),
         // Type-mismatched pairs cannot come out of a validated table; encode
-        // the raw index rather than panicking a worker thread.
+        // the raw index rather than panicking the request's thread.
         (_, Value::Categorical(l)) => Json::from(*l),
     }
 }
@@ -275,75 +274,28 @@ fn create_table(registry: &TableRegistry, req: &Request) -> Response {
             Ok(s) => s,
             Err(e) => return err_json(400, e),
         };
+    // Every other member is a setting, given as its JSON text (a string's
+    // without the quotes); a null leaves the default.
+    let Json::Obj(members) = &body else { return err_json(400, "body must be an object") };
     let mut config = TableConfig::default();
-    if let Some(p) = body.get("policy").and_then(Json::as_str) {
-        if let Err(e) = crate::policy::make_policy(p, rows, config.seed) {
+    for (key, value) in members {
+        if matches!(key.as_str(), "id" | "rows" | "schema") {
+            continue;
+        }
+        let text = match value {
+            Json::Null => continue,
+            Json::Str(s) => s.clone(),
+            other => other.to_string(),
+        };
+        if let Err(e) = config.set(key, &text) {
             return err_json(400, e);
         }
-        config.policy = p.to_string();
     }
-    if let Some(n) = body.get("refit_every").and_then(Json::as_u64) {
-        config.refit_every = (n as usize).max(1);
-    }
-    if let Some(ms) = body.get("refresh_interval_ms").and_then(Json::as_u64) {
-        config.refresh_interval = Duration::from_millis(ms.clamp(1, 60_000));
-    }
-    if let Some(w) = body.get("warm_refits").and_then(Json::as_bool) {
-        config.warm_refits = w;
-    }
-    if let Some(cap) = body.get("max_answers_per_cell").and_then(Json::as_u64) {
-        config.max_answers_per_cell = Some(cap as usize);
-    }
-    if let Some(seed) = body.get("seed").and_then(Json::as_u64) {
-        config.seed = seed;
-    }
-    if let Some(bound) = body.get("max_pending").and_then(Json::as_u64) {
-        if bound == 0 {
-            return err_json(400, "'max_pending' must be a positive integer");
-        }
-        config.max_pending = Some(bound as usize);
-    }
-    if let Some(auto) = body.get("trust_auto").and_then(Json::as_bool) {
-        config.trust_auto = auto;
-    }
-    if let Some(n) = body.get("trust_min_answers").and_then(Json::as_u64) {
-        config.trust.min_answers = n as usize;
-    }
-    if let Some(x) = body.get("trust_suspect_enter").and_then(Json::as_f64) {
-        config.trust.suspect_enter = x;
-    }
-    if let Some(x) = body.get("trust_suspect_exit").and_then(Json::as_f64) {
-        config.trust.suspect_exit = x;
-    }
-    if let Some(x) = body.get("trust_quarantine_enter").and_then(Json::as_f64) {
-        config.trust.quarantine_enter = x;
-    }
-    if let Some(x) = body.get("trust_quarantine_exit").and_then(Json::as_f64) {
-        config.trust.quarantine_exit = x;
-    }
-    if let Some(n) = body.get("trust_collusion_overlap").and_then(Json::as_u64) {
-        config.trust.collusion_min_overlap = n as usize;
-    }
-    if let Some(x) = body.get("trust_collusion_agreement").and_then(Json::as_f64) {
-        config.trust.collusion_agreement = x;
-    }
-    if let Some(n) = body.get("trust_collusion_collisions").and_then(Json::as_u64) {
-        config.trust.collusion_value_collisions = n as usize;
+    if let Err(e) = crate::policy::make_policy(&config.policy, rows, config.seed) {
+        return err_json(400, e);
     }
     if let Err(e) = config.trust.validate() {
         return err_json(400, format!("trust config: {e}"));
-    }
-    if let Some(rate) = body.get("worker_rate").and_then(Json::as_f64) {
-        if !rate.is_finite() || rate < 0.0 {
-            return err_json(400, "'worker_rate' must be a finite non-negative number");
-        }
-        config.worker_rate = rate;
-    }
-    if let Some(burst) = body.get("worker_burst").and_then(Json::as_u64) {
-        if burst == 0 || burst > u32::MAX as u64 {
-            return err_json(400, "'worker_burst' must be a positive u32");
-        }
-        config.worker_burst = burst as u32;
     }
     let id = body.get("id").and_then(Json::as_str).map(str::to_string);
     match registry.create(id, schema, rows, config) {
@@ -734,6 +686,91 @@ mod tests {
             ]}"#,
         )
         .unwrap()
+    }
+
+    /// `POST /tables` with `settings` added to a valid body.
+    fn create_with(registry: &TableRegistry, id: &str, settings: &str) -> Response {
+        let body =
+            format!(r#"{{"id": "{id}", "rows": 20, "schema": {}, {settings}}}"#, schema_doc());
+        let req = Request {
+            method: "POST".into(),
+            path: "/tables".into(),
+            query: Vec::new(),
+            body: body.into_bytes(),
+            keep_alive: false,
+            request_id: "test".into(),
+        };
+        create_table(registry, &req)
+    }
+
+    #[test]
+    fn create_applies_every_setting_and_rejects_values_that_do_not_parse() {
+        let registry = TableRegistry::new();
+        let every = r#""policy": "entropy", "refit_every": 17, "refresh_interval_ms": 321,
+            "warm_refits": true, "max_answers_per_cell": 9, "seed": 42, "max_pending": 1000,
+            "trust_auto": true, "trust_min_answers": 5, "trust_suspect_enter": 0.61,
+            "trust_suspect_exit": 0.77, "trust_quarantine_enter": 0.33,
+            "trust_quarantine_exit": 0.52, "trust_collusion_overlap": 4,
+            "trust_collusion_agreement": 0.875, "trust_collusion_collisions": 6,
+            "worker_rate": 12.5, "worker_burst": 7"#;
+        assert_eq!(create_with(&registry, "every", every).status, 201);
+        let want = TableConfig {
+            policy: "entropy".into(),
+            refit_every: 17,
+            refresh_interval: std::time::Duration::from_millis(321),
+            warm_refits: true,
+            max_answers_per_cell: Some(9),
+            seed: 42,
+            max_pending: Some(1000),
+            trust_auto: true,
+            trust: tcrowd_trust::TrustConfig {
+                min_answers: 5,
+                suspect_enter: 0.61,
+                suspect_exit: 0.77,
+                quarantine_enter: 0.33,
+                quarantine_exit: 0.52,
+                collusion_min_overlap: 4,
+                collusion_agreement: 0.875,
+                collusion_value_collisions: 6,
+            },
+            worker_rate: 12.5,
+            worker_burst: 7,
+        };
+        let got = &registry.get("every").unwrap().config;
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+
+        // The clamps, a null left at its default, numbers sent as strings and
+        // an unknown key.
+        let edge = r#""refit_every": 0, "refresh_interval_ms": 3600000,
+            "max_answers_per_cell": null, "seed": "7", "worker_rate": "0.5",
+            "future_knob": [1]"#;
+        assert_eq!(create_with(&registry, "edge", edge).status, 201);
+        let want = TableConfig {
+            refit_every: 1,
+            refresh_interval: std::time::Duration::from_secs(60),
+            seed: 7,
+            worker_rate: 0.5,
+            ..TableConfig::default()
+        };
+        let got = &registry.get("edge").unwrap().config;
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+
+        for (key, value) in [
+            ("refit_every", r#""abc""#),
+            ("worker_burst", "0.5"),
+            ("warm_refits", r#""yes""#),
+            ("max_pending", "0"),
+            ("seed", "-1"),
+            ("trust_min_answers", "[5]"),
+            ("worker_rate", "-2"),
+        ] {
+            let resp = create_with(&registry, "bad", &format!(r#""{key}": {value}"#));
+            let body = String::from_utf8(resp.body).unwrap();
+            assert_eq!(resp.status, 400, "{key}: {body}");
+            assert!(body.contains(key), "{key}: {body}");
+        }
+        assert!(registry.get("bad").is_none());
+        registry.shutdown();
     }
 
     #[test]

@@ -1,41 +1,38 @@
 //! Hand-rolled HTTP/1.1 front end: request parsing, response writing, and a
-//! blocking worker-thread-pool server over [`std::net::TcpListener`].
+//! blocking server over [`std::net::TcpListener`] that runs each connection
+//! on a thread of its own.
 //!
 //! Scope is deliberately the subset a JSON API needs — `Content-Length`
 //! bodies (no chunked transfer), persistent connections (HTTP/1.1 keep-alive
 //! is what makes the closed-loop benchmark measure the service rather than
 //! TCP handshakes), and `%xx` query decoding. Requests are capped at
 //! [`MAX_BODY`] bytes; anything malformed is answered with `400` and the
-//! connection is dropped, so a confused peer cannot wedge a worker thread.
+//! connection is dropped, so a confused peer cannot wedge a thread.
 //!
-//! Idle keep-alive connections cannot starve the pool either. Between
-//! requests a worker waits on its connection in short slices. When another
-//! connection is queued and this one has no request yet, the worker parks it
-//! and takes the queued one. Parked connections are polled with a
-//! non-blocking `peek` at each request boundary that finds nothing queued,
-//! and by a free worker every slice; one goes back to the queue once its
-//! next request starts arriving.
+//! A connection's thread reads, handles and answers its requests until the
+//! peer closes, asks to close, sends a malformed request or goes silent for
+//! `READ_TIMEOUT`. An idle keep-alive connection therefore holds only its own
+//! thread, never another connection's turn. The server's `threads` bound how
+//! many requests run the handler at once: a request takes a permit just
+//! before the handler call and returns it when the call ends, by return or by
+//! panic, so a panicking handler ends only its own connection.
 
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Upper bound on request bodies (1 MiB of JSON ≈ 20k batched answers).
 pub const MAX_BODY: usize = 1 << 20;
 
-/// How long a request that has started may take to arrive in full; a
-/// stalled peer frees its worker thread after this long. It is also how long
-/// a connection may sit idle between requests before it is closed.
+/// How long a connection may sit idle between requests before it is closed.
+/// It is also each read's socket timeout, and no read of a request starts
+/// later than this after the request's first bytes arrived, so a peer that
+/// trickles a request frees its thread within twice this long.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// How long a worker waits on an idle connection before checking the queue
-/// again, and how often a free worker polls parked idle connections. Each
-/// slice that expires wakes a thread, which costs CPU even when nothing
-/// happens.
-const IDLE_SLICE: Duration = Duration::from_millis(20);
 
 /// One parsed request.
 #[derive(Debug)]
@@ -291,9 +288,8 @@ pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 /// [`ServerHandle::shutdown`].
 pub struct ServerHandle {
     addr: std::net::SocketAddr,
-    conns: Arc<Conns>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    shared: Arc<Shared>,
+    accept_thread: std::thread::JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -302,246 +298,175 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stop accepting, drain the worker pool and join every thread.
-    /// In-flight requests finish. A worker waiting on an **idle keep-alive
-    /// connection** only returns when it closes or idles out
-    /// (`READ_TIMEOUT`, 30 s), so close client connections before calling this
-    /// when prompt shutdown matters.
-    pub fn shutdown(mut self) {
-        // Set under the lock, so a worker cannot check it and then miss the
-        // wake-up.
-        self.conns.lock().stopped = true;
-        self.conns.queued.notify_all();
+    /// Stop accepting, close the read side of every open connection and wait
+    /// for their threads. A request whose handler is running finishes and
+    /// writes its response first; an idle keep-alive connection closes at
+    /// once.
+    pub fn shutdown(self) {
+        self.shared.open().stopped = true;
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        let _ = self.accept_thread.join();
+        let mut open = self.shared.open();
+        for stream in open.streams.values() {
+            let _ = stream.shutdown(Shutdown::Read);
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        while !open.streams.is_empty() {
+            open = self.shared.closed.wait(open).expect("open connections lock");
         }
     }
 }
 
-/// A connection's read side. The socket's read timeout is one
-/// [`IDLE_SLICE`], and a read retries those timeouts until `deadline`.
-struct SliceRead {
+/// What the accept thread, the connection threads and the handle share.
+struct Shared {
+    handler: Handler,
+    /// Handler permits not taken, out of the server's `threads`.
+    permits: Mutex<usize>,
+    /// Signalled when a permit is returned.
+    returned: Condvar,
+    open: Mutex<Open>,
+    /// Signalled when a connection closes.
+    closed: Condvar,
+}
+
+/// The open connections: a second handle on each one's stream, through which
+/// shutdown closes its read side, keyed by an id the accept thread assigns.
+#[derive(Default)]
+struct Open {
+    streams: HashMap<u64, TcpStream>,
+    next_id: u64,
+    stopped: bool,
+}
+
+impl Shared {
+    fn open(&self) -> MutexGuard<'_, Open> {
+        self.open.lock().expect("open connections lock")
+    }
+
+    /// Forget connection `id`, closing the handle kept on it.
+    fn close(&self, id: u64) {
+        self.open().streams.remove(&id);
+        self.closed.notify_all();
+    }
+
+    /// Wait for a handler permit; dropping it returns it.
+    fn permit(&self) -> Permit<'_> {
+        let mut free = self.permits.lock().expect("permits lock");
+        while *free == 0 {
+            free = self.returned.wait(free).expect("permits lock");
+        }
+        *free -= 1;
+        Permit(self)
+    }
+}
+
+/// One request's turn to run the handler.
+struct Permit<'a>(&'a Shared);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        // Nothing panics while holding the count, so a poisoned lock still
+        // guards a valid one.
+        *self.0.permits.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.0.returned.notify_one();
+    }
+}
+
+/// Start serving `handler` on `addr` (use port 0 for an ephemeral port). Each
+/// accepted connection runs on a thread of its own, and at most `threads`
+/// requests run the handler at once.
+pub fn serve(addr: &str, threads: usize, handler: Handler) -> std::io::Result<ServerHandle> {
+    let listener = TcpListener::bind(addr)?;
+    let local = listener.local_addr()?;
+    let shared = Arc::new(Shared {
+        handler,
+        permits: Mutex::new(threads.max(1)),
+        returned: Condvar::new(),
+        open: Mutex::default(),
+        closed: Condvar::new(),
+    });
+    let accepting = Arc::clone(&shared);
+    let accept_thread = std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { continue };
+            let _ = stream.set_nodelay(true);
+            let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+            let Ok(handle) = stream.try_clone() else { continue };
+            let id = {
+                let mut open = accepting.open();
+                if open.stopped {
+                    break;
+                }
+                open.next_id += 1;
+                let id = open.next_id;
+                open.streams.insert(id, handle);
+                id
+            };
+            let shared = Arc::clone(&accepting);
+            let spawned = std::thread::Builder::new().spawn(move || {
+                // A panicking handler has returned its permit by now, and
+                // only this connection ends.
+                let _ = catch_unwind(AssertUnwindSafe(|| serve_connection(stream, &shared)));
+                shared.close(id);
+            });
+            // A connection that gets no thread is dropped; the server goes on.
+            if spawned.is_err() {
+                accepting.close(id);
+            }
+        }
+    });
+    Ok(ServerHandle { addr: local, shared, accept_thread })
+}
+
+/// A connection's read side. It starts no read past `deadline`; the socket's
+/// read timeout bounds each read.
+struct DeadlineRead {
     stream: TcpStream,
     deadline: Instant,
 }
 
-impl Read for SliceRead {
+impl Read for DeadlineRead {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        loop {
-            match self.stream.read(buf) {
-                Err(e) if is_timeout(&e) && Instant::now() < self.deadline => {}
-                r => return r,
-            }
+        if Instant::now() >= self.deadline {
+            return Err(ErrorKind::TimedOut.into());
         }
+        self.stream.read(buf)
     }
 }
 
-/// A read that found no data: a timeout, a non-blocking read, or a signal.
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted)
-}
-
-/// A connection between requests: its buffered read side, a write handle,
-/// and when its last request finished.
-struct Conn {
-    reader: BufReader<SliceRead>,
-    writer: TcpStream,
-    idle_since: Instant,
-}
-
-/// The connections no worker holds, shared by the accept thread and the
-/// workers.
-#[derive(Default)]
-struct Conns {
-    state: Mutex<ConnState>,
-    /// Signalled when a connection is queued or the server stops.
-    queued: Condvar,
-}
-
-#[derive(Default)]
-struct ConnState {
-    /// New connections, and parked ones whose next request has started
-    /// arriving, in the order they became ready.
-    queue: VecDeque<Conn>,
-    /// Idle connections, left non-blocking for [`Conns::poll`].
-    parked: Vec<Conn>,
-    /// Whether a free worker is polling `parked` every [`IDLE_SLICE`].
-    polling: bool,
-    stopped: bool,
-}
-
-impl Conns {
-    fn lock(&self) -> MutexGuard<'_, ConnState> {
-        self.state.lock().expect("conns lock")
-    }
-
-    /// Queue a connection for the next free worker.
-    fn push(&self, conn: Conn) {
-        self.lock().queue.push_back(conn);
-        self.queued.notify_one();
-    }
-
-    /// Queue the parked connections whose next request has started arriving,
-    /// waking a free worker for each, and drop the closed, failed and expired
-    /// ones.
-    fn poll(&self, state: &mut ConnState) {
-        let now = Instant::now();
-        let mut i = 0;
-        while i < state.parked.len() {
-            let conn = &state.parked[i];
-            let stream = &conn.reader.get_ref().stream;
-            match stream.peek(&mut [0u8]) {
-                Err(e)
-                    if e.kind() == ErrorKind::WouldBlock
-                        && now.duration_since(conn.idle_since) < READ_TIMEOUT =>
-                {
-                    i += 1
-                }
-                Ok(n) if n > 0 && stream.set_nonblocking(false).is_ok() => {
-                    let conn = state.parked.swap_remove(i);
-                    state.queue.push_back(conn);
-                    self.queued.notify_one();
-                }
-                _ => drop(state.parked.swap_remove(i)), // closed, failed or expired
-            }
-        }
-    }
-
-    /// True when a connection is queued, after polling the parked ones if
-    /// none was.
-    fn contended(&self) -> bool {
-        let mut state = self.lock();
-        if state.queue.is_empty() {
-            self.poll(&mut state);
-        }
-        !state.queue.is_empty()
-    }
-
-    /// Park the idle `conn` and put a queued connection in its place. False,
-    /// leaving `conn` as it is, when nothing is queued.
-    fn swap(&self, conn: &mut Conn) -> bool {
-        let mut state = self.lock();
-        let Some(mut next) = state.queue.pop_front() else { return false };
-        std::mem::swap(conn, &mut next);
-        state.parked.push(next);
-        true
-    }
-
-    /// The next queued connection for a free worker; `None` once the server
-    /// has stopped and the queue is empty. While connections are parked, one
-    /// free worker polls them every [`IDLE_SLICE`].
-    fn next(&self) -> Option<Conn> {
-        let mut state = self.lock();
-        loop {
-            if let Some(conn) = state.queue.pop_front() {
-                return Some(conn);
-            }
-            if state.stopped {
-                return None;
-            }
-            if state.parked.is_empty() || state.polling {
-                state = self.queued.wait(state).expect("conns lock");
-            } else {
-                state.polling = true;
-                state = self.queued.wait_timeout(state, IDLE_SLICE).expect("conns lock").0;
-                state.polling = false;
-                self.poll(&mut state);
-            }
-        }
-    }
-}
-
-/// Start serving `handler` on `addr` (use port 0 for an ephemeral port) with
-/// `threads` worker threads.
-pub fn serve(addr: &str, threads: usize, handler: Handler) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let conns = Arc::new(Conns::default());
-
-    let workers: Vec<_> = (0..threads.max(1))
-        .map(|_| {
-            let conns = Arc::clone(&conns);
-            let handler = Arc::clone(&handler);
-            std::thread::spawn(move || {
-                // Whichever worker is free takes the next queued connection.
-                while let Some(mut conn) = conns.next() {
-                    while await_request(&mut conn, &conns) && serve_request(&mut conn, &handler) {}
-                }
-            })
-        })
-        .collect();
-
-    let accept_conns = Arc::clone(&conns);
-    let accept_thread = std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            if accept_conns.lock().stopped {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let _ = stream.set_nodelay(true);
-            let _ = stream.set_read_timeout(Some(IDLE_SLICE));
-            let Ok(writer) = stream.try_clone() else { continue };
-            let now = Instant::now();
-            let reader = BufReader::new(SliceRead { stream, deadline: now });
-            accept_conns.push(Conn { reader, writer, idle_since: now });
-        }
-    });
-
-    Ok(ServerHandle { addr: local, conns, accept_thread: Some(accept_thread), workers })
-}
-
-/// Wait for the next request on `conn` without holding the worker while
-/// another connection is queued: if `conn` has no request yet then, it is
-/// parked and the queued connection takes its place. With nothing queued
-/// the worker blocks on `conn`, polling parked connections and checking the
-/// queue every [`IDLE_SLICE`]. A request that has started gets
-/// [`READ_TIMEOUT`] to arrive in full. False when the connection closed,
-/// failed or idled out.
-fn await_request(conn: &mut Conn, conns: &Conns) -> bool {
-    while conn.reader.buffer().is_empty() {
-        let contended = conns.contended();
-        let read = conn.reader.get_mut();
-        read.deadline = Instant::now();
-        // Only look when contended; a parked connection stays non-blocking,
-        // or `peek` would block with the queue locked.
-        if contended && read.stream.set_nonblocking(true).is_err() {
-            return false;
-        }
-        match conn.reader.fill_buf() {
-            Ok([]) => return false,
+/// Read, handle and answer the requests on `stream` until the connection is
+/// done.
+fn serve_connection(stream: TcpStream, shared: &Shared) {
+    let mut reader = BufReader::new(DeadlineRead { stream, deadline: Instant::now() });
+    loop {
+        // Wait for the next request to start; an idle connection closes when
+        // the socket's read timeout expires. The last request's deadline may
+        // have passed while its handler ran.
+        reader.get_mut().deadline = Instant::now() + READ_TIMEOUT;
+        match reader.fill_buf() {
+            Ok([]) | Err(_) => return,
             Ok(_) => {}
-            Err(e) if is_timeout(&e) && contended => {
-                if conns.swap(conn) {
-                    continue;
-                }
-            }
-            Err(e) if is_timeout(&e) && conn.idle_since.elapsed() < READ_TIMEOUT => {}
-            Err(_) => return false,
         }
-        if contended && conn.reader.get_ref().stream.set_nonblocking(false).is_err() {
-            return false;
+        reader.get_mut().deadline = Instant::now() + READ_TIMEOUT;
+        if !serve_request(&mut reader, shared) {
+            return;
         }
     }
-    conn.reader.get_mut().deadline = Instant::now() + READ_TIMEOUT;
-    true
 }
 
-/// Read and answer one request on `conn`; false when the connection is done.
-fn serve_request(conn: &mut Conn, handler: &Handler) -> bool {
-    match read_request(&mut conn.reader) {
+/// Read and answer one request; false when the connection is done.
+fn serve_request(reader: &mut BufReader<DeadlineRead>, shared: &Shared) -> bool {
+    match read_request(reader) {
         Ok(Some(req)) => {
             let keep = req.keep_alive;
-            let mut resp = handler(&req);
+            let mut resp = {
+                let _permit = shared.permit();
+                (shared.handler)(&req)
+            };
             // Echo the correlation id so clients can match responses to
             // their own ids (or learn the server-generated one).
             resp.headers.push(("X-Request-Id", req.request_id.clone()));
-            conn.idle_since = Instant::now();
-            write_response(&mut conn.writer, &resp, keep).is_ok() && keep
+            write_response(&mut reader.get_mut().stream, &resp, keep).is_ok() && keep
         }
         Ok(None) => false,
         Err(e) if e.kind() == ErrorKind::InvalidData => {
@@ -549,7 +474,7 @@ fn serve_request(conn: &mut Conn, handler: &Handler) -> bool {
                 400,
                 format!("{{\"error\":\"{}\"}}", e.to_string().replace('"', "'")),
             );
-            let _ = write_response(&mut conn.writer, &resp, false);
+            let _ = write_response(&mut reader.get_mut().stream, &resp, false);
             false
         }
         Err(_) => false, // timeout or reset
@@ -559,6 +484,8 @@ fn serve_request(conn: &mut Conn, handler: &Handler) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     fn echo_server() -> ServerHandle {
         serve(
@@ -632,9 +559,8 @@ mod tests {
             reader.read_exact(&mut body).unwrap();
             assert!(String::from_utf8(body).unwrap().contains("\"len\":5"));
         }
-        // Close the keep-alive connection before shutting down: shutdown
-        // joins the workers, and a worker waiting on an idle connection only
-        // returns when it closes or idles out.
+        // The client closes its connection first; shutdown would close an
+        // idle one itself.
         drop(s);
         server.shutdown();
     }
@@ -696,6 +622,135 @@ mod tests {
             let read = c.read_to_string(&mut reply);
             assert!(read.is_ok() && reply.starts_with("HTTP/1.1 200"), "idle {i}: {reply}");
         }
+        server.shutdown();
+    }
+
+    /// Read one response off a connection: the status line, the lowercased
+    /// headers and the body.
+    fn read_response(reader: &mut impl BufRead) -> (String, Vec<(String, String)>, String) {
+        let mut status = String::new();
+        reader.read_line(&mut status).unwrap();
+        let mut headers = Vec::new();
+        loop {
+            let mut h = String::new();
+            reader.read_line(&mut h).unwrap();
+            let Some((name, value)) = h.trim_end().split_once(':') else { break };
+            headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
+        }
+        let len = headers
+            .iter()
+            .find(|(name, _)| name == "content-length")
+            .map_or(0, |(_, v)| v.parse().unwrap());
+        let mut body = vec![0u8; len];
+        reader.read_exact(&mut body).unwrap();
+        (status, headers, String::from_utf8(body).unwrap())
+    }
+
+    /// Shutdown closes an idle keep-alive connection instead of waiting for
+    /// it to idle out.
+    #[test]
+    fn shutdown_closes_idle_keep_alive_connections() {
+        let server = echo_server();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.write_all(b"GET /a HTTP/1.1\r\nHost: h\r\n\r\n").unwrap();
+        let mut reader = BufReader::new(s);
+        let (status, _, _) = read_response(&mut reader);
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        let started = Instant::now();
+        server.shutdown();
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(2), "shutdown took {elapsed:?}");
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "connection left open: {rest}");
+    }
+
+    /// A panicking handler returns its permit and ends only its own
+    /// connection, so a 1-thread server keeps serving.
+    #[test]
+    fn a_panicking_handler_ends_only_its_own_connection() {
+        let server = serve(
+            "127.0.0.1:0",
+            1,
+            Arc::new(|req: &Request| {
+                assert_ne!(req.path, "/boom", "the handler panics on /boom");
+                Response::json(200, "{}")
+            }),
+        )
+        .expect("bind");
+        let get = |path: &str| {
+            let mut s = TcpStream::connect(server.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            let request = format!("GET {path} HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n");
+            s.write_all(request.as_bytes()).unwrap();
+            let mut reply = String::new();
+            s.read_to_string(&mut reply).map(|_| reply)
+        };
+        for i in 0..3 {
+            let reply = get("/boom");
+            assert!(matches!(&reply, Ok(r) if r.is_empty()), "/boom {i}: {reply:?}");
+        }
+        let reply = get("/ok");
+        assert!(matches!(&reply, Ok(r) if r.starts_with("HTTP/1.1 200")), "/ok: {reply:?}");
+        server.shutdown();
+    }
+
+    /// Two requests sent in one write on a keep-alive connection get two
+    /// responses, in order, each echoing its own request id.
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let server = echo_server();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.write_all(
+            b"GET /first HTTP/1.1\r\nHost: h\r\nX-Request-Id: one\r\n\r\n\
+              GET /second HTTP/1.1\r\nHost: h\r\nX-Request-Id: two\r\n\r\n",
+        )
+        .unwrap();
+        let mut reader = BufReader::new(s);
+        for (path, id) in [("/first", "one"), ("/second", "two")] {
+            let (status, headers, body) = read_response(&mut reader);
+            assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+            assert!(headers.contains(&("x-request-id".into(), id.into())), "{headers:?}");
+            assert!(body.contains(&format!("\"path\":\"{path}\"")), "{body}");
+        }
+        drop(reader);
+        server.shutdown();
+    }
+
+    /// `threads` bounds the handler calls in progress, however many
+    /// connections send requests at once.
+    #[test]
+    fn threads_bound_concurrent_handler_calls() {
+        let running = Arc::new(AtomicUsize::new(0));
+        let most = Arc::new(AtomicUsize::new(0));
+        let (r, m) = (Arc::clone(&running), Arc::clone(&most));
+        let server = serve(
+            "127.0.0.1:0",
+            2,
+            Arc::new(move |_: &Request| {
+                m.fetch_max(r.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(50));
+                r.fetch_sub(1, Ordering::SeqCst);
+                Response::json(200, "{}")
+            }),
+        )
+        .expect("bind");
+        let addr = server.addr();
+        let start = Arc::new(Barrier::new(4));
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    roundtrip(addr, "GET / HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n")
+                })
+            })
+            .collect();
+        for client in clients {
+            let reply = client.join().unwrap();
+            assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        }
+        let most = most.load(Ordering::SeqCst);
+        assert!((1..=2).contains(&most), "{most} handler calls ran at once");
         server.shutdown();
     }
 

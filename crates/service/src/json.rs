@@ -193,7 +193,7 @@ fn write_escaped(s: &str, out: &mut String) {
 
 /// Deepest array/object nesting [`parse`] accepts. The parser recurses once
 /// per level, so a bound keeps a hostile body (10 KB of `[`) from overflowing
-/// a worker thread's stack; the API's deepest document nests 5 levels.
+/// a connection thread's stack; the API's deepest document nests 5 levels.
 pub const MAX_DEPTH: usize = 64;
 
 /// Parse a JSON document; the whole input must be one value (trailing

@@ -38,8 +38,9 @@
 //! which the concurrency tests and `bench_service` assert.
 //!
 //! Everything is `std`-only (the offline build has no `serde`/`hyper`):
-//! [`json`] is a ~300-line JSON tree/parser, [`http`] a
-//! `TcpListener` + worker-thread-pool front end with keep-alive.
+//! [`json`] is a ~300-line JSON tree/parser, [`http`] a `TcpListener`
+//! front end with keep-alive that runs each connection on a thread of its
+//! own.
 //!
 //! ## Durability
 //!
@@ -155,6 +156,11 @@
 //! }
 //! ```
 //!
+//! Every member other than `id`, `rows` and `schema` is a setting that
+//! [`TableConfig::set`] parses from its JSON text, so a number may also come
+//! as a string; `null` leaves the default, unknown keys are ignored, and a
+//! value that does not parse for its key is a `400` naming it.
+//!
 //! Categorical cardinality may be given as `"cardinality": k` instead of
 //! labels. An answer is `{"worker": 7, "row": 3, "col": 1, "value": v}` —
 //! `col` accepts a column name, `value` is a number for continuous columns
@@ -187,9 +193,10 @@ pub use table::{
 use std::sync::Arc;
 
 /// Start the full service: an empty [`TableRegistry`] served on `addr`
-/// (port 0 picks an ephemeral port) by `threads` worker threads. Returns
-/// the registry (for in-process orchestration and shutdown) and the running
-/// server handle.
+/// (port 0 picks an ephemeral port), one thread per connection, with at
+/// most `threads` requests in the handler at once. Returns the registry
+/// (for in-process orchestration and shutdown) and the running server
+/// handle.
 pub fn start(addr: &str, threads: usize) -> std::io::Result<(Arc<TableRegistry>, ServerHandle)> {
     serve_registry(Arc::new(TableRegistry::new()), addr, threads)
 }

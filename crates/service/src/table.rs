@@ -190,85 +190,63 @@ impl TableConfig {
 
     /// Rebuild from persisted key/value pairs. Missing keys take defaults,
     /// unknown keys are ignored — config can evolve without a WAL format
-    /// change in either direction.
+    /// change in either direction. A value [`TableConfig::set`] refuses
+    /// keeps its default.
     pub fn from_kv(kv: &[(String, String)]) -> TableConfig {
         let mut config = TableConfig::default();
         for (k, v) in kv {
-            match k.as_str() {
-                "policy" if !v.is_empty() => config.policy = v.clone(),
-                "refit_every" => {
-                    if let Ok(n) = v.parse() {
-                        config.refit_every = n;
-                    }
-                }
-                "refresh_interval_ms" => {
-                    if let Ok(ms) = v.parse() {
-                        config.refresh_interval = Duration::from_millis(ms);
-                    }
-                }
-                "warm_refits" => config.warm_refits = v == "true",
-                "max_answers_per_cell" => config.max_answers_per_cell = v.parse().ok(),
-                "max_pending" => config.max_pending = v.parse().ok(),
-                "seed" => {
-                    if let Ok(s) = v.parse() {
-                        config.seed = s;
-                    }
-                }
-                "trust_auto" => config.trust_auto = v == "true",
-                "trust_min_answers" => {
-                    if let Ok(n) = v.parse() {
-                        config.trust.min_answers = n;
-                    }
-                }
-                "trust_suspect_enter" => {
-                    if let Ok(x) = v.parse() {
-                        config.trust.suspect_enter = x;
-                    }
-                }
-                "trust_suspect_exit" => {
-                    if let Ok(x) = v.parse() {
-                        config.trust.suspect_exit = x;
-                    }
-                }
-                "trust_quarantine_enter" => {
-                    if let Ok(x) = v.parse() {
-                        config.trust.quarantine_enter = x;
-                    }
-                }
-                "trust_quarantine_exit" => {
-                    if let Ok(x) = v.parse() {
-                        config.trust.quarantine_exit = x;
-                    }
-                }
-                "trust_collusion_overlap" => {
-                    if let Ok(n) = v.parse() {
-                        config.trust.collusion_min_overlap = n;
-                    }
-                }
-                "trust_collusion_agreement" => {
-                    if let Ok(x) = v.parse() {
-                        config.trust.collusion_agreement = x;
-                    }
-                }
-                "trust_collusion_collisions" => {
-                    if let Ok(n) = v.parse() {
-                        config.trust.collusion_value_collisions = n;
-                    }
-                }
-                "worker_rate" => {
-                    if let Ok(x) = v.parse() {
-                        config.worker_rate = x;
-                    }
-                }
-                "worker_burst" => {
-                    if let Ok(n) = v.parse() {
-                        config.worker_burst = n;
-                    }
-                }
-                _ => {}
-            }
+            let _ = config.set(k, v);
         }
         config
+    }
+
+    /// Apply one setting given as text, by its [`TableConfig::to_kv`] key:
+    /// the one place a setting is parsed, clamped and checked. Unknown keys
+    /// are ignored. An error names the key and leaves the config unchanged.
+    /// An empty text sets an optional setting to `None`.
+    pub fn set(&mut self, key: &str, text: &str) -> Result<(), String> {
+        fn parse<T: std::str::FromStr>(key: &str, text: &str) -> Result<T, String> {
+            text.parse().map_err(|_| format!("'{key}' cannot be {text:?}"))
+        }
+        match key {
+            "policy" if text.is_empty() => return Err("'policy' must not be empty".into()),
+            "policy" => self.policy = text.to_string(),
+            "refit_every" => self.refit_every = parse::<usize>(key, text)?.max(1),
+            "refresh_interval_ms" => {
+                let ms = parse::<u64>(key, text)?.clamp(1, 60_000);
+                self.refresh_interval = Duration::from_millis(ms);
+            }
+            "warm_refits" => self.warm_refits = parse(key, text)?,
+            "max_answers_per_cell" if text.is_empty() => self.max_answers_per_cell = None,
+            "max_answers_per_cell" => self.max_answers_per_cell = Some(parse(key, text)?),
+            "seed" => self.seed = parse(key, text)?,
+            "max_pending" if text.is_empty() => self.max_pending = None,
+            "max_pending" => match parse(key, text)? {
+                0 => return Err("'max_pending' must be a positive integer".into()),
+                n => self.max_pending = Some(n),
+            },
+            "trust_auto" => self.trust_auto = parse(key, text)?,
+            "trust_min_answers" => self.trust.min_answers = parse(key, text)?,
+            "trust_suspect_enter" => self.trust.suspect_enter = parse(key, text)?,
+            "trust_suspect_exit" => self.trust.suspect_exit = parse(key, text)?,
+            "trust_quarantine_enter" => self.trust.quarantine_enter = parse(key, text)?,
+            "trust_quarantine_exit" => self.trust.quarantine_exit = parse(key, text)?,
+            "trust_collusion_overlap" => self.trust.collusion_min_overlap = parse(key, text)?,
+            "trust_collusion_agreement" => self.trust.collusion_agreement = parse(key, text)?,
+            "trust_collusion_collisions" => {
+                self.trust.collusion_value_collisions = parse(key, text)?
+            }
+            "worker_rate" => match parse::<f64>(key, text)? {
+                rate if rate.is_finite() && rate >= 0.0 => self.worker_rate = rate,
+                _ => return Err("'worker_rate' must be a finite non-negative number".into()),
+            },
+            "worker_burst" => match parse(key, text)? {
+                0 => return Err("'worker_burst' must be a positive u32".into()),
+                n => self.worker_burst = n,
+            },
+            _ => {}
+        }
+        Ok(())
     }
 }
 

@@ -492,3 +492,30 @@ fn deeply_nested_body_gets_400_and_the_server_keeps_serving() {
     registry.shutdown();
     server.shutdown();
 }
+
+/// A huge `k` is bounded by the table: every policy answers with at most
+/// rows×cols cells, and the server keeps serving.
+#[test]
+fn huge_k_assignment_is_bounded_by_the_table() {
+    let (registry, server) = tcrowd_service::start("127.0.0.1:0", 2).expect("start server");
+    let client = Client { addr: server.addr() };
+    let create = r#"{
+        "id": "tiny", "rows": 3,
+        "schema": {"columns": [{"name": "kind", "type": "categorical", "labels": ["x", "y"]}]}
+    }"#;
+    assert_eq!(client.post("/tables", create).0, 201);
+    for k in ["1099511627776", "18446744073709551615"] {
+        for policy in tcrowd_service::POLICY_NAMES {
+            let path = format!("/tables/tiny/assignment?worker=1&k={k}&policy={policy}");
+            let (status, r) = client.get(&path);
+            assert_eq!(status, 200, "{path}: {r}");
+            assert!(r.get("cells").unwrap().as_array().unwrap().len() <= 3, "{path}: {r}");
+        }
+    }
+    let (status, health) = client.get("/healthz");
+    assert_eq!(status, 200);
+    assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
+
+    registry.shutdown();
+    server.shutdown();
+}
