@@ -173,8 +173,8 @@ fn em_throughput(c: &mut Criterion) {
     println!(
         "  kernel path {} (avx2 differential check: {}), serial breakdown: estep {:.1} ms, \
          mstep {:.1} ms ({} objective evals over {} iterations, {evals_per_mstep:.1} per \
-         M-step), elbo {:.1} ms; parallel: estep {:.1} ms ({estep_speedup:.2}x), mstep {:.1} \
-         ms ({mstep_speedup:.2}x)",
+         iteration), elbo {:.1} ms; parallel: estep {:.1} ms ({estep_speedup:.2}x), mstep \
+         {:.1} ms ({mstep_speedup:.2}x)",
         kernels().path().name(),
         if avx2_checked { "ran" } else { "no avx2 host" },
         st.estep_ns as f64 / 1e6,

@@ -470,11 +470,13 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("cannot create demo table: {e}"))?;
         println!("demo table 'demo' created (40 rows x 5 columns, empty log)");
     }
-    // The actual bound address matters when --addr used port 0.
-    println!("tcrowd-service listening on http://{}", server.addr());
+    // The actual bound address matters when --addr used port 0. Both lines
+    // go out in one write: a caller that reads up to the address and then
+    // closes the pipe must not make a later stdout write fail and panic.
     println!(
-        "endpoints: /healthz /metrics /tables \
-         /tables/:id/{{assignment,answers,truth,stats,refresh,events}}"
+        "tcrowd-service listening on http://{}\nendpoints: /healthz /metrics /tables \
+         /tables/:id/{{assignment,answers,truth,stats,refresh,events}}",
+        server.addr()
     );
     // Serve until killed; the connection threads do all the work.
     loop {

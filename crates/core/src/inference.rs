@@ -275,6 +275,7 @@ impl TCrowd {
             iterations: state.iterations,
             // An evaluation holds its parameters fixed by construction.
             converged: state.converged || evaluate,
+            param_residual: state.param_residual,
             renorm_shift: state.renorm_shift,
             timings: state.timings,
         }
@@ -418,6 +419,11 @@ pub struct InferenceResult {
     pub iterations: usize,
     /// Whether EM met its tolerance before the iteration cap.
     pub converged: bool,
+    /// The largest absolute change of any log-parameter (`ln α`, `ln β`,
+    /// `ln φ`) over the last EM iteration — how far from its fixed point
+    /// the fit stopped. `None` when EM ran no iteration (an evaluation, or
+    /// no answers).
+    pub param_residual: Option<f64>,
     /// The gauge shift the post-EM identifiability polish applied (mean
     /// `ln α`, mean `ln β`); lets a warm restart seed in the raw gauge.
     renorm_shift: (f64, f64),

@@ -20,8 +20,8 @@
 
 use super::{population_median_phi, EpsilonSpec, InferenceResult, TCrowd};
 use crate::em::{
-    gauge_step, initial_phi, log_prior, newton_step, Block, ColKind, EmOptions, EmTimings,
-    LN_PARAM_BOUND, MSTEP_MAX_BACKTRACKS, MSTEP_NOISE_REL, MSTEP_SWEEPS, MSTEP_SWEEP_TOL,
+    gauge_step, initial_phi, log_prior, newton_step, param_change, Block, ColKind, EmOptions,
+    EmTimings, LN_PARAM_BOUND, MSTEP_MAX_BACKTRACKS, MSTEP_NOISE_REL,
 };
 use crate::model::{cat_answer_ln_likelihood, quality_dlnv, quality_from_variance};
 use crate::truth::TruthDist;
@@ -163,26 +163,25 @@ impl TCrowd {
             workers,
             epsilon,
         };
-        let (truths, alpha_ln, beta_ln, phi_ln, trace, iterations, converged, renorm_shift) =
-            run_em_reference(&ws, &self.opts.em);
-
-        let phi: Vec<f64> = phi_ln.iter().map(|v| v.exp()).collect();
+        let fit = run_em_reference(&ws, &self.opts.em);
+        let phi: Vec<f64> = fit.ln_phi.iter().map(|v| v.exp()).collect();
         InferenceResult {
             n_rows,
             n_cols,
-            truths_z: truths,
+            truths_z: fit.truths,
             scalers,
-            alpha: alpha_ln.iter().map(|v| v.exp()).collect(),
-            beta: beta_ln.iter().map(|v| v.exp()).collect(),
+            alpha: fit.ln_alpha.iter().map(|v| v.exp()).collect(),
+            beta: fit.ln_beta.iter().map(|v| v.exp()).collect(),
             worker_index: ws.workers.iter().enumerate().map(|(i, &w)| (w, i)).collect(),
             workers: ws.workers.clone(),
             median_phi: population_median_phi(&phi),
             phi,
             epsilon,
-            objective_trace: trace,
-            iterations,
-            converged,
-            renorm_shift,
+            objective_trace: fit.trace,
+            iterations: fit.iterations,
+            converged: fit.converged,
+            param_residual: fit.param_residual,
+            renorm_shift: fit.renorm_shift,
             timings: EmTimings::default(),
         }
     }
@@ -202,11 +201,21 @@ fn block_of<'a>(
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn run_em_reference(
-    ws: &RefWorkspace,
-    opts: &EmOptions,
-) -> (Vec<TruthDist>, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, usize, bool, (f64, f64)) {
+/// What [`run_em_reference`] fitted: the fields of an [`InferenceResult`]
+/// that EM produces.
+struct RefFit {
+    truths: Vec<TruthDist>,
+    ln_alpha: Vec<f64>,
+    ln_beta: Vec<f64>,
+    ln_phi: Vec<f64>,
+    trace: Vec<f64>,
+    iterations: usize,
+    converged: bool,
+    param_residual: Option<f64>,
+    renorm_shift: (f64, f64),
+}
+
+fn run_em_reference(ws: &RefWorkspace, opts: &EmOptions) -> RefFit {
     let n_workers = ws.workers.len();
     let mut ln_alpha = vec![0.0; ws.n_rows];
     let mut ln_beta = vec![0.0; ws.n_cols];
@@ -217,9 +226,18 @@ fn run_em_reference(
             ColKind::Cont => TruthDist::Continuous(Normal::STANDARD),
         })
         .collect();
-    let mut trace = Vec::new();
     if ws.answers.is_empty() {
-        return (truths, ln_alpha, ln_beta, ln_phi, trace, 0, true, (0.0, 0.0));
+        return RefFit {
+            truths,
+            ln_alpha,
+            ln_beta,
+            ln_phi,
+            trace: Vec::new(),
+            iterations: 0,
+            converged: true,
+            param_residual: None,
+            renorm_shift: (0.0, 0.0),
+        };
     }
 
     let effective_variance = |ln_alpha: &[f64], ln_beta: &[f64], ln_phi: &[f64], a: &RefAnswer| {
@@ -379,85 +397,81 @@ fn run_em_reference(
             q_val
         };
 
-        // Same schedule as `em::m_step`: gauge step, then one safeguarded
-        // Newton step per block, up to MSTEP_SWEEPS sweeps.
+        // Same schedule as `em::MStep::m_step`: one sweep of a gauge step,
+        // then one safeguarded Newton step per block.
         let n = ws.answers.len();
         let (mut g, mut h) = (vec![0.0; n], vec![0.0; n]);
         let (mut trial_g, mut trial_h) = (vec![0.0; n], vec![0.0; n]);
-        let mut data = data_of(la, lb, lp, &mut g, &mut h);
+        let data = data_of(la, lb, lp, &mut g, &mut h);
+        gauge_step(la, lb, lp, opts, phi_center);
         let mut value = data + log_prior(la, lb, lp, opts, phi_center);
-        for _ in 0..MSTEP_SWEEPS {
-            let start = value;
-            gauge_step(la, lb, lp, opts, phi_center);
-            value = data + log_prior(la, lb, lp, opts, phi_center);
-            for block in Block::active(opts) {
-                let params = block_of(block, la, lb, lp);
-                let mut grad = vec![0.0; params.len()];
-                let mut curv = vec![0.0; params.len()];
-                for (i, a) in ws.answers.iter().enumerate() {
-                    let k = match block {
-                        Block::Phi => ws.worker_index[&a.worker] as usize,
-                        Block::Alpha => a.row as usize,
-                        Block::Beta => a.col as usize,
-                    };
-                    grad[k] += g[i];
-                    curv[k] += h[i];
-                }
-                let (lam, center) = block.prior(phi_center);
-                for (k, &x) in params.iter().enumerate() {
-                    grad[k] -= lam * (x - center);
-                    curv[k] -= lam;
-                }
-                let step: Vec<f64> =
-                    grad.iter().zip(&curv).map(|(&gk, &hk)| newton_step(gk, hk)).collect();
-                let slope: f64 = grad.iter().zip(&step).map(|(gk, sk)| gk * sk).sum();
-                if slope.is_nan() || slope <= 0.0 {
-                    continue;
-                }
-                let below_noise =
-                    curv.iter().all(|&hk| hk < 0.0) && 0.5 * slope < MSTEP_NOISE_REL * value.abs();
-                let base = params.to_vec();
-                let mut t = 1.0;
-                let mut accepted = false;
-                for _ in 0..=MSTEP_MAX_BACKTRACKS {
-                    let params = block_of(block, la, lb, lp);
-                    for k in 0..params.len() {
-                        params[k] = (base[k] + t * step[k]).clamp(-bound, bound);
-                    }
-                    let trial = data_of(la, lb, lp, &mut trial_g, &mut trial_h);
-                    let tv = trial + log_prior(la, lb, lp, opts, phi_center);
-                    if (tv > value || below_noise) && tv.is_finite() {
-                        data = trial;
-                        value = tv;
-                        std::mem::swap(&mut g, &mut trial_g);
-                        std::mem::swap(&mut h, &mut trial_h);
-                        accepted = true;
-                        break;
-                    }
-                    t *= 0.5;
-                }
-                if !accepted {
-                    block_of(block, la, lb, lp).copy_from_slice(&base);
-                }
+        for block in Block::active(opts) {
+            let params = block_of(block, la, lb, lp);
+            let mut grad = vec![0.0; params.len()];
+            let mut curv = vec![0.0; params.len()];
+            for (i, a) in ws.answers.iter().enumerate() {
+                let k = match block {
+                    Block::Phi => ws.worker_index[&a.worker] as usize,
+                    Block::Alpha => a.row as usize,
+                    Block::Beta => a.col as usize,
+                };
+                grad[k] += g[i];
+                curv[k] += h[i];
             }
-            if value - start < MSTEP_SWEEP_TOL {
-                break;
+            let (lam, center) = block.prior(phi_center);
+            for (k, &x) in params.iter().enumerate() {
+                grad[k] -= lam * (x - center);
+                curv[k] -= lam;
+            }
+            let step: Vec<f64> =
+                grad.iter().zip(&curv).map(|(&gk, &hk)| newton_step(gk, hk)).collect();
+            let slope: f64 = grad.iter().zip(&step).map(|(gk, sk)| gk * sk).sum();
+            if slope.is_nan() || slope <= 0.0 {
+                continue;
+            }
+            let below_noise =
+                curv.iter().all(|&hk| hk < 0.0) && 0.5 * slope < MSTEP_NOISE_REL * value.abs();
+            let base = params.to_vec();
+            let mut t = 1.0;
+            let mut accepted = false;
+            for _ in 0..=MSTEP_MAX_BACKTRACKS {
+                let params = block_of(block, la, lb, lp);
+                for k in 0..params.len() {
+                    params[k] = (base[k] + t * step[k]).clamp(-bound, bound);
+                }
+                let trial = data_of(la, lb, lp, &mut trial_g, &mut trial_h);
+                let tv = trial + log_prior(la, lb, lp, opts, phi_center);
+                if (tv > value || below_noise) && tv.is_finite() {
+                    value = tv;
+                    std::mem::swap(&mut g, &mut trial_g);
+                    std::mem::swap(&mut h, &mut trial_h);
+                    accepted = true;
+                    break;
+                }
+                t *= 0.5;
+            }
+            if !accepted {
+                block_of(block, la, lb, lp).copy_from_slice(&base);
             }
         }
     };
 
     e_step(&mut truths, &ln_alpha, &ln_beta, &ln_phi);
     let mut elbo = elbo_of(&truths, &ln_alpha, &ln_beta, &ln_phi);
-    trace.push(elbo);
+    let mut trace = vec![elbo];
     let mut iterations = 0;
     let mut converged = false;
+    let mut param_residual = None;
     for iter in 1..=opts.max_iters {
+        let prev: Vec<f64> = ln_alpha.iter().chain(&ln_beta).chain(&ln_phi).copied().collect();
         m_step(&truths, &mut ln_alpha, &mut ln_beta, &mut ln_phi);
         e_step(&mut truths, &ln_alpha, &ln_beta, &ln_phi);
         let next = elbo_of(&truths, &ln_alpha, &ln_beta, &ln_phi);
         trace.push(next);
         iterations = iter;
-        if (next - elbo).abs() < opts.tol * (1.0 + elbo.abs()) {
+        let moved = param_change(&prev, &ln_alpha, &ln_beta, &ln_phi);
+        param_residual = Some(moved);
+        if (next - elbo).abs() < opts.tol * (1.0 + elbo.abs()) || moved < opts.param_tol {
             converged = true;
             break;
         }
@@ -465,7 +479,7 @@ fn run_em_reference(
     }
 
     // Identifiability polish, mirroring `em::renormalize`.
-    let mut shift = (0.0, 0.0);
+    let mut renorm_shift = (0.0, 0.0);
     if opts.learn_row_difficulty {
         let m = ln_alpha.iter().sum::<f64>() / ln_alpha.len().max(1) as f64;
         for v in &mut ln_alpha {
@@ -474,7 +488,7 @@ fn run_em_reference(
         for v in &mut ln_phi {
             *v += m;
         }
-        shift.0 = m;
+        renorm_shift.0 = m;
     }
     if opts.learn_col_difficulty {
         let m = ln_beta.iter().sum::<f64>() / ln_beta.len().max(1) as f64;
@@ -484,10 +498,20 @@ fn run_em_reference(
         for v in &mut ln_phi {
             *v += m;
         }
-        shift.1 = m;
+        renorm_shift.1 = m;
     }
 
-    (truths, ln_alpha, ln_beta, ln_phi, trace, iterations, converged, shift)
+    RefFit {
+        truths,
+        ln_alpha,
+        ln_beta,
+        ln_phi,
+        trace,
+        iterations,
+        converged,
+        param_residual,
+        renorm_shift,
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use crate::http::{Request, Response};
 use crate::json::{parse, Json};
-use crate::registry::TableRegistry;
+use crate::registry::{TableRegistry, MAX_LABELS};
 use crate::table::{Snapshot, TableConfig, TableState};
 use std::sync::Arc;
 use tcrowd_core::TruthDist;
@@ -142,7 +142,11 @@ fn schema_from_json(doc: &Json) -> Result<Schema, String> {
             .unwrap_or_else(|| format!("col{j}"));
         let ty = match col.get("type").and_then(Json::as_str) {
             Some("categorical") => {
+                let too_many = || format!("column {j}: more than {MAX_LABELS} labels");
                 if let Some(labels) = col.get("labels").and_then(Json::as_array) {
+                    if labels.len() > MAX_LABELS {
+                        return Err(too_many());
+                    }
                     let labels: Option<Vec<String>> =
                         labels.iter().map(|l| l.as_str().map(str::to_string)).collect();
                     let labels = labels.ok_or(format!("column {j}: labels must be strings"))?;
@@ -151,8 +155,11 @@ fn schema_from_json(doc: &Json) -> Result<Schema, String> {
                     }
                     ColumnType::Categorical { labels }
                 } else if let Some(k) = col.get("cardinality").and_then(Json::as_u64) {
-                    if k == 0 || k > u32::MAX as u64 {
+                    if k == 0 {
                         return Err(format!("column {j}: bad cardinality"));
+                    }
+                    if k > MAX_LABELS as u64 {
+                        return Err(too_many());
                     }
                     ColumnType::categorical_with_cardinality(k as u32)
                 } else {
@@ -490,9 +497,11 @@ fn snapshot_stats(table: &Arc<TableState>, snap: &Snapshot) -> Json {
         ("refresh_lag_answers", Json::from(table.pending())),
         ("last_refit_ms", Json::from(snap.last_refit_ms)),
         // Kernel-phase breakdown of the EM inside that refit (E-step
-        // posteriors vs the Newton M-step), from the fit's own timers.
+        // posteriors, the Newton M-step, and the shared pass that yields the
+        // ELBO and opens each M-step), from the fit's own timers.
         ("last_estep_ms", Json::from(snap.result.timings.estep_ns as f64 / 1e6)),
         ("last_mstep_ms", Json::from(snap.result.timings.mstep_ns as f64 / 1e6)),
+        ("last_elbo_ms", Json::from(snap.result.timings.elbo_ns as f64 / 1e6)),
         ("em_threads", Json::from(snap.result.timings.threads)),
         ("catchup_merged", Json::from(snap.catchup_merged)),
         ("fitted_epoch", Json::from(snap.fitted_epoch)),
@@ -501,7 +510,10 @@ fn snapshot_stats(table: &Arc<TableState>, snap: &Snapshot) -> Json {
         ("refresh_age_ms", Json::from(snap.published_at.elapsed().as_millis() as f64)),
         ("em_iterations", Json::from(snap.result.iterations)),
         ("em_converged", Json::from(snap.result.converged)),
-        // M-step objective passes over the answers in that fit.
+        // The largest |Δ ln parameter| over the fit's last iteration: how
+        // far from its fixed point it stopped. Null when it ran none.
+        ("em_param_residual", snap.result.param_residual.map_or(Json::Null, Json::from)),
+        // Objective passes over the answers in that fit.
         ("em_objective_evals", Json::from(snap.result.timings.objective_evals as f64)),
         ("uptime_ms", Json::from(table.age_ms() as f64)),
         ("durable", Json::from(table.durable())),
@@ -770,6 +782,60 @@ mod tests {
             assert!(body.contains(key), "{key}: {body}");
         }
         assert!(registry.get("bad").is_none());
+        registry.shutdown();
+    }
+
+    /// Both size bounds of `POST /tables` answer 400 before anything of the
+    /// table's size is allocated: a categorical column's label count, in
+    /// either form, and the posterior state `rows × Σ max(L, 2)`.
+    #[test]
+    fn create_rejects_label_sets_and_tables_over_their_bounds() {
+        use crate::registry::MAX_POSTERIOR_ENTRIES;
+        let registry = TableRegistry::new();
+        let create = |id: &str, rows: usize, column: &str| {
+            let body =
+                format!(r#"{{"id": "{id}", "rows": {rows}, "schema": {{"columns": [{column}]}}}}"#);
+            let req = Request {
+                method: "POST".into(),
+                path: "/tables".into(),
+                query: Vec::new(),
+                body: body.into_bytes(),
+                keep_alive: false,
+                request_id: "test".into(),
+            };
+            let resp = create_table(&registry, &req);
+            (resp.status, String::from_utf8(resp.body).unwrap())
+        };
+        let labels = |n: usize| {
+            let names: Vec<String> = (0..n).map(|i| format!(r#""l{i}""#)).collect();
+            format!(r#"{{"type": "categorical", "labels": [{}]}}"#, names.join(","))
+        };
+        let cardinality = |k: u64| format!(r#"{{"type": "categorical", "cardinality": {k}}}"#);
+        assert_eq!(create("labels-max", 2, &labels(MAX_LABELS)).0, 201);
+        assert_eq!(create("card-max", 2, &cardinality(MAX_LABELS as u64)).0, 201);
+        for (id, column) in [
+            ("labels-over", labels(MAX_LABELS + 1)),
+            ("card-over", cardinality(MAX_LABELS as u64 + 1)),
+            ("card-u32", cardinality(u32::MAX as u64)),
+        ] {
+            let (status, body) = create(id, 2, &column);
+            assert_eq!(status, 400, "{id}: {body}");
+            assert!(body.contains(&MAX_LABELS.to_string()), "{id}: {body}");
+        }
+        // A continuous column needs 2 posterior entries per row.
+        let cont = r#"{"type": "continuous", "min": 0, "max": 1}"#;
+        let over = MAX_POSTERIOR_ENTRIES / 2 + 1;
+        let (status, body) = create("cont-over", over, cont);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains(&MAX_POSTERIOR_ENTRIES.to_string()), "{body}");
+        // At most 10^7 rows, so a wide row is what reaches the budget.
+        let wide = MAX_POSTERIOR_ENTRIES / MAX_LABELS + 1;
+        let (status, body) = create("wide-over", wide, &cardinality(MAX_LABELS as u64));
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains(&MAX_POSTERIOR_ENTRIES.to_string()), "{body}");
+        for id in ["labels-over", "card-over", "card-u32", "cont-over", "wide-over"] {
+            assert!(registry.get(id).is_none(), "{id}");
+        }
         registry.shutdown();
     }
 

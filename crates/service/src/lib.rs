@@ -162,7 +162,15 @@
 //! value that does not parse for its key is a `400` naming it.
 //!
 //! Categorical cardinality may be given as `"cardinality": k` instead of
-//! labels. An answer is `{"worker": 7, "row": 3, "col": 1, "value": v}` —
+//! labels. Two size bounds answer `400`, naming the limit, before anything
+//! of the table's size is allocated:
+//! - a categorical column declares at most [`MAX_LABELS`] (4096) labels,
+//!   in either form;
+//! - a table's posterior state, `rows × Σ_j max(L_j, 2)` entries (`L_j`
+//!   labels for a categorical column, 2 for a continuous one), is at most
+//!   [`MAX_POSTERIOR_ENTRIES`] (2^24); `rows` is also at most 10^7.
+//!
+//! An answer is `{"worker": 7, "row": 3, "col": 1, "value": v}` —
 //! `col` accepts a column name, `value` is a number for continuous columns
 //! and a label index *or* label string for categorical ones; responses
 //! encode categorical values as label strings. `truth?z=1` returns, per
@@ -185,7 +193,7 @@ pub use http::{serve, Handler, Request, Response, ServerHandle};
 pub use json::Json;
 pub use obs::{ServiceObs, TableObs};
 pub use policy::{make_policy, POLICY_NAMES};
-pub use registry::{RecoveryReport, TableRegistry};
+pub use registry::{RecoveryReport, TableRegistry, MAX_LABELS, MAX_POSTERIOR_ENTRIES};
 pub use table::{
     Durability, HealthView, Snapshot, TableConfig, TableState, TrustView, WorkerStatus,
 };

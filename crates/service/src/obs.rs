@@ -137,6 +137,7 @@ pub struct TableObs {
     refit_seconds: Arc<Histogram>,
     estep_seconds: Arc<Histogram>,
     mstep_seconds: Arc<Histogram>,
+    elbo_seconds: Arc<Histogram>,
     em_objective_evals: Arc<Counter>,
     wal_append_seconds: Arc<Histogram>,
     wal_fsync_seconds: Arc<Histogram>,
@@ -161,6 +162,7 @@ impl TableObs {
             refit_seconds: reg.histogram("tcrowd_refit_seconds", &t),
             estep_seconds: reg.histogram("tcrowd_em_estep_seconds", &t),
             mstep_seconds: reg.histogram("tcrowd_em_mstep_seconds", &t),
+            elbo_seconds: reg.histogram("tcrowd_em_elbo_seconds", &t),
             em_objective_evals: reg.counter("tcrowd_em_objective_evals_total", &t),
             wal_append_seconds: reg.histogram("tcrowd_wal_append_seconds", &t),
             wal_fsync_seconds: reg.histogram("tcrowd_wal_fsync_seconds", &t),
@@ -201,12 +203,13 @@ impl TableObs {
         self.event("ingest_committed", format!("{answers} answers"), request_id);
     }
 
-    /// A published refit: phase timings into the histograms, M-step
-    /// objective passes into their counter.
+    /// A published refit: phase timings into the histograms, objective
+    /// passes into their counter.
     pub fn observe_refit(&self, total_ns: u64, em: &EmTimings) {
         self.refit_seconds.observe_ns(total_ns);
         self.estep_seconds.observe_ns(em.estep_ns);
         self.mstep_seconds.observe_ns(em.mstep_ns);
+        self.elbo_seconds.observe_ns(em.elbo_ns);
         self.em_objective_evals.add(em.objective_evals);
     }
 

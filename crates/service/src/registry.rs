@@ -11,7 +11,20 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 use tcrowd_store::{Store, TableMeta};
-use tcrowd_tabular::Schema;
+use tcrowd_tabular::{ColumnType, Schema};
+
+/// Most labels a categorical column may declare, in either the `labels` or
+/// the `cardinality` form of `POST /tables`. Checked before the label set is
+/// built, so a huge `cardinality` is a 400 instead of an allocation the
+/// process cannot survive.
+pub const MAX_LABELS: usize = 4096;
+
+/// Most entries a new table's posterior state may hold:
+/// `rows × Σ_j max(L_j, 2)`, where `L_j` is column `j`'s label count and a
+/// continuous column counts 2 (its mean and variance). A table's empty fit
+/// allocates this state up front, so [`TableRegistry::create`] refuses a
+/// table over the budget (2^24 entries, 128 MiB of `f64`).
+pub const MAX_POSTERIOR_ENTRIES: usize = 1 << 24;
 
 /// What [`TableRegistry::recover`] found on boot.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -133,6 +146,18 @@ impl TableRegistry {
     ) -> Result<Arc<TableState>, String> {
         if rows == 0 {
             return Err("a table needs at least one row".into());
+        }
+        let per_row: usize = (0..schema.num_columns())
+            .map(|j| match schema.column_type(j) {
+                ColumnType::Categorical { labels } => labels.len().max(2),
+                ColumnType::Continuous { .. } => 2,
+            })
+            .fold(0, usize::saturating_add);
+        if rows.saturating_mul(per_row) > MAX_POSTERIOR_ENTRIES {
+            return Err(format!(
+                "table of {rows} rows needs {per_row} posterior entries per row, over the \
+                 limit of {MAX_POSTERIOR_ENTRIES} (rows × Σ max(labels, 2)) per table"
+            ));
         }
         if config.max_pending.is_none() {
             config.max_pending = self.default_max_pending();

@@ -493,6 +493,30 @@ fn deeply_nested_body_gets_400_and_the_server_keeps_serving() {
     server.shutdown();
 }
 
+/// A categorical column's declared cardinality is bounded before its label
+/// set is built: `u32::MAX` labels would ask for about 103 GB, whose refused
+/// allocation aborts the process. It gets a 400 and the same server keeps
+/// answering.
+#[test]
+fn huge_cardinality_gets_400_and_the_server_keeps_serving() {
+    let (registry, server) = tcrowd_service::start("127.0.0.1:0", 2).expect("start server");
+    let client = Client { addr: server.addr() };
+    let create = r#"{
+        "id": "huge", "rows": 2,
+        "schema": {"columns": [{"name": "kind", "type": "categorical", "cardinality": 4294967295}]}
+    }"#;
+    let (status, r) = client.post("/tables", create);
+    assert_eq!(status, 400, "{r}");
+    assert!(r.get("error").unwrap().as_str().unwrap().contains("labels"), "{r}");
+    let (status, health) = client.get("/healthz");
+    assert_eq!(status, 200);
+    assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
+    assert_eq!(client.get("/tables/huge/stats").0, 404);
+
+    registry.shutdown();
+    server.shutdown();
+}
+
 /// A huge `k` is bounded by the table: every policy answers with at most
 /// rows×cols cells, and the server keeps serving.
 #[test]

@@ -60,7 +60,12 @@ fn metrics_exposition_covers_every_subsystem_and_lints_clean() {
     assert!(text.contains("tcrowd_ingest_answers_total{table=\"obs\"} 1"), "{text}");
     assert!(text.contains("tcrowd_ingest_batches_total{table=\"obs\"} 1"), "{text}");
     // Refit phase timings recorded the explicit refresh.
-    for h in ["tcrowd_refit_seconds", "tcrowd_em_estep_seconds", "tcrowd_em_mstep_seconds"] {
+    for h in [
+        "tcrowd_refit_seconds",
+        "tcrowd_em_estep_seconds",
+        "tcrowd_em_mstep_seconds",
+        "tcrowd_em_elbo_seconds",
+    ] {
         assert!(text.contains(&format!("# TYPE {h} histogram")), "{h} typed\n{text}");
         assert!(text.contains(&format!("{h}_count{{table=\"obs\"}} 1")), "{h} observed\n{text}");
     }
@@ -185,6 +190,7 @@ fn stats_schema_is_exhaustive() {
         "last_refit_ms",
         "last_estep_ms",
         "last_mstep_ms",
+        "last_elbo_ms",
         "em_threads",
         "catchup_merged",
         "fitted_epoch",
@@ -193,6 +199,7 @@ fn stats_schema_is_exhaustive() {
         "refresh_age_ms",
         "em_iterations",
         "em_converged",
+        "em_param_residual",
         "em_objective_evals",
         "uptime_ms",
         "durable",

@@ -524,11 +524,11 @@ mod tests {
             &stopped,
             (177, 46, 60),
             &[
-                (0.4666666666666667, 0.425092374275857),
-                (0.36666666666666664, 0.3678712431985848),
-                (0.26666666666666666, 0.3194948850964917),
-                (0.26666666666666666, 0.3424338636725448),
-                (0.13333333333333333, 0.3302015693638569),
+                (0.4666666666666667, 0.42464281839431434),
+                (0.36666666666666664, 0.3679362419967593),
+                (0.26666666666666666, 0.3195716030999801),
+                (0.26666666666666666, 0.34254554998091247),
+                (0.13333333333333333, 0.3302953828742916),
             ],
         );
 
@@ -545,13 +545,13 @@ mod tests {
             &inherent,
             (212, 53, 0),
             &[
-                (0.5333333333333333, 0.5248571302657047),
-                (0.4666666666666667, 0.33817648064544925),
-                (0.3333333333333333, 0.2928816836446495),
-                (0.4666666666666667, 0.2752341817646027),
-                (0.43333333333333335, 0.23366604540833066),
-                (0.43333333333333335, 0.19904678752197152),
-                (0.43333333333333335, 0.19907581159770354),
+                (0.5333333333333333, 0.5246869693745143),
+                (0.4, 0.3854446397085),
+                (0.3333333333333333, 0.31361555174574574),
+                (0.3333333333333333, 0.24667016423545757),
+                (0.3, 0.23364913262181353),
+                (0.4666666666666667, 0.21699321388543677),
+                (0.4666666666666667, 0.21700937963965639),
             ],
         );
     }

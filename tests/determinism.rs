@@ -173,37 +173,37 @@ fn grouped_readers_are_pinned() {
     assert_eq!(
         grouped_reader_bits(&restaurant),
         [
-            0x3fee_543a_68e6_ae39,
-            0x3ff0_7f37_1ece_ff90,
-            0x3f80_adc3_0834_8b00,
-            0x3fee_230d_8a65_2bff,
+            0x3fee_5272_90d0_ed5b,
+            0x3ff0_7778_06c0_48f4,
+            0x3f82_83c1_c830_ee40,
+            0x3fee_1daf_1662_6d48,
             0x4bc9_25e8_ad79_debc,
             0x6096_3922_f68e_e7f5,
-            0x9367_b34f_5f63_7572,
+            0x15f8_c4a0_2a89_85af,
         ]
     );
     assert_eq!(
         grouped_reader_bits(&generated),
         [
-            0x3fe9_3e85_1220_283e,
-            0x3ff1_aaf3_a00a_62ea,
-            0xbfa3_5e0a_6421_e980,
-            0x3fed_3dbc_d4b1_2d74,
+            0x3fe9_3e83_a29c_4ffb,
+            0x3ff1_a9fd_c62d_2688,
+            0xbfa3_4b02_ca42_cab0,
+            0x3fed_3d75_3503_0eea,
             0x9f01_19df_94d4_c43c,
             0x5109_e919_3e13_ed3d,
-            0x0cc0_986b_9205_c71a,
+            0xa083_e73c_6938_bf35,
         ]
     );
     assert_eq!(
         grouped_reader_bits(&reversed),
         [
-            0x3fe9_3e85_1220_283c,
-            0x3ff1_aaf3_a00a_62e9,
-            0xbfa3_5e0a_6421_e980,
-            0x3fed_3dbc_d4b1_2d73,
+            0x3fe9_3e83_a29c_4ffa,
+            0x3ff1_a9fd_c62d_2687,
+            0xbfa3_4b02_ca42_caa0,
+            0x3fed_3d75_3503_0ee9,
             0x0913_dccd_b87f_fc01,
             0x5109_e919_3e13_ed3d,
-            0x4c22_28ff_0b90_1967,
+            0xf802_0bbc_0380_abb0,
         ]
     );
 }

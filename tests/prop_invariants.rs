@@ -270,6 +270,13 @@ proptest! {
         let naive = model.infer_reference(&d.schema, &d.answers);
         prop_assert_eq!(fast.iterations, naive.iterations);
         prop_assert_eq!(fast.workers.clone(), naive.workers.clone());
+        // The reference evaluates its ELBO in a pass of its own, so this
+        // checks the columnar path's shared ELBO pass at every iterate.
+        prop_assert_eq!(fast.objective_trace.len(), naive.objective_trace.len());
+        for (k, (a, b)) in fast.objective_trace.iter().zip(&naive.objective_trace).enumerate() {
+            prop_assert!((a - b).abs() <= 1e-10 * a.abs().max(b.abs()),
+                "ELBO at iterate {}: {} vs {}", k, a, b);
+        }
         for (a, b) in fast.phi.iter().zip(&naive.phi) {
             prop_assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs()), "phi {} vs {}", a, b);
         }
