@@ -1,10 +1,12 @@
 //! The EM truth-inference engine (paper §4.3, Algorithm 1).
 //!
-//! Internal representation: answers are flattened into index-based records
-//! (worker index, row, column, z-scored value), truth posteriors live in a
-//! dense per-cell vector, and the parameters are optimised in log space
-//! (`ln α, ln β, ln φ`) so positivity is structural rather than enforced by
-//! projection.
+//! Internal representation: the answers sit once, in two structure-of-arrays
+//! runs — one per column kind, each in the freeze's cell-major order (see
+//! `Workspace`) — and every phase (E-step, M-step and the ELBO pass)
+//! evaluates its per-answer terms over them with the batch kernels of
+//! [`tcrowd_stat::batch`]. Truth posteriors live in a dense per-cell vector,
+//! and the parameters are optimised in log space (`ln α, ln β, ln φ`) so
+//! positivity is structural rather than enforced by projection.
 //!
 //! **Identifiability.** The likelihood only sees the product
 //! `α_i β_j φ_u`, which leaves a two-dimensional scale ambiguity. Inside EM
@@ -15,7 +17,6 @@
 //! variance.
 
 #![allow(clippy::needless_range_loop)] // index loops here walk several parallel arrays
-use crate::model::{cat_answer_ln_likelihood, quality_from_ln_variance_fast};
 use crate::pool::WorkerPool;
 use crate::truth::TruthDist;
 use std::sync::Mutex;
@@ -56,12 +57,13 @@ pub struct EmOptions {
     pub learn_row_difficulty: bool,
     /// Learn per-column difficulties `β_j` (disable for the ablation study).
     pub learn_col_difficulty: bool,
-    /// Threads the E-step (cells are independent) and every M-step
-    /// objective/gradient evaluation are split across: `0` (the default)
-    /// means one per available core, `1` runs serially. Work is cut at fixed
-    /// chunk boundaries and reduced in order, so the thread count never
-    /// affects the fitted numbers — they are **bit-identical** to the serial
-    /// path (tested) — only wall-clock.
+    /// Threads the E-step (fixed 256-cell chunks; cells are independent)
+    /// and every objective pass over the answers (fixed 4096-answer chunks)
+    /// are split across: `0` (the default) means one per available core,
+    /// `1` runs serially. Chunk boundaries never depend on the thread count
+    /// and partial sums are reduced in chunk order, so the thread count
+    /// never affects the fitted numbers — they are **bit-identical** to the
+    /// serial path (tested) — only wall-clock.
     pub threads: usize,
 }
 
@@ -101,38 +103,29 @@ pub(crate) enum ColKind {
     Cont,
 }
 
-/// One flattened answer.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct IntAnswer {
-    pub worker: u32,
-    pub row: u32,
-    pub col: u32,
-    /// Label for categorical columns (unused otherwise).
-    pub label: u32,
-    /// Z-scored value for continuous columns (unused otherwise).
-    pub value: f64,
-}
-
 /// The flattened problem instance the EM engine operates on.
 ///
-/// Columnar/CSR layout: `answers` is sorted cell-major (row-major slots,
-/// insertion order within a cell) and `cell_offsets` delimits each cell's
-/// contiguous slice — every sweep walks dense memory, no per-cell
-/// indirection. Built from an [`tcrowd_tabular::AnswerMatrix`] by
-/// [`crate::inference::TCrowd::infer`]; workers are indexed densely in
-/// sorted-id order, which makes the whole EM pipeline deterministic.
+/// The included answers live once, in the two column-kind runs of
+/// [`MStepRuns`], each in the freeze's cell-major order (row-major slots,
+/// insertion order within a cell); `cell_offsets` counts them per cell in
+/// that order. A cell's answers are all of its column's kind, so any range
+/// of cells owns one contiguous sub-slice of each run — the E-step's unit of
+/// work. Built by [`crate::inference::TCrowd::fit`] straight from an
+/// [`tcrowd_tabular::AnswerMatrix`] ([`Self::new`], one [`Self::push_cat`]
+/// or [`Self::push_cont`] per answer, then [`Self::finish`]); workers are
+/// indexed densely in sorted-id order, which makes the whole EM pipeline
+/// deterministic.
 #[derive(Debug, Clone)]
 pub(crate) struct Workspace {
     pub n_rows: usize,
     pub n_cols: usize,
     pub n_workers: usize,
     pub col_kind: Vec<ColKind>,
-    /// Cell-major flattened answers.
-    pub answers: Vec<IntAnswer>,
-    /// CSR offsets into [`Self::answers`], `n_rows * n_cols + 1` entries.
+    /// CSR offsets of each cell's answers in cell-major order (a cell's
+    /// answers sit in its column kind's run), `n_rows * n_cols + 1` entries.
     pub cell_offsets: Vec<u32>,
-    /// Column-kind–segregated SoA runs of the same answers, for the batch
-    /// M-step/ELBO kernels (built once here, reused every iteration).
+    /// Column-kind–segregated SoA runs of the answers, read by every phase
+    /// of every iteration.
     pub runs: MStepRuns,
     /// Quality window ε (Eq. 2), in z-score units.
     pub epsilon: f64,
@@ -140,15 +133,17 @@ pub(crate) struct Workspace {
 
 /// The answers of a [`Workspace`] segregated by column kind into contiguous
 /// structure-of-arrays runs: one continuous run, one categorical run, each
-/// preserving the workspace's cell-major order. The M-step objective over
-/// this layout is two branchless batch loops (see [`BatchKernels`]) instead
-/// of one per-answer `ColKind` match, and the fixed-size chunks the runs are
-/// cut into are the unit of (deterministic) parallelism.
+/// in the workspace's cell-major order. The E-step, the M-step objective and
+/// the ELBO over this layout are branchless batch loops (see
+/// [`BatchKernels`]) instead of one per-answer `ColKind` match, and the
+/// fixed-size chunks the runs are cut into are the unit of (deterministic)
+/// parallelism.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MStepRuns {
     pub cont_row: Vec<u32>,
     pub cont_col: Vec<u32>,
     pub cont_worker: Vec<u32>,
+    /// Z-scored answer values.
     pub cont_value: Vec<f64>,
     pub cat_row: Vec<u32>,
     pub cat_col: Vec<u32>,
@@ -159,64 +154,96 @@ pub(crate) struct MStepRuns {
     pub cat_ln_card1: Vec<f64>,
 }
 
-impl MStepRuns {
-    fn build(col_kind: &[ColKind], answers: &[IntAnswer]) -> MStepRuns {
-        let mut r = MStepRuns::default();
-        for a in answers {
-            match col_kind[a.col as usize] {
-                ColKind::Cont => {
-                    r.cont_row.push(a.row);
-                    r.cont_col.push(a.col);
-                    r.cont_worker.push(a.worker);
-                    r.cont_value.push(a.value);
-                }
-                ColKind::Cat(l) => {
-                    r.cat_row.push(a.row);
-                    r.cat_col.push(a.col);
-                    r.cat_worker.push(a.worker);
-                    r.cat_label.push(a.label);
-                    r.cat_ln_card1.push(((l.max(2) - 1) as f64).ln());
-                }
-            }
-        }
-        r
-    }
-}
-
 impl Workspace {
-    /// Assemble a workspace from answers in any order: stable-sorts them
-    /// cell-major and builds the CSR offsets.
-    pub fn assemble(
-        n_rows: usize,
-        n_cols: usize,
-        n_workers: usize,
-        col_kind: Vec<ColKind>,
-        mut answers: Vec<IntAnswer>,
-        epsilon: f64,
-    ) -> Workspace {
-        answers.sort_by_key(|a| (a.row, a.col));
-        let mut cell_offsets = vec![0u32; n_rows * n_cols + 1];
-        for a in &answers {
-            cell_offsets[a.row as usize * n_cols + a.col as usize + 1] += 1;
+    /// An empty workspace of the given shape, ε unresolved (1.0); fill it
+    /// with [`Self::push_cat`] and [`Self::push_cont`], then [`Self::finish`].
+    pub fn new(n_rows: usize, n_cols: usize, n_workers: usize, col_kind: Vec<ColKind>) -> Self {
+        assert_eq!(col_kind.len(), n_cols, "one kind per column");
+        Workspace {
+            n_rows,
+            n_cols,
+            n_workers,
+            col_kind,
+            cell_offsets: vec![0; n_rows * n_cols + 1],
+            runs: MStepRuns::default(),
+            epsilon: 1.0,
         }
-        for s in 0..n_rows * n_cols {
-            cell_offsets[s + 1] += cell_offsets[s];
-        }
-        let runs = MStepRuns::build(&col_kind, &answers);
-        Workspace { n_rows, n_cols, n_workers, col_kind, answers, cell_offsets, runs, epsilon }
     }
 
-    /// Row-major slot of a cell (test helper; the hot paths inline this).
+    /// Count one answer on its cell; answers must arrive cell-major.
+    fn count(&mut self, row: u32, col: u32) {
+        let slot = self.cell_slot(row, col);
+        self.cell_offsets[slot + 1] += 1;
+    }
+
+    /// Append a categorical answer (`label` on a categorical column).
+    pub fn push_cat(&mut self, row: u32, col: u32, worker: u32, label: u32) {
+        let ColKind::Cat(l) = self.col_kind[col as usize] else {
+            panic!("categorical answer on continuous column {col}")
+        };
+        self.count(row, col);
+        let r = &mut self.runs;
+        r.cat_row.push(row);
+        r.cat_col.push(col);
+        r.cat_worker.push(worker);
+        r.cat_label.push(label);
+        r.cat_ln_card1.push(((l.max(2) - 1) as f64).ln());
+    }
+
+    /// Append a continuous answer (`value` z-scored, on a continuous column).
+    pub fn push_cont(&mut self, row: u32, col: u32, worker: u32, value: f64) {
+        assert_eq!(self.col_kind[col as usize], ColKind::Cont, "continuous answer on column {col}");
+        self.count(row, col);
+        let r = &mut self.runs;
+        r.cont_row.push(row);
+        r.cont_col.push(col);
+        r.cont_worker.push(worker);
+        r.cont_value.push(value);
+    }
+
+    /// Turn the per-cell counts into offsets once every answer is pushed.
+    pub fn finish(mut self) -> Self {
+        let cell_major = |rows: &[u32], cols: &[u32]| rows.iter().zip(cols).is_sorted();
+        let r = &self.runs;
+        debug_assert!(
+            cell_major(&r.cont_row, &r.cont_col) && cell_major(&r.cat_row, &r.cat_col),
+            "answers must arrive cell-major"
+        );
+        for s in 0..self.n_rows * self.n_cols {
+            self.cell_offsets[s + 1] += self.cell_offsets[s];
+        }
+        self
+    }
+
+    /// Number of answers.
+    pub fn len(&self) -> usize {
+        self.runs.cont_row.len() + self.runs.cat_row.len()
+    }
+
+    /// Row-major slot of a cell.
     #[inline]
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn cell_slot(&self, row: u32, col: u32) -> usize {
         row as usize * self.n_cols + col as usize
     }
 
-    /// The contiguous answer slice of one cell slot.
+    /// Number of answers on one cell slot.
     #[inline]
-    pub fn cell_answers(&self, slot: usize) -> &[IntAnswer] {
-        &self.answers[self.cell_offsets[slot] as usize..self.cell_offsets[slot + 1] as usize]
+    pub fn cell_len(&self, slot: usize) -> usize {
+        (self.cell_offsets[slot + 1] - self.cell_offsets[slot]) as usize
+    }
+
+    /// Every continuous cell's z-scored values, in slot order: the cell's
+    /// slice of the continuous run.
+    pub fn cont_cells(&self) -> impl Iterator<Item = (usize, &[f64])> + '_ {
+        let mut pos = 0;
+        (0..self.n_rows * self.n_cols).filter_map(move |slot| {
+            if self.col_kind[slot % self.n_cols] != ColKind::Cont {
+                return None;
+            }
+            let n = self.cell_len(slot);
+            pos += n;
+            Some((slot, &self.runs.cont_value[pos - n..pos]))
+        })
     }
 }
 
@@ -367,7 +394,7 @@ pub(crate) fn run_em_from(ws: &Workspace, opts: &EmOptions, warm: Option<&WarmSt
         renorm_shift: (0.0, 0.0),
         timings: EmTimings { threads: 1, ..EmTimings::default() },
     };
-    if ws.answers.is_empty() {
+    if ws.len() == 0 {
         // Nothing to learn; posteriors are the priors.
         state.converged = true;
         return state;
@@ -390,7 +417,7 @@ pub(crate) fn run_em_from(ws: &Workspace, opts: &EmOptions, warm: Option<&WarmSt
     let curv = opts.max_iters > 0;
 
     let t = Instant::now();
-    e_step_with(ws, &mut state, pool);
+    e_step_with(ws, &mut state, &mut scratch, kern, pool);
     state.timings.estep_ns += t.elapsed().as_nanos() as u64;
     let (mut elbo, mut data) = ms.elbo_pass(&mut state, &mut scratch, curv);
 
@@ -402,7 +429,7 @@ pub(crate) fn run_em_from(ws: &Workspace, opts: &EmOptions, warm: Option<&WarmSt
         prev_params.extend_from_slice(&state.ln_phi);
         ms.m_step(&mut state, &mut scratch, data);
         let t = Instant::now();
-        e_step_with(ws, &mut state, pool);
+        e_step_with(ws, &mut state, &mut scratch, kern, pool);
         state.timings.estep_ns += t.elapsed().as_nanos() as u64;
         let next;
         (next, data) = ms.elbo_pass(&mut state, &mut scratch, curv);
@@ -439,111 +466,193 @@ fn initial_truths(ws: &Workspace) -> Vec<TruthDist> {
     out
 }
 
-/// Posterior of one cell under the current parameters (Eq. 4).
-fn cell_posterior(
+/// Cell slots per E-step chunk: the E-step's unit of parallelism. A range
+/// of cells owns one contiguous sub-slice of each run, so a chunk fills its
+/// answers' `ln v`, runs both E-step kernels over them and folds its own
+/// cells. Boundaries are fixed by this constant (never by the thread
+/// count), and every cell's posterior depends only on its own answers, so
+/// the result is bit-identical at any thread count. 256 cells (1,300–2,000
+/// answers on svcbench's tables) keep a chunk well above the pool's
+/// per-chunk claim cost.
+const ESTEP_CHUNK: usize = 256;
+
+/// Where every E-step chunk's answers start in the continuous and the
+/// categorical run, plus both runs' ends: `chunks + 1` entries.
+fn estep_bounds(ws: &Workspace) -> Vec<(usize, usize)> {
+    let n_slots = ws.n_rows * ws.n_cols;
+    let mut out = Vec::with_capacity(n_slots / ESTEP_CHUNK + 2);
+    let (mut cont, mut cat) = (0, 0);
+    for slot in 0..n_slots {
+        if slot % ESTEP_CHUNK == 0 {
+            out.push((cont, cat));
+        }
+        match ws.col_kind[slot % ws.n_cols] {
+            ColKind::Cont => cont += ws.cell_len(slot),
+            ColKind::Cat(_) => cat += ws.cell_len(slot),
+        }
+    }
+    out.push((cont, cat));
+    out
+}
+
+/// One E-step chunk: a range of cells, their posteriors, and the per-answer
+/// buffers of their answers (disjoint sub-slices of the scratch). The
+/// `Mutex` around it hands the `&mut` slices across the pool's
+/// shared-closure boundary; it is never contended.
+struct EStepChunk<'a> {
+    first_slot: usize,
+    truths: &'a mut [TruthDist],
+    /// The chunk's ranges of the continuous and categorical runs.
+    cont: std::ops::Range<usize>,
+    cat: std::ops::Range<usize>,
+    cont_ln_v: &'a mut [f64],
+    /// Per continuous answer: its precision `1/v`.
+    cont_w: &'a mut [f64],
+    cat_ln_v: &'a mut [f64],
+    /// Per categorical answer: `ln q` and `ln(1 - q)`.
+    cat_ln_q: &'a mut [f64],
+    cat_ln_omq: &'a mut [f64],
+}
+
+/// E-step (Eq. 4), serial entry point for tests.
+#[cfg(test)]
+pub(crate) fn e_step(ws: &Workspace, state: &mut EmState, _opts: &EmOptions) {
+    e_step_with(ws, state, &mut EmScratch::new(ws), kernels(), None);
+}
+
+/// E-step (Eq. 4): recompute every answered cell's posterior from the
+/// current parameters; a cell without answers keeps its prior. Each
+/// answer's `ln v = ln α_i + ln β_j + ln φ_u` (unclamped) goes through the
+/// batch kernels — a precision per continuous answer, `(ln q, ln(1 - q))`
+/// per categorical one — and a per-cell fold writes the posterior in place:
+///
+/// * continuous: precision `1 + Σ w` and `Σ value·w`, so
+///   `var = 1/(1 + Σ w)` and `mean = var·Σ value·w`;
+/// * categorical: `ln p[z] = Σ_a miss_a + Σ_{a: label = z} (hit_a − miss_a)`
+///   with `hit = ln q` and `miss = ln(1 − q) − ln(max(L, 2) − 1)`, then the
+///   max-shifted `exp` and the normalisation, into the cell's own `Vec`.
+///
+/// With a pool, the fixed [`ESTEP_CHUNK`] chunks are claimed off the pool's
+/// cursor (the paper's §7 notes this acceleration) in one dispatch; each
+/// writes only its own cells and answers, so the result is bit-identical
+/// to the serial path regardless of scheduling — which is tested. The
+/// per-answer buffers are the scratch's caches, which [`build_cache`]
+/// overwrites right after.
+pub(crate) fn e_step_with(
+    ws: &Workspace,
+    state: &mut EmState,
+    scratch: &mut EmScratch,
+    kern: BatchKernels,
+    pool: Option<&WorkerPool>,
+) {
+    let EmState { ln_alpha, ln_beta, ln_phi, truths, .. } = state;
+    let (la, lb, lp) = (&ln_alpha[..], &ln_beta[..], &ln_phi[..]);
+    let EmScratch { cont_k, cat_p, cat_c, cont_ln_v, cat_ln_v, estep_bounds, .. } = scratch;
+    let (mut cont_ln_v, mut cont_w) = (&mut cont_ln_v[..], &mut cont_k[..]);
+    let (mut cat_ln_v, mut cat_ln_q, mut cat_ln_omq) =
+        (&mut cat_ln_v[..], &mut cat_p[..], &mut cat_c[..]);
+    let mut tasks = Vec::with_capacity(estep_bounds.len());
+    for (i, cells) in truths.chunks_mut(ESTEP_CHUNK).enumerate() {
+        let ((c0, k0), (c1, k1)) = (estep_bounds[i], estep_bounds[i + 1]);
+        tasks.push(Mutex::new(EStepChunk {
+            first_slot: i * ESTEP_CHUNK,
+            truths: cells,
+            cont: c0..c1,
+            cat: k0..k1,
+            cont_ln_v: split_front(&mut cont_ln_v, c1 - c0),
+            cont_w: split_front(&mut cont_w, c1 - c0),
+            cat_ln_v: split_front(&mut cat_ln_v, k1 - k0),
+            cat_ln_q: split_front(&mut cat_ln_q, k1 - k0),
+            cat_ln_omq: split_front(&mut cat_ln_omq, k1 - k0),
+        }));
+    }
+    let job = |ci: usize| {
+        let mut guard = tasks[ci].lock().expect("estep chunk mutex");
+        e_step_chunk(ws, la, lb, lp, kern, &mut guard);
+    };
+    match pool.filter(|p| p.threads() > 1 && tasks.len() > 1) {
+        Some(p) => p.run(tasks.len(), &job),
+        None => (0..tasks.len()).for_each(job),
+    }
+}
+
+/// Split the first `n` elements off the front of `rest`.
+fn split_front<'a>(rest: &mut &'a mut [f64], n: usize) -> &'a mut [f64] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(n);
+    *rest = tail;
+    head
+}
+
+/// The E-step of one chunk: its answers' terms through the kernels, then
+/// one fold per answered cell (see [`e_step_with`]).
+fn e_step_chunk(
     ws: &Workspace,
     la: &[f64],
     lb: &[f64],
     lp: &[f64],
-    slot: usize,
-) -> Option<TruthDist> {
-    let cell = ws.cell_answers(slot);
-    if cell.is_empty() {
-        return None; // posterior stays at the prior
-    }
-    let row = (slot / ws.n_cols) as u32;
-    let col = (slot % ws.n_cols) as u32;
-    let ln_v_of = |a: &IntAnswer| la[row as usize] + lb[col as usize] + lp[a.worker as usize];
-    Some(match ws.col_kind[col as usize] {
-        ColKind::Cont => {
-            // Streamed precision-weighted update — same accumulation order as
-            // `Normal::posterior_with_observations`, without the obs buffer.
-            let mut prec = 1.0; // standard-normal prior: 1/var
-            let mut weighted = 0.0; // prior mean / var
-            for a in cell {
-                let v = tcrowd_stat::clamp_var(ln_v_of(a).exp());
-                prec += 1.0 / v;
-                weighted += a.value / v;
-            }
-            let var = 1.0 / prec;
-            TruthDist::Continuous(Normal::new(weighted * var, var))
+    kern: BatchKernels,
+    t: &mut EStepChunk,
+) {
+    let r = &ws.runs;
+    let (c, k) = (t.cont.clone(), t.cat.clone());
+    let (la, lb) = (Some(la), Some(lb));
+    fill_ln_v(
+        la,
+        lb,
+        lp,
+        None,
+        &r.cont_row[c.clone()],
+        &r.cont_col[c.clone()],
+        &r.cont_worker[c.clone()],
+        t.cont_ln_v,
+    );
+    kern.precisions(t.cont_ln_v, t.cont_w);
+    fill_ln_v(
+        la,
+        lb,
+        lp,
+        None,
+        &r.cat_row[k.clone()],
+        &r.cat_col[k.clone()],
+        &r.cat_worker[k.clone()],
+        t.cat_ln_v,
+    );
+    kern.quality_logs(ws.epsilon, t.cat_ln_v, t.cat_ln_q, t.cat_ln_omq);
+    let (values, labels, card1) = (&r.cont_value[c], &r.cat_label[k.clone()], &r.cat_ln_card1[k]);
+    let (mut cp, mut kp) = (0, 0);
+    for (off, truth) in t.truths.iter_mut().enumerate() {
+        let slot = t.first_slot + off;
+        let n = ws.cell_len(slot);
+        if n == 0 {
+            continue; // the posterior stays at the prior
         }
-        ColKind::Cat(l) => {
-            let l_us = l.max(1) as usize;
-            let mut ln_p = vec![0.0f64; l_us]; // uniform prior cancels
-            for a in cell {
-                let q = quality_from_ln_variance_fast(ws.epsilon, ln_v_of(a));
-                // Only two distinct likelihood values exist per answer.
-                let ln_hit = cat_answer_ln_likelihood(q, l, true);
-                let ln_miss = cat_answer_ln_likelihood(q, l, false);
-                for (z, lp) in ln_p.iter_mut().enumerate() {
-                    *lp += if z as u32 == a.label { ln_hit } else { ln_miss };
+        match truth {
+            TruthDist::Continuous(post) => {
+                let (mut prec, mut weighted) = (1.0, 0.0); // standard-normal prior
+                for (&w, &v) in t.cont_w[cp..cp + n].iter().zip(&values[cp..cp + n]) {
+                    prec += w;
+                    weighted += v * w;
                 }
+                let var = 1.0 / prec;
+                *post = Normal::new(weighted * var, var);
+                cp += n;
             }
-            let max = ln_p.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let mut p: Vec<f64> = ln_p.iter().map(|lp| (lp - max).exp()).collect();
-            let total: f64 = p.iter().sum();
-            for v in &mut p {
-                *v /= total;
-            }
-            TruthDist::Categorical(p)
-        }
-    })
-}
-
-/// Cell slots per E-step chunk. With the persistent pool a chunk claim is
-/// one atomic increment plus an uncontended mutex lock, so the batch no
-/// longer has to amortise a thread spawn; 64 keeps the claim traffic
-/// negligible against the per-cell math while still load-balancing a
-/// skewed answer distribution (chunks are *claimed* dynamically — only the
-/// chunk *boundaries* are fixed, and each cell's posterior is independent,
-/// so scheduling never affects the result).
-const ESTEP_CHUNK: usize = 64;
-
-/// Below this many cells a parallel E-step costs more in dispatch than it
-/// saves in compute; run serial regardless of the pool.
-const ESTEP_PARALLEL_MIN: usize = 256;
-
-/// E-step (Eq. 4), serial entry point (tests and tiny tables).
-#[cfg(test)]
-pub(crate) fn e_step(ws: &Workspace, state: &mut EmState, _opts: &EmOptions) {
-    e_step_with(ws, state, None);
-}
-
-/// E-step (Eq. 4): recompute every cell's posterior from the current
-/// parameters. Cells are independent, so with a pool the slots are split
-/// into fixed 64-slot chunks claimed off the pool's cursor (the paper's §7
-/// notes this acceleration). Each chunk writes its posteriors directly into
-/// its disjoint slice of `state.truths`, so there is no merge step and the
-/// result is bit-identical to the serial path regardless of scheduling —
-/// which is tested.
-pub(crate) fn e_step_with(ws: &Workspace, state: &mut EmState, pool: Option<&WorkerPool>) {
-    let n_slots = ws.n_rows * ws.n_cols;
-    let EmState { ln_alpha, ln_beta, ln_phi, truths, .. } = state;
-    let (la, lb, lp) = (&ln_alpha[..], &ln_beta[..], &ln_phi[..]);
-    match pool.filter(|p| p.threads() > 1 && n_slots >= ESTEP_PARALLEL_MIN) {
-        None => {
-            for slot in 0..n_slots {
-                if let Some(t) = cell_posterior(ws, la, lb, lp, slot) {
-                    truths[slot] = t;
-                }
-            }
-        }
-        Some(p) => {
-            let tasks: Vec<Mutex<(usize, &mut [TruthDist])>> = truths
-                .chunks_mut(ESTEP_CHUNK)
-                .enumerate()
-                .map(|(i, c)| Mutex::new((i * ESTEP_CHUNK, c)))
-                .collect();
-            p.run(tasks.len(), &|ci| {
-                let mut guard = tasks[ci].lock().expect("estep chunk mutex");
-                let (base, chunk) = &mut *guard;
-                for (off, out) in chunk.iter_mut().enumerate() {
-                    if let Some(t) = cell_posterior(ws, la, lb, lp, *base + off) {
-                        *out = t;
+            TruthDist::Categorical(p) => {
+                let a = kp..kp + n;
+                let miss = |j: usize| t.cat_ln_omq[j] - card1[j];
+                let base: f64 = a.clone().map(miss).sum(); // uniform prior cancels
+                p.fill(base);
+                for j in a {
+                    if let Some(x) = p.get_mut(labels[j] as usize) {
+                        *x += t.cat_ln_q[j] - miss(j);
                     }
                 }
-            });
+                let max = p.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                p.iter_mut().for_each(|x| *x = (*x - max).exp());
+                let total: f64 = p.iter().sum();
+                p.iter_mut().for_each(|x| *x /= total);
+                kp += n;
+            }
         }
     }
 }
@@ -559,15 +668,20 @@ const MSTEP_CHUNK: usize = 4096;
 /// Reusable buffer set for one EM run: the per-answer caches, the staging
 /// arrays the batch kernels read/write, and the per-parameter block
 /// buffers of the Newton M-step. Allocated once per `run_em_from` (sized by
-/// the workspace's SoA runs).
+/// the workspace's SoA runs). The E-step borrows the three caches for its
+/// own per-answer terms; [`build_cache`] overwrites them right after.
 pub(crate) struct EmScratch {
-    /// Continuous answers: `K = (a − T^µ)² + T^φ` (rebuilt per posterior).
+    /// Continuous answers: `K = (a − T^µ)² + T^φ` (rebuilt per posterior);
+    /// within the E-step, each answer's precision.
     cont_k: Vec<f64>,
-    /// Categorical answers: posterior probability the answer is correct.
+    /// Categorical answers: posterior probability the answer is correct;
+    /// within the E-step, `ln q`.
     cat_p: Vec<f64>,
-    /// Categorical answers: `(1 − p)·ln(L−1)`, the constant miss term.
+    /// Categorical answers: `(1 − p)·ln(L−1)`, the constant miss term;
+    /// within the E-step, `ln(1 − q)`.
     cat_c: Vec<f64>,
-    /// Staging: per-answer effective `ln v` under the evaluated parameters.
+    /// Staging: per-answer effective `ln v` under the evaluated parameters
+    /// (unclamped in the E-step, clamped in the objective passes).
     cont_ln_v: Vec<f64>,
     cat_ln_v: Vec<f64>,
     /// Per-answer derivatives written by the latest evaluation.
@@ -575,6 +689,8 @@ pub(crate) struct EmScratch {
     /// Per-answer derivatives at the M-step's accepted point; swapped with
     /// [`Self::eval`] whenever a trial point is accepted.
     cur: AnswerDerivs,
+    /// Each E-step chunk's start in both runs ([`estep_bounds`]).
+    estep_bounds: Vec<(usize, usize)>,
     /// Block buffers: per-parameter gradient, curvature and Newton step,
     /// and the block's values before the step.
     grad: Vec<f64>,
@@ -618,6 +734,7 @@ impl EmScratch {
             cat_ln_v: vec![0.0; nk],
             eval: AnswerDerivs::default(),
             cur: AnswerDerivs::default(),
+            estep_bounds: estep_bounds(ws),
             grad: Vec::new(),
             curv: Vec::new(),
             step: Vec::new(),
@@ -1075,7 +1192,7 @@ impl MStep<'_> {
         let data = self.pass(state, scratch, curv);
         let mut elbo = self.prior(state) + data;
         for slot in 0..ws.n_rows * ws.n_cols {
-            if ws.cell_answers(slot).is_empty() {
+            if ws.cell_len(slot) == 0 {
                 continue;
             }
             match &state.truths[slot] {
@@ -1165,11 +1282,63 @@ fn renormalize(state: &mut EmState, opts: &EmOptions) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{quality_dlnv, quality_from_variance};
+    use crate::model::{cat_answer_ln_likelihood, quality_dlnv, quality_from_variance};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tcrowd_stat::optimize::numerical_gradient;
     use tcrowd_stat::sample::{sample_std_normal, sample_weighted};
+
+    /// One answer as the tests write it (`label` on categorical columns,
+    /// the z-scored `value` on continuous ones).
+    struct Ans {
+        worker: u32,
+        row: u32,
+        col: u32,
+        label: u32,
+        value: f64,
+    }
+
+    /// A workspace from answers in any order: stable-sorted cell-major and
+    /// fed to [`Workspace::push_cat`] / [`Workspace::push_cont`].
+    fn workspace_of(
+        n_rows: usize,
+        n_cols: usize,
+        n_workers: usize,
+        col_kind: Vec<ColKind>,
+        mut answers: Vec<Ans>,
+        epsilon: f64,
+    ) -> Workspace {
+        answers.sort_by_key(|a| (a.row, a.col));
+        let mut ws = Workspace::new(n_rows, n_cols, n_workers, col_kind);
+        for a in answers {
+            match ws.col_kind[a.col as usize] {
+                ColKind::Cat(_) => ws.push_cat(a.row, a.col, a.worker, a.label),
+                ColKind::Cont => ws.push_cont(a.row, a.col, a.worker, a.value),
+            }
+        }
+        Workspace { epsilon, ..ws.finish() }
+    }
+
+    /// The workspace's answers read back from its runs: the continuous run,
+    /// then the categorical run.
+    fn answers_of(ws: &Workspace) -> Vec<Ans> {
+        let r = &ws.runs;
+        let cont = (0..r.cont_row.len()).map(|j| Ans {
+            worker: r.cont_worker[j],
+            row: r.cont_row[j],
+            col: r.cont_col[j],
+            label: 0,
+            value: r.cont_value[j],
+        });
+        let cat = (0..r.cat_row.len()).map(|j| Ans {
+            worker: r.cat_worker[j],
+            row: r.cat_row[j],
+            col: r.cat_col[j],
+            label: r.cat_label[j],
+            value: 0.0,
+        });
+        cont.chain(cat).collect()
+    }
 
     /// Build a small synthetic workspace directly (bypassing the public API)
     /// with known worker variances.
@@ -1210,7 +1379,7 @@ mod tests {
                         let t = cont_truth[i][j - cat_cols];
                         (0, t + phi.sqrt() * sample_std_normal(&mut rng))
                     };
-                    answers.push(IntAnswer {
+                    answers.push(Ans {
                         worker: w as u32,
                         row: i as u32,
                         col: j as u32,
@@ -1221,7 +1390,7 @@ mod tests {
             }
         }
         (
-            Workspace::assemble(n_rows, n_cols, phis.len(), col_kind, answers, epsilon),
+            workspace_of(n_rows, n_cols, phis.len(), col_kind, answers, epsilon),
             cont_truth,
             cat_truth,
         )
@@ -1272,6 +1441,8 @@ mod tests {
         let phis = [0.1, 0.3, 1.0, 2.5];
         let (ws, cont_truth, _) = synth_workspace(50, 0, 3, &phis, 11);
         let state = run_em(&ws, &EmOptions::default());
+        let firsts: std::collections::HashMap<usize, f64> =
+            ws.cont_cells().map(|(slot, values)| (slot, values[0])).collect();
         let mut se_est = 0.0;
         let mut se_first = 0.0;
         let mut n = 0.0;
@@ -1282,7 +1453,7 @@ mod tests {
                     let t = cont_truth[i][j];
                     se_est += (post.mean - t) * (post.mean - t);
                     // First answer on the cell as the naive single-source estimate.
-                    let first = ws.cell_answers(slot)[0].value;
+                    let first = firsts[&slot];
                     se_first += (first - t) * (first - t);
                     n += 1.0;
                 }
@@ -1339,9 +1510,10 @@ mod tests {
         };
         e_step(&ws, &mut state, &EmOptions::default());
         // Dense per-answer caches, independent of the SoA scratch layout.
-        let mut cache_cont_k = vec![0.0; ws.answers.len()];
-        let mut cache_cat_p = vec![0.0; ws.answers.len()];
-        for (i, a) in ws.answers.iter().enumerate() {
+        let answers = answers_of(&ws);
+        let mut cache_cont_k = vec![0.0; answers.len()];
+        let mut cache_cat_p = vec![0.0; answers.len()];
+        for (i, a) in answers.iter().enumerate() {
             match &state.truths[ws.cell_slot(a.row, a.col)] {
                 TruthDist::Continuous(n) => {
                     let d = a.value - n.mean;
@@ -1358,7 +1530,7 @@ mod tests {
             let (la, rest) = x.split_at(na);
             let (lb, lp) = rest.split_at(nb);
             let mut q_val = 0.0;
-            for (i, a) in ws.answers.iter().enumerate() {
+            for (i, a) in answers.iter().enumerate() {
                 let v = (la[a.row as usize] + lb[a.col as usize] + lp[a.worker as usize]).exp();
                 match ws.col_kind[a.col as usize] {
                     ColKind::Cont => {
@@ -1382,7 +1554,7 @@ mod tests {
             .copied()
             .collect();
         let mut grad = vec![0.0; x.len()];
-        for (i, a) in ws.answers.iter().enumerate() {
+        for (i, a) in answers.iter().enumerate() {
             let v =
                 (x[a.row as usize] + x[na + a.col as usize] + x[na + nb + a.worker as usize]).exp();
             let g = match ws.col_kind[a.col as usize] {
@@ -1544,11 +1716,116 @@ mod tests {
 
     #[test]
     fn empty_workspace_converges_to_priors() {
-        let ws = Workspace::assemble(3, 2, 0, vec![ColKind::Cat(3), ColKind::Cont], vec![], 0.5);
+        let ws = workspace_of(3, 2, 0, vec![ColKind::Cat(3), ColKind::Cont], vec![], 0.5);
         let state = run_em(&ws, &EmOptions::default());
         assert!(state.converged);
         assert_eq!(state.truths.len(), 6);
         assert_eq!(state.truths[0], TruthDist::uniform(3));
+    }
+
+    /// Eq. 4 the slow way — the scalar per-cell E-step the batch kernels
+    /// replaced: libm `exp`, the `erf_fast` link, both likelihood values
+    /// per answer summed label by label, and a fresh `Vec` per cell.
+    fn cell_posterior(ws: &Workspace, state: &EmState, slot: usize) -> Option<TruthDist> {
+        let (la, lb, lp) = (&state.ln_alpha, &state.ln_beta, &state.ln_phi);
+        let answers: Vec<Ans> =
+            answers_of(ws).into_iter().filter(|a| ws.cell_slot(a.row, a.col) == slot).collect();
+        if answers.is_empty() {
+            return None; // posterior stays at the prior
+        }
+        let (row, col) = (slot / ws.n_cols, slot % ws.n_cols);
+        let ln_v_of = |a: &Ans| la[row] + lb[col] + lp[a.worker as usize];
+        Some(match ws.col_kind[col] {
+            ColKind::Cont => {
+                let mut prec = 1.0; // standard-normal prior: 1/var
+                let mut weighted = 0.0; // prior mean / var
+                for a in &answers {
+                    let v = tcrowd_stat::clamp_var(ln_v_of(a).exp());
+                    prec += 1.0 / v;
+                    weighted += a.value / v;
+                }
+                let var = 1.0 / prec;
+                TruthDist::Continuous(Normal::new(weighted * var, var))
+            }
+            ColKind::Cat(l) => {
+                let mut ln_p = vec![0.0f64; l.max(1) as usize]; // uniform prior cancels
+                for a in &answers {
+                    let x = (ws.epsilon / std::f64::consts::SQRT_2) * (-0.5 * ln_v_of(a)).exp();
+                    let q = clamp_prob(tcrowd_stat::lut::erf_fast(x));
+                    let ln_hit = cat_answer_ln_likelihood(q, l, true);
+                    let ln_miss = cat_answer_ln_likelihood(q, l, false);
+                    for (z, lp) in ln_p.iter_mut().enumerate() {
+                        *lp += if z as u32 == a.label { ln_hit } else { ln_miss };
+                    }
+                }
+                let max = ln_p.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                let mut p: Vec<f64> = ln_p.iter().map(|lp| (lp - max).exp()).collect();
+                let total: f64 = p.iter().sum();
+                for v in &mut p {
+                    *v /= total;
+                }
+                TruthDist::Categorical(p)
+            }
+        })
+    }
+
+    #[test]
+    fn estep_matches_eq4_computed_the_slow_way() {
+        // Three workers from very precise (categorical quality on its
+        // clamp) to very noisy, a 4-label, a 1-label and a continuous
+        // column, and one unanswered cell.
+        let (n_rows, n_cols) = (12, 3);
+        let col_kind = vec![ColKind::Cat(4), ColKind::Cat(1), ColKind::Cont];
+        let mut rng = StdRng::seed_from_u64(47);
+        let mut answers = Vec::new();
+        for row in 0..n_rows as u32 {
+            for col in 0..n_cols as u32 {
+                if (row, col) == (5, 0) {
+                    continue;
+                }
+                for worker in 0..3 {
+                    let label = if col == 0 { rng.gen_range(0..4) } else { 0 };
+                    answers.push(Ans {
+                        worker,
+                        row,
+                        col,
+                        label,
+                        value: sample_std_normal(&mut rng),
+                    });
+                }
+            }
+        }
+        let ws = workspace_of(n_rows, n_cols, 3, col_kind, answers, 0.7);
+        let la: Vec<f64> = (0..n_rows).map(|i| 0.3 * (i as f64).sin()).collect();
+        let mut state = state_at(&ws, la, vec![0.2, -0.1, 0.05], vec![-11.0, 0.1, 3.0]);
+        e_step(&ws, &mut state, &EmOptions::default());
+        let mut on_clamp = false;
+        for slot in 0..n_rows * n_cols {
+            let Some(want) = cell_posterior(&ws, &state, slot) else {
+                let prior = &initial_truths(&ws)[slot];
+                assert_eq!(&state.truths[slot], prior, "an unanswered cell left its prior");
+                continue;
+            };
+            match (&state.truths[slot], &want) {
+                (TruthDist::Continuous(a), TruthDist::Continuous(b)) => {
+                    assert!(
+                        (a.mean - b.mean).abs() <= 1e-12 * b.mean.abs().max(1.0),
+                        "{a:?} vs {b:?}"
+                    );
+                    assert!((a.var - b.var).abs() <= 1e-12 * b.var, "{a:?} vs {b:?}");
+                }
+                (TruthDist::Categorical(a), TruthDist::Categorical(b)) => {
+                    assert_eq!(a.len(), b.len(), "slot {slot}");
+                    for (x, y) in a.iter().zip(b) {
+                        assert!((x - y).abs() <= 1e-12, "slot {slot}: {a:?} vs {b:?}");
+                    }
+                    on_clamp |= b.iter().any(|&p| p > 1.0 - 1e-9);
+                }
+                other => panic!("slot {slot}: posterior kind flipped: {other:?}"),
+            }
+        }
+        assert!(on_clamp, "no near-certain categorical posterior at the test point");
+        assert_eq!(state.truths[ws.cell_slot(0, 1)], TruthDist::Categorical(vec![1.0]));
     }
 
     #[test]
@@ -1606,9 +1883,16 @@ mod tests {
 
     #[test]
     fn parallel_estep_matches_serial_exactly() {
-        // 60×6 = 360 slots: above the E-step threading threshold, so the
-        // work-stealing path genuinely runs.
-        assert_threaded_em_matches_serial(60, 31);
+        // 150×6 = 900 slots: four E-step chunks, and every chunk boundary
+        // splits both runs (each row has three columns of each kind).
+        let phis = [0.05, 0.2, 0.6, 2.0, 0.1, 0.4, 0.9, 1.5];
+        let (ws, _, _) = synth_workspace(150, 3, 3, &phis, 31);
+        let bounds = estep_bounds(&ws);
+        assert_eq!(bounds.len(), 5, "four chunks and the end");
+        for w in bounds.windows(2) {
+            assert!(w[0].0 < w[1].0 && w[0].1 < w[1].1, "a chunk without both kinds: {w:?}");
+        }
+        assert_threaded_em_matches_serial(150, 31);
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! mapping the fitted z-space posteriors back to the original scales.
 
 #![allow(clippy::needless_range_loop)] // index loops here walk several parallel arrays
-use crate::em::{
-    initial_phi, run_em_from, ColKind, EmOptions, EmTimings, IntAnswer, WarmStart, Workspace,
-};
+use crate::em::{initial_phi, run_em_from, ColKind, EmOptions, EmTimings, WarmStart, Workspace};
 use crate::model::quality_from_variance;
 use crate::truth::TruthDist;
 use std::collections::HashMap;
@@ -157,29 +155,6 @@ impl TCrowd {
             }
         }
 
-        // Flatten the active columns' answers; the payload is cell-major, so
-        // the workspace assembly below keeps that order.
-        let mut flat: Vec<IntAnswer> = Vec::with_capacity(matrix.len());
-        for k in 0..matrix.len() {
-            let j = matrix.answer_cols()[k] as usize;
-            if !included[j] {
-                continue;
-            }
-            let (label, value) = if matrix.is_categorical(k) {
-                (matrix.answer_labels()[k], 0.0)
-            } else {
-                let (m, s) = scalers[j].expect("continuous column has scaler");
-                (0, (matrix.answer_values()[k] - m) / s)
-            };
-            flat.push(IntAnswer {
-                worker: remap[matrix.answer_workers()[k] as usize],
-                row: matrix.answer_rows()[k],
-                col: j as u32,
-                label,
-                value,
-            });
-        }
-
         let col_kind: Vec<ColKind> = (0..n_cols)
             .map(|j| match schema.column_type(j) {
                 ColumnType::Categorical { labels } => ColKind::Cat(labels.len() as u32),
@@ -187,14 +162,23 @@ impl TCrowd {
             })
             .collect();
 
-        let ws = Workspace::assemble(
-            n_rows,
-            n_cols,
-            workers.len(),
-            col_kind,
-            flat,
-            1.0, // placeholder; resolved below against the assembled CSR
-        );
+        // The active columns' answers go straight into the workspace's runs,
+        // continuous ones z-scored; the payload is cell-major, as the
+        // workspace requires.
+        let mut ws = Workspace::new(n_rows, n_cols, workers.len(), col_kind);
+        for k in 0..matrix.len() {
+            let j = matrix.answer_cols()[k] as usize;
+            if !included[j] {
+                continue;
+            }
+            let (row, col) = (matrix.answer_rows()[k], j as u32);
+            let worker = remap[matrix.answer_workers()[k] as usize];
+            match scalers[j] {
+                Some((m, s)) => ws.push_cont(row, col, worker, (matrix.answer_values()[k] - m) / s),
+                None => ws.push_cat(row, col, worker, matrix.answer_labels()[k]),
+            }
+        }
+        let ws = ws.finish();
 
         // Resolve ε.
         let epsilon = match self.opts.epsilon {
@@ -204,16 +188,11 @@ impl TCrowd {
             }
             EpsilonSpec::AutoScale(scale) => {
                 assert!(scale > 0.0, "epsilon scale must be positive");
-                let mut cell_stds = Vec::new();
-                for slot in 0..n_rows * n_cols {
-                    let j = slot % n_cols;
-                    let cell = ws.cell_answers(slot);
-                    if ws.col_kind[j] != ColKind::Cont || cell.len() < 2 {
-                        continue;
-                    }
-                    let vals: Vec<f64> = cell.iter().map(|a| a.value).collect();
-                    cell_stds.push(std_dev(&vals));
-                }
+                let cell_stds: Vec<f64> = ws
+                    .cont_cells()
+                    .filter(|(_, vals)| vals.len() >= 2)
+                    .map(|(_, vals)| std_dev(vals))
+                    .collect();
                 if cell_stds.is_empty() {
                     0.5
                 } else {
@@ -262,7 +241,7 @@ impl TCrowd {
         InferenceResult {
             n_rows,
             n_cols,
-            truths_z: state.truths.clone(),
+            truths_z: state.truths,
             scalers,
             alpha: state.ln_alpha.iter().map(|v| v.exp()).collect(),
             beta: state.ln_beta.iter().map(|v| v.exp()).collect(),

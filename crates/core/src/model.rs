@@ -25,25 +25,6 @@ pub fn quality_dlnv(epsilon: f64, variance: f64) -> f64 {
     erf_derivative(x) * (-x / 2.0)
 }
 
-/// Quality-link argument `x = ε/√(2v)` straight from `ln v` — one `exp`
-/// instead of `exp` + `sqrt` + division.
-#[inline]
-pub fn quality_x_from_ln_variance(epsilon: f64, ln_v: f64) -> f64 {
-    (epsilon / std::f64::consts::SQRT_2) * (-0.5 * ln_v).exp()
-}
-
-/// Fast unified quality from `ln v`, via the Hermite-interpolated `erf`
-/// kernel (absolute error `< 2e-12`; see `tcrowd_stat::lut`).
-///
-/// This is the columnar engine's hot-loop version of
-/// [`quality_from_variance`]; the naive reference path keeps the exact
-/// series so the differential tests pin the two engines' estimates to
-/// within `1e-9` of each other.
-#[inline]
-pub fn quality_from_ln_variance_fast(epsilon: f64, ln_v: f64) -> f64 {
-    clamp_prob(tcrowd_stat::lut::erf_fast(quality_x_from_ln_variance(epsilon, ln_v)))
-}
-
 /// Log-likelihood of a categorical answer given that the truth is `correct`
 /// (true → the answer equals the truth): `ln q` or `ln((1−q)/(|L|−1))`
 /// (paper Eq. 3).

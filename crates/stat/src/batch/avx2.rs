@@ -157,6 +157,22 @@ unsafe fn hermite_pd(nodes: *const f64, x: __m256d) -> __m256d {
     )
 }
 
+/// Wide quality: `(x, q, x past the grid edge)` lanes, mirroring
+/// `lane::quality_lane`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn quality_pd(
+    erf_nodes: *const f64,
+    scaled_eps: __m256d,
+    ln_v: __m256d,
+) -> (__m256d, __m256d, __m256d) {
+    let x = _mm256_mul_pd(scaled_eps, exp_pd(_mm256_mul_pd(splat(-0.5), ln_v)));
+    let wide = _mm256_cmp_pd::<_CMP_GE_OQ>(x, splat(lane::GRID_X_MAX));
+    let e = _mm256_blendv_pd(hermite_pd(erf_nodes, x), splat(1.0), wide);
+    let q = _mm256_min_pd(_mm256_max_pd(e, splat(EPS)), splat(1.0 - EPS));
+    (x, q, wide)
+}
+
 /// Wide quality link: `(x, q, dq/d ln v)` lanes, mirroring
 /// `lane::quality_link_lane`.
 #[inline]
@@ -167,10 +183,7 @@ unsafe fn quality_link_pd(
     scaled_eps: __m256d,
     ln_v: __m256d,
 ) -> (__m256d, __m256d, __m256d) {
-    let x = _mm256_mul_pd(scaled_eps, exp_pd(_mm256_mul_pd(splat(-0.5), ln_v)));
-    let wide = _mm256_cmp_pd::<_CMP_GE_OQ>(x, splat(lane::GRID_X_MAX));
-    let e = _mm256_blendv_pd(hermite_pd(erf_nodes, x), splat(1.0), wide);
-    let q = _mm256_min_pd(_mm256_max_pd(e, splat(EPS)), splat(1.0 - EPS));
+    let (x, q, wide) = quality_pd(erf_nodes, scaled_eps, ln_v);
     let gs = _mm256_blendv_pd(hermite_pd(gauss_nodes, x), _mm256_setzero_pd(), wide);
     let dq = _mm256_mul_pd(_mm256_mul_pd(splat(FRAC_2_SQRT_PI), gs), _mm256_mul_pd(x, splat(-0.5)));
     (x, q, dq)
@@ -305,25 +318,62 @@ unsafe fn quality_terms_impl<const CURV: bool>(
     super::generic::combine(acc)
 }
 
-/// See [`super::BatchKernels::quality_pairs_from_ln_variance`].
+/// See [`super::BatchKernels::quality_logs`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `ln_q` and `ln_omq` must be at least
+/// `ln_v.len()` long: the wide loop stores through raw pointers up to that
+/// length ([`super::BatchKernels::quality_logs`] asserts the lengths).
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn quality_pairs(scaled_eps: f64, ln_v: &[f64], q: &mut [f64], dq: &mut [f64]) {
+pub(crate) unsafe fn quality_logs(
+    scaled_eps: f64,
+    ln_v: &[f64],
+    ln_q: &mut [f64],
+    ln_omq: &mut [f64],
+) {
     let erf_nodes = crate::lut::erf_nodes_flat();
-    let gauss_nodes = crate::lut::gauss_nodes_flat();
     let eps_v = splat(scaled_eps);
     let n = ln_v.len();
     let n4 = n - (n % 4);
     let mut i = 0;
     while i < n4 {
-        let lv = _mm256_loadu_pd(ln_v.as_ptr().add(i));
-        let (_, qv, dv) = quality_link_pd(erf_nodes.as_ptr(), gauss_nodes.as_ptr(), eps_v, lv);
-        _mm256_storeu_pd(q.as_mut_ptr().add(i), qv);
-        _mm256_storeu_pd(dq.as_mut_ptr().add(i), dv);
+        // SAFETY: `i + 4 <= n4 <= n`, and every slice is at least `n` long.
+        unsafe {
+            let lv = _mm256_loadu_pd(ln_v.as_ptr().add(i));
+            let (_, q, _) = quality_pd(erf_nodes.as_ptr(), eps_v, lv);
+            _mm256_storeu_pd(ln_q.as_mut_ptr().add(i), ln_pd(q));
+            _mm256_storeu_pd(ln_omq.as_mut_ptr().add(i), ln_pd(_mm256_sub_pd(splat(1.0), q)));
+        }
         i += 4;
     }
     for j in n4..n {
-        let (qi, di) = lane::quality_pair_lane(erf_nodes, gauss_nodes, scaled_eps, ln_v[j]);
-        q[j] = qi;
-        dq[j] = di;
+        (ln_q[j], ln_omq[j]) = lane::quality_logs_lane(erf_nodes, scaled_eps, ln_v[j]);
+    }
+}
+
+/// See [`super::BatchKernels::precisions`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `prec` must be at least `ln_v.len()`
+/// long: the wide loop stores through a raw pointer up to that length
+/// ([`super::BatchKernels::precisions`] asserts the lengths).
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn precisions(ln_v: &[f64], prec: &mut [f64]) {
+    let n = ln_v.len();
+    let n4 = n - (n % 4);
+    let mut i = 0;
+    while i < n4 {
+        // SAFETY: `i + 4 <= n4 <= n`, and both slices are at least `n` long.
+        unsafe {
+            let v = exp_pd(_mm256_loadu_pd(ln_v.as_ptr().add(i)));
+            let w = _mm256_div_pd(splat(1.0), _mm256_max_pd(v, splat(EPS)));
+            _mm256_storeu_pd(prec.as_mut_ptr().add(i), w);
+        }
+        i += 4;
+    }
+    for j in n4..n {
+        prec[j] = lane::precision_lane(ln_v[j]);
     }
 }

@@ -102,13 +102,17 @@ fn quality_terms_impl<const CURV: bool>(
     combine(acc)
 }
 
-/// See [`super::BatchKernels::quality_pairs_from_ln_variance`].
-pub(crate) fn quality_pairs(scaled_eps: f64, ln_v: &[f64], q: &mut [f64], dq: &mut [f64]) {
+/// See [`super::BatchKernels::quality_logs`].
+pub(crate) fn quality_logs(scaled_eps: f64, ln_v: &[f64], ln_q: &mut [f64], ln_omq: &mut [f64]) {
     let erf_nodes = crate::lut::erf_nodes_flat();
-    let gauss_nodes = crate::lut::gauss_nodes_flat();
     for i in 0..ln_v.len() {
-        let (qi, di) = lane::quality_pair_lane(erf_nodes, gauss_nodes, scaled_eps, ln_v[i]);
-        q[i] = qi;
-        dq[i] = di;
+        (ln_q[i], ln_omq[i]) = lane::quality_logs_lane(erf_nodes, scaled_eps, ln_v[i]);
+    }
+}
+
+/// See [`super::BatchKernels::precisions`].
+pub(crate) fn precisions(ln_v: &[f64], prec: &mut [f64]) {
+    for (w, &l) in prec.iter_mut().zip(ln_v) {
+        *w = lane::precision_lane(l);
     }
 }

@@ -206,10 +206,19 @@ pub(crate) fn gaussian_lane(ln_v: f64, k: f64) -> (f64, f64) {
     (term, g)
 }
 
-/// Categorical quality link: the argument `x = ε/√(2v)`, the quality
-/// `q = clamp(erf(x))` and `dq/d ln v`.
+/// Categorical quality: the argument `x = ε/√(2v)` and the quality
+/// `q = clamp(erf(x))`, `erf` read off the Hermite LUT exactly as
+/// `erf_fast` reads it (1 past the grid edge).
 ///
 /// `scaled_eps` is `ε/√2`, hoisted out of the loop by the caller.
+#[inline(always)]
+pub(crate) fn quality_lane(erf_nodes: &[f64], scaled_eps: f64, ln_v: f64) -> (f64, f64) {
+    let x = scaled_eps * exp_lane(-0.5 * ln_v);
+    let e = if x >= GRID_X_MAX { 1.0 } else { hermite_lane(erf_nodes, x) };
+    (x, fmin(fmax(e, EPS), 1.0 - EPS))
+}
+
+/// Categorical quality link: [`quality_lane`]'s `(x, q)` and `dq/d ln v`.
 #[inline(always)]
 pub(crate) fn quality_link_lane(
     erf_nodes: &[f64],
@@ -217,25 +226,25 @@ pub(crate) fn quality_link_lane(
     scaled_eps: f64,
     ln_v: f64,
 ) -> (f64, f64, f64) {
-    let x = scaled_eps * exp_lane(-0.5 * ln_v);
-    let wide = x >= GRID_X_MAX;
-    let e = if wide { 1.0 } else { hermite_lane(erf_nodes, x) };
-    let q = fmin(fmax(e, EPS), 1.0 - EPS);
-    let gs = if wide { 0.0 } else { hermite_lane(gauss_nodes, x) };
+    let (x, q) = quality_lane(erf_nodes, scaled_eps, ln_v);
+    let gs = if x >= GRID_X_MAX { 0.0 } else { hermite_lane(gauss_nodes, x) };
     let dq = FRAC_2_SQRT_PI * gs * (x * -0.5);
     (x, q, dq)
 }
 
-/// Categorical quality pair: `q = clamp(erf(ε/√(2v)))` and `dq/d ln v`.
+/// Categorical E-step logs of one answer: `(ln q, ln(1 - q))`, `q` from
+/// [`quality_lane`].
 #[inline(always)]
-pub(crate) fn quality_pair_lane(
-    erf_nodes: &[f64],
-    gauss_nodes: &[f64],
-    scaled_eps: f64,
-    ln_v: f64,
-) -> (f64, f64) {
-    let (_, q, dq) = quality_link_lane(erf_nodes, gauss_nodes, scaled_eps, ln_v);
-    (q, dq)
+pub(crate) fn quality_logs_lane(erf_nodes: &[f64], scaled_eps: f64, ln_v: f64) -> (f64, f64) {
+    let (_, q) = quality_lane(erf_nodes, scaled_eps, ln_v);
+    (ln_lane(q), ln_lane(1.0 - q))
+}
+
+/// Continuous E-step weight of one answer: its precision
+/// `1 / max(e^{ln v}, EPS)`.
+#[inline(always)]
+pub(crate) fn precision_lane(ln_v: f64) -> f64 {
+    1.0 / fmax(exp_lane(ln_v), EPS)
 }
 
 /// Categorical per-answer objective term and its first two derivatives:

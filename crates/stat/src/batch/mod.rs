@@ -1,9 +1,10 @@
-//! Vectorized batch kernels for the EM M-step hot loop.
+//! Vectorized batch kernels for EM's per-answer hot loops.
 //!
 //! The M-step objective is, per answer, one `exp`, an erf-family lookup and
-//! two `ln`s — evaluated tens of millions of times per inference. This
-//! module provides those per-answer terms as *batch* kernels over `&[f64]`
-//! slices, in two interchangeable paths:
+//! two `ln`s — evaluated tens of millions of times per inference — and the
+//! E-step's likelihood terms are the same link without the derivatives.
+//! This module provides those per-answer terms as *batch* kernels over
+//! `&[f64]` slices, in two interchangeable paths:
 //!
 //! * `generic` — portable scalar code, four independent lane accumulators;
 //! * `avx2` — 4 × f64 AVX2 lanes behind **runtime** feature detection.
@@ -16,9 +17,10 @@
 //!
 //! Path selection: [`BatchKernels::auto`] picks AVX2 when the CPU supports
 //! it; the `TCROWD_KERNELS` environment variable (`generic` or `avx2`)
-//! overrides, which is how CI pins the portable path and how a deployment
-//! can be forced to a known path. [`kernels`] caches the decision
-//! process-wide.
+//! overrides, which is how a deployment can be forced to a known path and
+//! how CI's test job reruns the fit-dependent pins (the determinism suite,
+//! the simulator's pinned trajectory and the EM unit tests) on the portable
+//! path. [`kernels`] caches the decision process-wide.
 
 pub(crate) mod lane;
 
@@ -147,25 +149,41 @@ impl BatchKernels {
         }
     }
 
-    /// Batch form of the scalar quality link: for each `ln_v[i]` write
-    /// `q[i] = clamp(erf(ε/√(2v)))` and `dq[i] = dq/d ln v`.
-    pub fn quality_pairs_from_ln_variance(
-        &self,
-        epsilon: f64,
-        ln_v: &[f64],
-        q: &mut [f64],
-        dq: &mut [f64],
-    ) {
-        assert_eq!(ln_v.len(), q.len());
-        assert_eq!(ln_v.len(), dq.len());
+    /// Categorical E-step terms (paper Eq. 3–4): for each `ln_v[i]`, writes
+    /// `ln q` into `ln_q[i]` and `ln(1 - q)` into `ln_omq[i]`, where
+    /// `q = erf(ε/√(2v))` clamped into `[EPS, 1-EPS]`, `erf` read off the
+    /// Hermite LUT behind [`crate::lut::erf_fast`] (1 past its grid edge).
+    /// `ln_v` is the unclamped effective log-variance.
+    pub fn quality_logs(&self, epsilon: f64, ln_v: &[f64], ln_q: &mut [f64], ln_omq: &mut [f64]) {
+        assert_eq!(ln_v.len(), ln_q.len());
+        assert_eq!(ln_v.len(), ln_omq.len());
         debug_assert!(epsilon > 0.0, "quality link needs ε > 0");
         let scaled = epsilon / SQRT_2;
         match self.path {
-            KernelPath::Generic => generic::quality_pairs(scaled, ln_v, q, dq),
+            KernelPath::Generic => generic::quality_logs(scaled, ln_v, ln_q, ln_omq),
             #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
-            // SAFETY: `Avx2` is only constructed when `avx2_available()`.
-            KernelPath::Avx2 => unsafe { avx2::quality_pairs(scaled, ln_v, q, dq) },
+            // SAFETY: `Avx2` is only constructed when `avx2_available()`, and
+            // the lengths are asserted above.
+            KernelPath::Avx2 => unsafe { avx2::quality_logs(scaled, ln_v, ln_q, ln_omq) },
+            #[cfg(not(target_arch = "x86_64"))]
+            KernelPath::Avx2 => unreachable!("avx2 path on non-x86_64"),
+        }
+    }
+
+    /// Continuous E-step weights (paper Eq. 4): for each `ln_v[i]`, writes
+    /// the answer's precision `1 / max(e^{ln v}, EPS)` into `prec[i]` —
+    /// the inverse of `clamp_var(exp(ln v))`. `ln_v` is the unclamped
+    /// effective log-variance.
+    pub fn precisions(&self, ln_v: &[f64], prec: &mut [f64]) {
+        assert_eq!(ln_v.len(), prec.len());
+        match self.path {
+            KernelPath::Generic => generic::precisions(ln_v, prec),
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            // SAFETY: `Avx2` is only constructed when `avx2_available()`, and
+            // the lengths are asserted above.
+            KernelPath::Avx2 => unsafe { avx2::precisions(ln_v, prec) },
             #[cfg(not(target_arch = "x86_64"))]
             KernelPath::Avx2 => unreachable!("avx2 path on non-x86_64"),
         }
@@ -221,21 +239,46 @@ mod tests {
         assert!((total - naive).abs() <= 1e-9 * naive.abs().max(1.0), "{total} vs {naive}");
     }
 
-    #[test]
-    fn quality_pairs_match_scalar_lut_link() {
-        let g = BatchKernels::with_path(KernelPath::Generic).unwrap();
-        let ln_v = sample_ln_v();
-        let eps = 0.5;
-        let mut q = vec![0.0; ln_v.len()];
-        let mut dq = vec![0.0; ln_v.len()];
-        g.quality_pairs_from_ln_variance(eps, &ln_v, &mut q, &mut dq);
-        for i in 0..ln_v.len() {
-            let x = (eps / SQRT_2) * (-0.5 * ln_v[i]).exp();
-            let expect_q = clamp_prob(erf_fast(x));
-            let expect_dq = std::f64::consts::FRAC_2_SQRT_PI * exp_neg_sq_fast(x) * (-x / 2.0);
-            assert!((q[i] - expect_q).abs() < 1e-12, "q[{i}]: {} vs {expect_q}", q[i]);
-            assert!((dq[i] - expect_dq).abs() < 1e-12, "dq[{i}]: {} vs {expect_dq}", dq[i]);
+    /// `ln v` over the E-step's range: a fitted `ln v` sums three
+    /// parameters clamped to ±12.
+    fn estep_ln_v() -> Vec<f64> {
+        let mut v = vec![-36.0, -27.7, -27.6, -12.0, -1e-9, 0.0, 1e-9, 12.0, 27.6, 36.0];
+        for i in 0..60 {
+            v.push(-36.0 + i as f64 * 1.22);
         }
+        v
+    }
+
+    #[test]
+    fn quality_logs_match_scalar_lut_link() {
+        let g = BatchKernels::with_path(KernelPath::Generic).unwrap();
+        let ln_v = estep_ln_v();
+        let n = ln_v.len();
+        for eps in [0.05, 0.5, 3.0] {
+            let (mut lq, mut lomq) = (vec![0.0; n], vec![0.0; n]);
+            g.quality_logs(eps, &ln_v, &mut lq, &mut lomq);
+            for i in 0..n {
+                // At the kernel's own `exp` (the libm comparison, which
+                // must allow for `q`'s rounding, is in `tests/prop_batch.rs`).
+                let q = clamp_prob(erf_fast((eps / SQRT_2) * lane::exp_lane(-0.5 * ln_v[i])));
+                for (got, want) in [(lq[i], q.ln()), (lomq[i], (1.0 - q).ln())] {
+                    assert!((got - want).abs() <= 1e-14 * want.abs().max(1.0), "{got} vs {want}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn precisions_invert_the_clamped_variance() {
+        let g = BatchKernels::with_path(KernelPath::Generic).unwrap();
+        let ln_v = estep_ln_v();
+        let mut prec = vec![0.0; ln_v.len()];
+        g.precisions(&ln_v, &mut prec);
+        for (&w, &l) in prec.iter().zip(&ln_v) {
+            let want = 1.0 / crate::clamp_var(l.exp());
+            assert!((w - want).abs() <= 1e-14 * want.abs().max(1.0), "ln v {l}: {w} vs {want}");
+        }
+        assert_eq!(prec[0], 1.0 / crate::EPS, "v < EPS reads as EPS");
     }
 
     #[test]
@@ -288,6 +331,8 @@ mod tests {
         assert_eq!(k.gaussian_terms(&[], &[], &mut []), 0.0);
         assert_eq!(k.quality_terms(1.0, &[], &[], &[], &mut [], None), 0.0);
         assert_eq!(k.quality_terms(1.0, &[], &[], &[], &mut [], Some(&mut [])), 0.0);
+        k.quality_logs(1.0, &[], &mut [], &mut []);
+        k.precisions(&[], &mut []);
     }
 
     #[test]

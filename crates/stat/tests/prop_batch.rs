@@ -1,7 +1,8 @@
 //! Differential tests for the batch kernels: the portable generic path and
 //! the AVX2 wide path must be **bit-equal** for every input and every output
-//! (sums, gradients and the categorical curvature) — including the
-//! clamp boundaries (EM's ±12 bound on ln v), tiny/huge variances,
+//! (sums, gradients, the categorical curvature and the E-step's per-answer
+//! logs and precisions) — including the clamp boundaries (the M-step's ±12
+//! bound on ln v, the E-step's unclamped ±36), tiny/huge variances,
 //! lane-tail lengths (n % 4 ≠ 0) and empty slices. On hosts
 //! without AVX2 the wide-path assertions are skipped (the generic-vs-naive
 //! accuracy tests still run); CI runs at least one AVX2-capable job.
@@ -82,14 +83,102 @@ fn kernel_paths_bit_equal_on_edge_inputs() {
         assert_eq!(sg.to_bits(), sw.to_bits(), "quality sum with curvature, eps {eps}");
         assert_bits_eq(&gg, &gw, "quality grad with curvature");
         assert_bits_eq(&hg, &hw, "quality curvature");
-
-        let (mut qg, mut qw) = (vec![0.0; n], vec![0.0; n]);
-        let (mut dg, mut dw) = (vec![0.0; n], vec![0.0; n]);
-        g.quality_pairs_from_ln_variance(eps, &ln_v, &mut qg, &mut dg);
-        w.quality_pairs_from_ln_variance(eps, &ln_v, &mut qw, &mut dw);
-        assert_bits_eq(&qg, &qw, "q");
-        assert_bits_eq(&dg, &dw, "dq");
     }
+}
+
+/// The E-step's edge inputs: its unclamped `ln v` reaches ±36 (three
+/// parameters clamped to ±12), `v < EPS` below ln v ≈ -27.6, and small
+/// `ln v` pushes `x = ε/√(2v)` past the erf grid edge (x ≥ 6).
+fn estep_edge_ln_v() -> Vec<f64> {
+    let mut v = edge_ln_v();
+    v.extend([-36.0, -35.999, -27.7, -27.631, -27.6, -20.0, -12.5, 12.5, 20.0, 27.6, 35.999, 36.0]);
+    v
+}
+
+/// Both E-step kernels on both paths, bit for bit.
+fn assert_estep_paths_equal(g: BatchKernels, w: BatchKernels, eps: f64, ln_v: &[f64]) {
+    let n = ln_v.len();
+    let (mut qg, mut qw) = (vec![0.0; n], vec![0.0; n]);
+    let (mut mg, mut mw) = (vec![0.0; n], vec![0.0; n]);
+    g.quality_logs(eps, ln_v, &mut qg, &mut mg);
+    w.quality_logs(eps, ln_v, &mut qw, &mut mw);
+    assert_bits_eq(&qg, &qw, "ln q");
+    assert_bits_eq(&mg, &mw, "ln(1 - q)");
+    g.precisions(ln_v, &mut qg);
+    w.precisions(ln_v, &mut qw);
+    assert_bits_eq(&qg, &qw, "precision");
+}
+
+#[test]
+fn estep_kernel_paths_bit_equal_on_edge_inputs() {
+    let Some(w) = wide() else {
+        eprintln!("skipping: no AVX2 on this host");
+        return;
+    };
+    let ln_v = estep_edge_ln_v();
+    // ε from 1e-3 (x < 6 even at ln v = -12) to 17 (x ≥ 6 up to ln v ≈ 2).
+    for eps in [1e-3, 0.05, 0.5, 1.0, 17.0] {
+        assert_estep_paths_equal(generic(), w, eps, &ln_v);
+    }
+}
+
+#[test]
+fn estep_kernel_paths_bit_equal_on_every_tail_length() {
+    let Some(w) = wide() else {
+        eprintln!("skipping: no AVX2 on this host");
+        return;
+    };
+    for n in 0..=9usize {
+        let ln_v: Vec<f64> = (0..n).map(|i| -36.0 + i as f64 * 8.1).collect();
+        assert_estep_paths_equal(generic(), w, 0.7, &ln_v);
+    }
+}
+
+/// `ln q` and `ln(1 - q)` against the scalar link the E-step used before
+/// the kernels: libm `exp`, `erf_fast` and libm `ln`, within
+/// 1e-14·max(1, |expected|) plus the rounding of `q` itself. The kernel's
+/// `exp` is a few ulp from libm's and the LUT sum rounds, so the two `q`s
+/// may differ by a few ulp, and `ln(1 - q)` magnifies one ulp of `q` by
+/// `1/(1 - q)`: near q = 1 no evaluation that forms `1 - q` from `q` is
+/// closer. (The crate's unit tests check the same kernel against the same
+/// formula at the kernel's own `exp`, without the allowance.)
+fn assert_quality_logs_match_scalar(eps: f64, ln_v: &[f64]) {
+    let n = ln_v.len();
+    let (mut lq, mut lomq) = (vec![0.0; n], vec![0.0; n]);
+    generic().quality_logs(eps, ln_v, &mut lq, &mut lomq);
+    for i in 0..n {
+        let x = (eps / std::f64::consts::SQRT_2) * (-0.5 * ln_v[i]).exp();
+        let q = tcrowd_stat::clamp_prob(tcrowd_stat::lut::erf_fast(x));
+        let ulps = 4.0 * f64::EPSILON;
+        for (got, want, slack) in
+            [(lq[i], q.ln(), ulps / q), (lomq[i], (1.0 - q).ln(), ulps / (1.0 - q))]
+        {
+            assert!(
+                (got - want).abs() <= 1e-14 * want.abs().max(1.0) + slack,
+                "ln v {}, eps {eps}: {got} vs {want}",
+                ln_v[i]
+            );
+        }
+    }
+}
+
+/// Precisions against the scalar `1 / clamp_var(exp(ln v))`.
+fn assert_precisions_match_scalar(ln_v: &[f64]) {
+    let mut prec = vec![0.0; ln_v.len()];
+    generic().precisions(ln_v, &mut prec);
+    for (&got, &l) in prec.iter().zip(ln_v) {
+        let want = 1.0 / tcrowd_stat::clamp_var(l.exp());
+        assert!((got - want).abs() <= 1e-14 * want.abs().max(1.0), "ln v {l}: {got} vs {want}");
+    }
+}
+
+#[test]
+fn estep_kernels_match_the_scalar_formulas_on_edge_inputs() {
+    let ln_v = estep_edge_ln_v();
+    for eps in [1e-3, 0.05, 0.5, 1.0, 17.0] {
+        assert_quality_logs_match_scalar(eps, &ln_v);
+    }
+    assert_precisions_match_scalar(&ln_v);
 }
 
 #[test]
@@ -124,6 +213,37 @@ fn kernel_paths_bit_equal_on_every_tail_length() {
 }
 
 proptest! {
+    #[test]
+    fn quality_logs_paths_bit_equal(
+        ln_v in prop::collection::vec(-36.0f64..36.0, 1..70),
+        eps in 1e-3f64..4.0,
+    ) {
+        let Some(w) = wide() else { return Ok(()); };
+        let n = ln_v.len();
+        let (mut qg, mut qw) = (vec![0.0; n], vec![0.0; n]);
+        let (mut mg, mut mw) = (vec![0.0; n], vec![0.0; n]);
+        generic().quality_logs(eps, &ln_v, &mut qg, &mut mg);
+        w.quality_logs(eps, &ln_v, &mut qw, &mut mw);
+        for i in 0..n {
+            prop_assert_eq!(qg[i].to_bits(), qw[i].to_bits());
+            prop_assert_eq!(mg[i].to_bits(), mw[i].to_bits());
+        }
+        assert_quality_logs_match_scalar(eps, &ln_v);
+    }
+
+    #[test]
+    fn precisions_paths_bit_equal(ln_v in prop::collection::vec(-36.0f64..36.0, 1..70)) {
+        let Some(w) = wide() else { return Ok(()); };
+        let n = ln_v.len();
+        let (mut pg, mut pw) = (vec![0.0; n], vec![0.0; n]);
+        generic().precisions(&ln_v, &mut pg);
+        w.precisions(&ln_v, &mut pw);
+        for i in 0..n {
+            prop_assert_eq!(pg[i].to_bits(), pw[i].to_bits());
+        }
+        assert_precisions_match_scalar(&ln_v);
+    }
+
     #[test]
     fn gaussian_terms_paths_bit_equal(
         ln_v in prop::collection::vec(-12.0f64..12.0, 1..70),

@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use tcrowd_core::model::quality_from_variance;
 use tcrowd_core::{InferenceResult, TruthDist};
 use tcrowd_tabular::{AnswerMatrix, CellId, Value, WorkerId};
@@ -295,52 +294,57 @@ fn shadow_quality(result: &InferenceResult, matrix: &AnswerMatrix, i: usize) -> 
 /// achieving it (lowest partner id on ties), plus the highest count of
 /// bit-identical **continuous** answers shared with any single partner
 /// (counted without the overlap gate — three exact f64 collisions over
-/// three shared cells are already damning). One pass over the cell-major
-/// payload — cells have few answers each, so the per-cell pair loop is
-/// cheap; the pair table is accumulated in a hash map and folded in sorted
-/// order so the result is deterministic.
+/// three shared cells are already damning). A shared cell counts once per
+/// pair of the two workers' answers on it.
+///
+/// One scratch row of `(shared, agree, collide)` tallies, indexed by
+/// partner: each worker's answers are walked through the by-worker view,
+/// every other worker's answer on the same cell is tallied, and the
+/// touched partners are folded in ascending index with a strict `>` —
+/// deterministic, and no per-refresh pair table.
 fn pairwise_agreement(
     matrix: &AnswerMatrix,
     min_overlap: usize,
 ) -> Vec<(f64, Option<WorkerId>, usize)> {
-    /// `(shared, agree, collide)` tallies for one unordered worker pair.
-    type PairStats = (u32, u32, u32);
-    let workers = matrix.answer_workers();
-    let mut pairs: HashMap<(u32, u32), PairStats> = HashMap::new();
-    let offsets = matrix.cell_offsets();
-    for slot in 0..offsets.len().saturating_sub(1) {
-        let (lo, hi) = (offsets[slot] as usize, offsets[slot + 1] as usize);
-        for a in lo..hi {
-            for b in (a + 1)..hi {
-                let (wa, wb) = (workers[a], workers[b]);
-                if wa == wb {
+    let (workers, offsets) = (matrix.answer_workers(), matrix.cell_offsets());
+    let (rows, cols) = (matrix.answer_rows(), matrix.answer_cols());
+    let mut tallies = vec![(0u32, 0u32, 0u32); matrix.num_workers()];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut best = Vec::with_capacity(matrix.num_workers());
+    for me in 0..matrix.num_workers() {
+        for &a in matrix.worker_answer_indices(me) {
+            let a = a as usize;
+            let slot = rows[a] as usize * matrix.cols() + cols[a] as usize;
+            let cell = offsets[slot] as usize..offsets[slot + 1] as usize;
+            for (b, &other) in cell.clone().zip(&workers[cell]) {
+                if other as usize == me {
                     continue; // repeat answers by one worker are not a pair
                 }
-                let key = (wa.min(wb), wa.max(wb));
                 let agree = answers_match(matrix, a, b);
-                let collide = agree && !matrix.is_categorical(a);
-                let e = pairs.entry(key).or_insert((0, 0, 0));
-                e.0 += 1;
-                e.1 += agree as u32;
-                e.2 += collide as u32;
+                let t = &mut tallies[other as usize];
+                if t.0 == 0 {
+                    touched.push(other);
+                }
+                t.0 += 1;
+                t.1 += agree as u32;
+                t.2 += (agree && !matrix.is_categorical(a)) as u32;
             }
         }
-    }
-    let mut sorted: Vec<((u32, u32), PairStats)> = pairs.into_iter().collect();
-    sorted.sort_unstable_by_key(|&(k, _)| k);
-    let mut best: Vec<(f64, Option<WorkerId>, usize)> = vec![(0.0, None, 0); matrix.num_workers()];
-    for ((wa, wb), (shared, agree, collide)) in sorted {
-        for (me, other) in [(wa, wb), (wb, wa)] {
-            let slot = &mut best[me as usize];
+        touched.sort_unstable();
+        let mut mine = (0.0, None, 0);
+        for &other in &touched {
+            let (shared, agree, collide) = std::mem::take(&mut tallies[other as usize]);
             if (shared as usize) >= min_overlap {
                 let rate = agree as f64 / shared as f64;
-                if rate > slot.0 {
-                    slot.0 = rate;
-                    slot.1 = Some(matrix.worker_id(other as usize));
+                if rate > mine.0 {
+                    mine.0 = rate;
+                    mine.1 = Some(matrix.worker_id(other as usize));
                 }
             }
-            slot.2 = slot.2.max(collide as usize);
+            mine.2 = mine.2.max(collide as usize);
         }
+        touched.clear();
+        best.push(mine);
     }
     best
 }
@@ -494,6 +498,99 @@ mod tests {
         let honest = trust.iter().filter(|t| t.worker.0 < 900).collect::<Vec<_>>();
         assert!(honest.iter().all(|t| t.quality.is_some()));
         assert!(honest.iter().filter(|t| t.score > cfg.suspect_enter).count() >= honest.len() / 2);
+    }
+
+    /// The pair-table tally `pairwise_agreement` replaced: every pair of
+    /// answers on a cell by two different workers, accumulated per
+    /// unordered worker pair in a hash map and folded in sorted order.
+    fn pairwise_agreement_by_pair_table(
+        matrix: &AnswerMatrix,
+        min_overlap: usize,
+    ) -> Vec<(f64, Option<WorkerId>, usize)> {
+        type PairStats = (u32, u32, u32);
+        let workers = matrix.answer_workers();
+        let mut pairs: std::collections::HashMap<(u32, u32), PairStats> =
+            std::collections::HashMap::new();
+        let offsets = matrix.cell_offsets();
+        for slot in 0..offsets.len().saturating_sub(1) {
+            let (lo, hi) = (offsets[slot] as usize, offsets[slot + 1] as usize);
+            for a in lo..hi {
+                for b in (a + 1)..hi {
+                    let (wa, wb) = (workers[a], workers[b]);
+                    if wa == wb {
+                        continue;
+                    }
+                    let key = (wa.min(wb), wa.max(wb));
+                    let agree = answers_match(matrix, a, b);
+                    let collide = agree && !matrix.is_categorical(a);
+                    let e = pairs.entry(key).or_insert((0, 0, 0));
+                    e.0 += 1;
+                    e.1 += agree as u32;
+                    e.2 += collide as u32;
+                }
+            }
+        }
+        let mut sorted: Vec<((u32, u32), PairStats)> = pairs.into_iter().collect();
+        sorted.sort_unstable_by_key(|&(k, _)| k);
+        let mut best: Vec<(f64, Option<WorkerId>, usize)> =
+            vec![(0.0, None, 0); matrix.num_workers()];
+        for ((wa, wb), (shared, agree, collide)) in sorted {
+            for (me, other) in [(wa, wb), (wb, wa)] {
+                let slot = &mut best[me as usize];
+                if (shared as usize) >= min_overlap {
+                    let rate = agree as f64 / shared as f64;
+                    if rate > slot.0 {
+                        slot.0 = rate;
+                        slot.1 = Some(matrix.worker_id(other as usize));
+                    }
+                }
+                slot.2 = slot.2.max(collide as usize);
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn agreement_on_the_adversarial_log_matches_the_pair_table() {
+        let (schema, log, _, _) = adversarial_log();
+        let matrix = log.to_matrix();
+        let result = TCrowd::default_full().infer_matrix(&schema, &matrix);
+        let cfg = TrustConfig::default();
+        let oracle = pairwise_agreement_by_pair_table(&matrix, cfg.collusion_min_overlap);
+        let trust = score_workers(&result, &matrix, &cfg);
+        assert_eq!(trust.len(), oracle.len());
+        for (t, &(max_agreement, partner, value_collisions)) in trust.iter().zip(&oracle) {
+            assert_eq!(
+                (t.max_agreement, t.partner, t.value_collisions),
+                (max_agreement, partner, value_collisions)
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 64, ..Default::default() })]
+        #[test]
+        fn agreement_matches_the_pair_table_on_random_histories(
+            // (worker, row, col, value level): few workers, cells and value
+            // levels, so pairs overlap, agree, tie and repeat answers.
+            answers in proptest::collection::vec((0u32..6, 0u32..4, 0u32..3, 0u32..3), 0..120),
+            min_overlap in 0usize..5,
+        ) {
+            let mut log = AnswerLog::new(4, 3);
+            for (worker, row, col, level) in answers {
+                let value = if col == 2 {
+                    Value::Continuous(f64::from(level) * 0.5)
+                } else {
+                    Value::Categorical(level)
+                };
+                log.push(Answer { worker: WorkerId(10 * worker), cell: CellId::new(row, col), value });
+            }
+            let matrix = log.to_matrix();
+            proptest::prop_assert_eq!(
+                pairwise_agreement(&matrix, min_overlap),
+                pairwise_agreement_by_pair_table(&matrix, min_overlap)
+            );
+        }
     }
 
     #[test]

@@ -174,9 +174,9 @@ fn grouped_readers_are_pinned() {
         grouped_reader_bits(&restaurant),
         [
             0x3fee_5272_90d0_ed5b,
-            0x3ff0_7778_06c0_48f4,
-            0x3f82_83c1_c830_ee40,
-            0x3fee_1daf_1662_6d48,
+            0x3ff0_7778_06c0_48f5,
+            0x3f82_83c1_c830_edc0,
+            0x3fee_1daf_1662_6d49,
             0x4bc9_25e8_ad79_debc,
             0x6096_3922_f68e_e7f5,
             0x15f8_c4a0_2a89_85af,
@@ -185,9 +185,9 @@ fn grouped_readers_are_pinned() {
     assert_eq!(
         grouped_reader_bits(&generated),
         [
-            0x3fe9_3e83_a29c_4ffb,
+            0x3fe9_3e83_a29c_4ff9,
             0x3ff1_a9fd_c62d_2688,
-            0xbfa3_4b02_ca42_cab0,
+            0xbfa3_4b02_ca42_caa0,
             0x3fed_3d75_3503_0eea,
             0x9f01_19df_94d4_c43c,
             0x5109_e919_3e13_ed3d,
@@ -198,9 +198,9 @@ fn grouped_readers_are_pinned() {
         grouped_reader_bits(&reversed),
         [
             0x3fe9_3e83_a29c_4ffa,
-            0x3ff1_a9fd_c62d_2687,
+            0x3ff1_a9fd_c62d_2686,
             0xbfa3_4b02_ca42_caa0,
-            0x3fed_3d75_3503_0ee9,
+            0x3fed_3d75_3503_0ee6,
             0x0913_dccd_b87f_fc01,
             0x5109_e919_3e13_ed3d,
             0xf802_0bbc_0380_abb0,
