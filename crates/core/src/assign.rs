@@ -14,19 +14,34 @@
 //! distinct cells have independent posteriors, the sum in Eq. 9 decomposes
 //! and top-K is exactly the greedy optimum.
 //!
-//! Scoring a candidate is constant work: the worker's parameters are
-//! resolved once per `select` (`InferenceResult::worker_params`), the
-//! gain has a closed form for both datatypes, and the structure-aware
-//! conditional is a pair of moments — no allocation, hashing or sorting per
-//! candidate beyond the `k` picks.
+//! The gain policies share one scorer (`select_by_gain`), which scores only
+//! the cells that can make the top k. The worker's parameters are resolved
+//! once per `select`, and the scorer walks the candidates row-major, holding
+//! the best k gains so far:
+//!
+//! * a continuous cell is scored from the worker's answer variance alone,
+//!   `½ ln(1 + T^φ / v)`: one `ln` and no quality `erf`;
+//! * a categorical cell is skipped when its posterior's entropy ceiling
+//!   (`gain::entropy_ceiling`, no logarithm) is below the k-th best gain
+//!   held. Its gain is a mutual information, which never exceeds the
+//!   posterior entropy, so it could not be picked. The cells that remain
+//!   pay for the quality `erf`, the structure-aware conditional and the
+//!   `|L| + 2` logarithms of the closed-form gain.
+//!
+//! On a settled table most categorical posteriors are nearly one-hot and
+//! are skipped. The picks are those of scoring every candidate, bit for bit:
+//! the survivors are scored by the same code, and only continuous cells
+//! read the sampling estimator's RNG.
 
 use crate::correlation::{observe_error, CorrelationModel, ErrorObservation, PredictedError};
-use crate::gain::{compute_gains, exact_gain, gain_with_params, GainEstimator};
+use crate::gain::{categorical_gain, continuous_gain, entropy_ceiling, ln_others, GainEstimator};
 use crate::inference::InferenceResult;
 use crate::model::quality_from_variance;
 use crate::truth::TruthDist;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use tcrowd_stat::clamp_prob;
 use tcrowd_tabular::{AnswerMatrix, CellId, FrozenView, Schema, Value, WorkerId};
 
@@ -65,23 +80,32 @@ pub struct AssignmentContext<'a> {
 impl<'a> AssignmentContext<'a> {
     /// Cells the worker may be assigned: not yet answered by this worker and
     /// under the redundancy cap. Enumerates the table in row-major order.
+    ///
+    /// The worker is resolved once; each row's answered columns come from
+    /// the by-(worker, row) view, so a slot costs a flag read, the cap's
+    /// offset lookup and the terminated set's probe, when those are set.
     pub fn candidates(&self, worker: WorkerId) -> Vec<CellId> {
-        let (rows, cols) = (self.answers.rows(), self.answers.cols());
-        let mut out = Vec::new();
-        for slot in 0..rows * cols {
-            let c = CellId::new((slot / cols) as u32, (slot % cols) as u32);
-            if let Some(cap) = self.max_answers_per_cell {
-                if self.answers.count_for_cell(c) >= cap {
-                    continue;
+        let m = self.answers;
+        let (rows, cols) = (m.rows(), m.cols());
+        let seen = m.worker_index(worker);
+        let mut answered = vec![false; cols];
+        let mut out = Vec::with_capacity(rows * cols);
+        for row in 0..rows as u32 {
+            let mine = seen.map_or(&[][..], |w| m.worker_row_answer_indices(w, row));
+            for &k in mine {
+                answered[m.answer_cols()[k as usize] as usize] = true;
+            }
+            for col in 0..cols as u32 {
+                let c = CellId::new(row, col);
+                let capped =
+                    self.max_answers_per_cell.is_some_and(|cap| m.count_for_cell(c) >= cap);
+                let stopped = self.terminated.is_some_and(|t| t.contains(&c));
+                if !answered[col as usize] && !capped && !stopped {
+                    out.push(c);
                 }
             }
-            if let Some(stopped) = self.terminated {
-                if stopped.contains(&c) {
-                    continue;
-                }
-            }
-            if !self.answers.has_answered(worker, c) {
-                out.push(c);
+            for &k in mine {
+                answered[m.answer_cols()[k as usize] as usize] = false;
             }
         }
         out
@@ -98,24 +122,118 @@ pub trait AssignmentPolicy {
     fn select(&mut self, worker: WorkerId, k: usize, ctx: &AssignmentContext<'_>) -> Vec<CellId>;
 }
 
-/// Rank `candidates` by `gains` and return the top `k`, best first.
-///
-/// The order is (gain desc, cell asc): a total order over distinct cells, so
-/// the picks equal the first `k` of a full sort. Partitioning around the
-/// `k`-th pick first makes this `O(n + k log k)`.
-pub(crate) fn top_k_by_gain(candidates: Vec<CellId>, gains: Vec<f64>, k: usize) -> Vec<CellId> {
-    let rank = |a: &(f64, CellId), b: &(f64, CellId)| {
-        b.0.partial_cmp(&a.0).expect("NaN gain").then(a.1.cmp(&b.1))
-    };
-    let mut scored: Vec<(f64, CellId)> = gains.into_iter().zip(candidates).collect();
-    let k = k.min(scored.len());
-    if k == 0 {
-        return Vec::new();
+/// A scored candidate. Its order is the ranking's (gain desc, cell asc),
+/// so a better candidate compares less.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    gain: f64,
+    cell: CellId,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.gain.partial_cmp(&self.gain).expect("NaN gain").then(self.cell.cmp(&other.cell))
     }
-    scored.select_nth_unstable_by(k - 1, rank);
-    scored.truncate(k);
-    scored.sort_unstable_by(rank);
-    scored.into_iter().map(|(_, c)| c).collect()
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Ranked {}
+
+/// The best `k` of a stream of scored candidates in (gain desc, cell asc)
+/// order: a total order over distinct cells, so the picks equal the first
+/// `k` of a full sort. The heap's root is the worst pick held.
+struct TopK {
+    k: usize,
+    held: BinaryHeap<Ranked>,
+}
+
+impl TopK {
+    /// Room for the best `k` of `n` candidates: at most `n` slots are
+    /// reserved, whatever `k`.
+    fn new(k: usize, n: usize) -> Self {
+        TopK { k, held: BinaryHeap::with_capacity(k.min(n)) }
+    }
+
+    /// The `k`-th best gain held: a candidate whose gain is below it cannot
+    /// be picked. −∞ while fewer than `k` are held.
+    fn threshold(&self) -> f64 {
+        if self.held.len() < self.k {
+            return f64::NEG_INFINITY;
+        }
+        self.held.peek().map_or(f64::INFINITY, |worst| worst.gain)
+    }
+
+    fn push(&mut self, gain: f64, cell: CellId) {
+        assert!(!gain.is_nan(), "NaN gain");
+        let next = Ranked { gain, cell };
+        if self.held.len() < self.k {
+            self.held.push(next);
+        } else if let Some(mut worst) = self.held.peek_mut() {
+            if next < *worst {
+                *worst = next;
+            }
+        }
+    }
+
+    /// The picks, best first.
+    fn into_picks(self) -> Vec<CellId> {
+        self.held.into_sorted_vec().into_iter().map(|r| r.cell).collect()
+    }
+}
+
+/// The gain policies' shared scorer: the `k` candidates with the highest
+/// information gain (Eq. 6), best first. See the module docs.
+///
+/// `predict(c)` returns the worker's inherent answer variance on `c` and
+/// Eq. 7's structural prediction, if any; it is called only for the cells
+/// scored, in row-major order. A categorical survivor's quality is derived
+/// from that variance and blended as [`blend_structure`] does.
+pub(crate) fn select_by_gain(
+    ctx: &AssignmentContext<'_>,
+    inference: &InferenceResult,
+    worker: WorkerId,
+    k: usize,
+    estimator: GainEstimator,
+    rng: &mut StdRng,
+    mut predict: impl FnMut(CellId) -> (f64, Option<PredictedError>),
+) -> Vec<CellId> {
+    let candidates = ctx.candidates(worker);
+    let mut top = TopK::new(k, candidates.len());
+    // (label count, `ln(|L| − 1)`) per column, so the ceiling takes no log.
+    let mut domain = vec![(0, 0.0); ctx.answers.cols()];
+    for c in candidates {
+        let gain = match inference.truth_z(c) {
+            TruthDist::Continuous(n) => {
+                let (v, prediction) = predict(c);
+                continuous_gain(n, blended_variance(prediction, v), estimator, rng)
+            }
+            TruthDist::Categorical(p) => {
+                let memo = &mut domain[c.col as usize];
+                if memo.0 != p.len() {
+                    *memo = (p.len(), ln_others(p.len()));
+                }
+                if entropy_ceiling(p, memo.1) < top.threshold() {
+                    continue;
+                }
+                let (v, prediction) = predict(c);
+                let q = quality_from_variance(inference.epsilon, v);
+                categorical_gain(p, blend_structure(prediction, v, q, inference.epsilon).1)
+            }
+        };
+        top.push(gain, c);
+    }
+    top.into_picks()
 }
 
 /// T-Crowd's inherent information-gain policy (§5.1).
@@ -149,24 +267,9 @@ impl AssignmentPolicy for InherentGainPolicy {
         let inference =
             ctx.inference.expect("InherentGainPolicy requires an inference result in the context");
         let params = inference.worker_params(worker);
-        let candidates = ctx.candidates(worker);
-        let gains: Vec<f64> = if self.estimator == GainEstimator::Exact {
-            // The exact estimator is RNG-free, so large candidate sets can be
-            // scored across threads (the paper's §5.1 parallelisation note).
-            compute_gains(&candidates, |c| {
-                let (v, q) = params.variance_and_quality(c);
-                exact_gain(inference.truth_z(c), v, q)
-            })
-        } else {
-            candidates
-                .iter()
-                .map(|&c| {
-                    let (v, q) = params.variance_and_quality(c);
-                    gain_with_params(inference.truth_z(c), v, q, self.estimator, &mut self.rng)
-                })
-                .collect()
-        };
-        top_k_by_gain(candidates, gains, k)
+        select_by_gain(ctx, inference, worker, k, self.estimator, &mut self.rng, |c| {
+            (params.variance(c), None)
+        })
     }
 }
 
@@ -186,11 +289,20 @@ pub(crate) fn blend_structure(
             let q_struct = clamp_prob(1.0 - p_wrong);
             (v_inherent, 0.5 * (q_struct + q_inherent))
         }
-        Some(PredictedError::Continuous { var, .. }) => {
-            let v = (var * v_inherent).sqrt();
+        Some(PredictedError::Continuous { .. }) => {
+            let v = blended_variance(prediction, v_inherent);
             (v, quality_from_variance(epsilon, v))
         }
         None => (v_inherent, q_inherent),
+    }
+}
+
+/// The variance [`blend_structure`] returns, without the quality it derives:
+/// all a continuous cell's gain reads.
+fn blended_variance(prediction: Option<PredictedError>, v_inherent: f64) -> f64 {
+    match prediction {
+        Some(PredictedError::Continuous { var, .. }) => (var * v_inherent).sqrt(),
+        _ => v_inherent,
     }
 }
 
@@ -243,14 +355,12 @@ impl AssignmentPolicy for StructureAwarePolicy {
         };
         let params = inference.worker_params(worker);
         let seen = matrix.worker_index(worker);
-        let candidates = ctx.candidates(worker);
         // The worker's observed errors on the current candidate's row
-        // (L^u_i of Eq. 7), rebuilt only when the row changes: candidates
-        // come in row-major order, so each row is read once.
+        // (L^u_i of Eq. 7), rebuilt only when the row changes: cells are
+        // scored in row-major order, so each row is read at most once.
         let mut observed: Vec<(usize, ErrorObservation)> = Vec::new();
         let mut observed_row = None;
-        let mut gains = Vec::with_capacity(candidates.len());
-        for &c in &candidates {
+        select_by_gain(ctx, inference, worker, k, self.estimator, &mut self.rng, |c| {
             if observed_row != Some(c.row) {
                 observed_row = Some(c.row);
                 observed.clear();
@@ -261,12 +371,8 @@ impl AssignmentPolicy for StructureAwarePolicy {
                     }
                 }
             }
-            let (v, q) = params.variance_and_quality(c);
-            let prediction = model.conditional_error(c.col as usize, &observed);
-            let (v, q) = blend_structure(prediction, v, q, inference.epsilon);
-            gains.push(gain_with_params(inference.truth_z(c), v, q, self.estimator, &mut self.rng));
-        }
-        top_k_by_gain(candidates, gains, k)
+            (params.variance(c), model.conditional_error(c.col as usize, &observed))
+        })
     }
 }
 
@@ -310,8 +416,11 @@ pub fn apply_answer_incrementally(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entity::{EntityAwarePolicy, EntityModel, RowGrouping};
+    use crate::gain::gain_with_params;
     use crate::inference::TCrowd;
-    use tcrowd_tabular::{generate_dataset, GeneratorConfig, RowFamiliarity};
+    use std::collections::HashSet;
+    use tcrowd_tabular::{generate_dataset, AnswerLog, GeneratorConfig, RowFamiliarity};
 
     fn setup(seed: u64) -> (tcrowd_tabular::Dataset, InferenceResult) {
         let d = generate_dataset(
@@ -353,6 +462,50 @@ mod tests {
         assert!(capped.candidates(w).is_empty());
     }
 
+    /// `log` without every fifth answer, so cells hold 0–3 answers and a
+    /// redundancy cap of 3 keeps about half of them.
+    fn thinned(log: &AnswerLog) -> AnswerLog {
+        let mut out = AnswerLog::new(log.rows(), log.cols());
+        for (i, a) in log.all().iter().enumerate() {
+            if i % 5 != 0 {
+                out.push(*a);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn candidates_match_the_per_cell_filter() {
+        let (d, r) = setup(3);
+        let m = thinned(&d.answers).to_matrix();
+        let stopped: HashSet<CellId> =
+            d.answers.cells().filter(|c| (c.row + 2 * c.col) % 5 == 0).collect();
+        let workers = m.worker_ids().iter().copied().chain([WorkerId(9_999)]);
+        for w in workers {
+            for (cap, terminated) in [(None, None), (Some(3), None), (Some(2), Some(&stopped))] {
+                let ctx = AssignmentContext {
+                    schema: &d.schema,
+                    answers: &m,
+                    freeze: m.freeze_view(),
+                    inference: Some(&r),
+                    max_answers_per_cell: cap,
+                    terminated,
+                    correlation: None,
+                };
+                let expected: Vec<CellId> = d
+                    .answers
+                    .cells()
+                    .filter(|&c| {
+                        !m.has_answered(w, c)
+                            && cap.is_none_or(|cap| m.count_for_cell(c) < cap)
+                            && terminated.is_none_or(|t| !t.contains(&c))
+                    })
+                    .collect();
+                assert_eq!(ctx.candidates(w), expected, "{w:?} cap {cap:?}");
+            }
+        }
+    }
+
     #[test]
     fn select_returns_k_distinct_cells() {
         let (d, r) = setup(2);
@@ -380,7 +533,7 @@ mod tests {
         }
     }
 
-    /// The full (gain desc, cell asc) ranking `top_k_by_gain` must agree with.
+    /// The full (gain desc, cell asc) ranking the picks must agree with.
     fn full_ranking(candidates: &[CellId], gains: &[f64]) -> Vec<CellId> {
         let mut scored: Vec<(f64, CellId)> =
             gains.iter().copied().zip(candidates.iter().copied()).collect();
@@ -405,9 +558,13 @@ mod tests {
                 slots.iter().map(|&s| CellId::new(s / 7, s % 7)).collect();
             let gains: Vec<f64> = levels.iter().map(|&l| f64::from(l) * 0.25).collect();
             let ranking = full_ranking(&candidates, &gains);
-            for k in [0, 1, n.saturating_sub(1), n, n + 3] {
-                let picks = top_k_by_gain(candidates.clone(), gains.clone(), k);
-                proptest::prop_assert_eq!(&picks[..], &ranking[..k.min(n)]);
+            for k in [0, 1, n.saturating_sub(1), n, n + 3, 1 << 40] {
+                let mut top = TopK::new(k, n);
+                for (&gain, &cell) in gains.iter().zip(&candidates) {
+                    top.push(gain, cell);
+                }
+                proptest::prop_assert!(top.held.capacity() <= n.max(k.min(n)));
+                proptest::prop_assert_eq!(&top.into_picks()[..], &ranking[..k.min(n)]);
             }
         }
     }
@@ -454,40 +611,130 @@ mod tests {
         full_ranking(&candidates, &gains).into_iter().take(k).collect()
     }
 
+    /// [`EntityAwarePolicy`]'s picks, recomputed the same way: `λ` scales the
+    /// per-cell variance, and the row's errors are read by a full scan.
+    fn entity_ranked_per_cell(
+        ctx: &AssignmentContext<'_>,
+        model: &CorrelationModel,
+        entity: &EntityModel,
+        worker: WorkerId,
+    ) -> Vec<CellId> {
+        let inference = ctx.inference.unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        let candidates = ctx.candidates(worker);
+        let gains: Vec<f64> = candidates
+            .iter()
+            .map(|&c| {
+                let v = entity.lambda(worker, c.row) * inference.effective_variance(worker, c);
+                let q = quality_from_variance(inference.epsilon, v);
+                let observed: Vec<(usize, ErrorObservation)> = ctx
+                    .answers
+                    .answers_of(worker)
+                    .filter(|a| a.cell.row == c.row)
+                    .map(|a| {
+                        (
+                            a.cell.col as usize,
+                            observe_error(inference, &ctx.answers.to_answer(a.index as usize)),
+                        )
+                    })
+                    .collect();
+                let prediction = model.conditional_error(c.col as usize, &observed);
+                let (v, q) = blend_structure(prediction, v, q, inference.epsilon);
+                gain_with_params(inference.truth_z(c), v, q, GainEstimator::Exact, &mut rng)
+            })
+            .collect();
+        full_ranking(&candidates, &gains)
+    }
+
+    /// The pruned scorer picks exactly what ranking every candidate picks:
+    /// for k from 1 to past the candidate count, both estimators, all three
+    /// gain policies, with and without a redundancy cap and a terminated
+    /// set, on a mixed table and on all-categorical (pruned by the running
+    /// threshold alone) and all-continuous ones.
     #[test]
     fn select_matches_per_cell_ranking() {
-        let d = generate_dataset(
-            &GeneratorConfig {
-                rows: 300,
-                columns: 10,
-                num_workers: 40,
-                answers_per_task: 3,
-                row_familiarity: Some(RowFamiliarity::default()),
-                ..Default::default()
-            },
-            14,
-        );
-        let r = TCrowd::default_full().infer(&d.schema, &d.answers);
-        let m = d.answers.to_matrix();
-        let model = CorrelationModel::fit_matrix(&d.schema, &m, &r);
-        let ctx = AssignmentContext {
-            schema: &d.schema,
-            answers: &m,
-            freeze: m.freeze_view(),
-            inference: Some(&r),
-            max_answers_per_cell: None,
-            terminated: None,
-            correlation: Some(&model),
-        };
-        let seen: Vec<WorkerId> = m.worker_ids()[..10].to_vec();
-        assert_eq!(seen.len(), 10);
-        let unseen = (0..10).map(|i| WorkerId(50_000 + i));
-        for w in seen.into_iter().chain(unseen) {
-            let k = 25;
-            let inherent = InherentGainPolicy::default().select(w, k, &ctx);
-            assert_eq!(inherent, ranked_per_cell(&ctx, &model, w, k, false), "inherent, {w:?}");
-            let structure = StructureAwarePolicy::default().select(w, k, &ctx);
-            assert_eq!(structure, ranked_per_cell(&ctx, &model, w, k, true), "structure, {w:?}");
+        let sampling = GainEstimator::Sampling { samples: 3 };
+        // (categorical share, seed, seen workers, unseen workers)
+        for (categorical_ratio, seed, n_seen, n_unseen) in
+            [(0.5, 14, 10, 10), (1.0, 15, 4, 2), (0.0, 16, 2, 1)]
+        {
+            let d = generate_dataset(
+                &GeneratorConfig {
+                    rows: 300,
+                    columns: 10,
+                    categorical_ratio,
+                    num_workers: 40,
+                    answers_per_task: 3,
+                    row_familiarity: Some(RowFamiliarity::default()),
+                    ..Default::default()
+                },
+                seed,
+            );
+            let log = thinned(&d.answers);
+            let r = TCrowd::default_full().infer(&d.schema, &log);
+            let m = log.to_matrix();
+            let model = CorrelationModel::fit_matrix(&d.schema, &m, &r);
+            let grouping = RowGrouping::Known((0..300).map(|i| i % 3).collect());
+            let mut entity_policy = EntityAwarePolicy::new(grouping.clone());
+            let entity =
+                EntityModel::fit_matrix(&d.schema, &m, &r, &grouping, &entity_policy.options);
+            let stopped: HashSet<CellId> =
+                d.answers.cells().filter(|c| (c.row + c.col) % 7 == 0).collect();
+            let open = AssignmentContext {
+                schema: &d.schema,
+                answers: &m,
+                freeze: m.freeze_view(),
+                inference: Some(&r),
+                max_answers_per_cell: None,
+                terminated: None,
+                correlation: Some(&model),
+            };
+            let capped = AssignmentContext {
+                max_answers_per_cell: Some(3),
+                terminated: Some(&stopped),
+                ..open
+            };
+            let seen = m.worker_ids()[..n_seen].iter().copied();
+            let unseen = (0..n_unseen).map(|i| WorkerId(50_000 + i));
+            for w in seen.chain(unseen) {
+                for ctx in [&open, &capped] {
+                    let inherent = ranked_per_cell(ctx, &model, w, usize::MAX, false);
+                    let structure = ranked_per_cell(ctx, &model, w, usize::MAX, true);
+                    // Each entity select refits its models, so two workers a table.
+                    let entity_ranking = (w == m.worker_id(0) || w == WorkerId(50_000))
+                        .then(|| entity_ranked_per_cell(ctx, &model, &entity, w));
+                    let n = inherent.len();
+                    let case = |k: usize| {
+                        format!(
+                            "ratio {categorical_ratio}, {w:?}, k {k}, cap {:?}",
+                            ctx.max_answers_per_cell
+                        )
+                    };
+                    for k in [1, 5, 25, n, 1 << 40] {
+                        let head = |ranking: &[CellId]| ranking[..k.min(n)].to_vec();
+                        for estimator in [GainEstimator::Exact, sampling] {
+                            let picks = InherentGainPolicy::new(estimator).select(w, k, ctx);
+                            assert_eq!(
+                                picks,
+                                head(&inherent),
+                                "inherent {estimator:?}, {}",
+                                case(k)
+                            );
+                            let picks = StructureAwarePolicy::new(estimator).select(w, k, ctx);
+                            assert_eq!(
+                                picks,
+                                head(&structure),
+                                "structure {estimator:?}, {}",
+                                case(k)
+                            );
+                        }
+                        if let Some(ranking) = &entity_ranking {
+                            let picks = entity_policy.select(w, k, ctx);
+                            assert_eq!(picks, head(ranking), "entity, {}", case(k));
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -27,9 +27,9 @@
 //! `λ_{u,g(i)} · α_i β_j φ_u`, optionally combined with the attribute-level
 //! conditioning of the structure-aware policy.
 
-use crate::assign::{blend_structure, top_k_by_gain};
+use crate::assign::select_by_gain;
 use crate::correlation::{observe_error, CorrelationModel, ErrorObservation};
-use crate::gain::{gain_with_params, GainEstimator};
+use crate::gain::GainEstimator;
 use crate::inference::InferenceResult;
 use crate::model::{cat_answer_ln_likelihood, quality_from_variance};
 use rand::rngs::StdRng;
@@ -394,22 +394,15 @@ impl crate::assign::AssignmentPolicy for EntityAwarePolicy {
             }
         }
         let empty: Vec<(usize, ErrorObservation)> = Vec::new();
-        let candidates = ctx.candidates(worker);
-        let gains: Vec<f64> = candidates
-            .iter()
-            .map(|&c| {
-                let lambda = entity.lambda(worker, c.row);
-                let v_inherent = lambda * inference.effective_variance(worker, c);
-                let q_inherent = quality_from_variance(inference.epsilon, v_inherent);
-                let prediction = corr.as_ref().and_then(|m| {
-                    let observed = row_errors.get(&c.row).unwrap_or(&empty);
-                    m.conditional_error(c.col as usize, observed)
-                });
-                let (v, q) = blend_structure(prediction, v_inherent, q_inherent, inference.epsilon);
-                gain_with_params(inference.truth_z(c), v, q, self.estimator, &mut self.rng)
-            })
-            .collect();
-        top_k_by_gain(candidates, gains, k)
+        let params = inference.worker_params(worker);
+        select_by_gain(ctx, inference, worker, k, self.estimator, &mut self.rng, |c| {
+            let v_inherent = entity.lambda(worker, c.row) * params.variance(c);
+            let prediction = corr.as_ref().and_then(|m| {
+                let observed = row_errors.get(&c.row).unwrap_or(&empty);
+                m.conditional_error(c.col as usize, observed)
+            });
+            (v_inherent, prediction)
+        })
     }
 }
 

@@ -8,17 +8,21 @@
 //! argument, verified in `tcrowd_stat::entropy` tests).
 //!
 //! Both datatypes have a closed form, so the default estimator needs no
-//! sampling and scores a cell with no allocation (`exact_gain`): for a
-//! Gaussian posterior the updated variance `(1/T^φ + 1/v)⁻¹` does not depend
-//! on the answer's value, and for a categorical one the expected entropy
-//! drop is the mutual information between truth and answer. A sampling
-//! estimator mirroring the paper's Monte-Carlo description is provided for
-//! the ablation study.
+//! sampling and scores a cell with no allocation: for a Gaussian posterior
+//! the updated variance `(1/T^φ + 1/v)⁻¹` does not depend on the answer's
+//! value (`continuous_gain` reads only `v`), and for a categorical one the
+//! expected entropy drop is the mutual information between truth and answer
+//! (`categorical_gain` reads only `q`). A mutual information never exceeds
+//! the posterior entropy, and `entropy_ceiling` bounds that entropy without
+//! a logarithm, so the assignment scorer skips a categorical cell whose
+//! ceiling is below the gains it already holds. A sampling estimator
+//! mirroring the paper's Monte-Carlo description is provided for the
+//! ablation study.
 
 use crate::truth::TruthDist;
 use rand::rngs::StdRng;
-use tcrowd_stat::{clamp_prob, clamp_var};
-use tcrowd_tabular::CellId;
+use std::f64::consts::E;
+use tcrowd_stat::{clamp_prob, clamp_var, Normal};
 
 /// How the expected posterior entropy of a *continuous* cell is estimated.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -51,9 +55,29 @@ pub fn gain_with_params(
     estimator: GainEstimator,
     rng: &mut StdRng,
 ) -> f64 {
-    match (truth, estimator) {
-        (TruthDist::Continuous(n), GainEstimator::Sampling { samples }) => {
-            let v = clamp_var(obs_var);
+    match truth {
+        TruthDist::Continuous(n) => continuous_gain(n, obs_var, estimator, rng),
+        TruthDist::Categorical(p) => categorical_gain(p, q),
+    }
+}
+
+/// Eq. 6 for a continuous cell with posterior `n`, answered with variance
+/// `obs_var`.
+///
+/// The post-update variance `(1/T^φ + 1/v)⁻¹` does not depend on the
+/// answer, so [`GainEstimator::Exact`] is `H − H' = ½ ln(1 + T^φ / v)`
+/// exactly; the sampling estimator averages `H'` over answers drawn from
+/// `rng`.
+pub(crate) fn continuous_gain(
+    n: &Normal,
+    obs_var: f64,
+    estimator: GainEstimator,
+    rng: &mut StdRng,
+) -> f64 {
+    let v = clamp_var(obs_var);
+    match estimator {
+        GainEstimator::Exact => 0.5 * (1.0 + n.var / v).ln(),
+        GainEstimator::Sampling { samples } => {
             let predictive = n.predictive(v);
             let h0 = n.differential_entropy();
             let mut total = 0.0;
@@ -64,22 +88,6 @@ pub fn gain_with_params(
             }
             h0 - total / samples.max(1) as f64
         }
-        _ => exact_gain(truth, obs_var, q),
-    }
-}
-
-/// Eq. 6 in closed form, with no sampling and no allocation.
-///
-/// Continuous: the post-update variance `(1/T^φ + 1/v)⁻¹` does not depend on
-/// the answer, so `H − H' = ½ ln(1 + T^φ / v)` exactly. Categorical: see
-/// [`categorical_gain`].
-pub(crate) fn exact_gain(truth: &TruthDist, obs_var: f64, q: f64) -> f64 {
-    match truth {
-        TruthDist::Continuous(n) => {
-            let v = clamp_var(obs_var);
-            0.5 * (1.0 + n.var / v).ln()
-        }
-        TruthDist::Categorical(p) => categorical_gain(p, q),
     }
 }
 
@@ -91,7 +99,7 @@ pub(crate) fn exact_gain(truth: &TruthDist, obs_var: f64, q: f64) -> f64 {
 /// `P(A = a) = q·p_a + r·(1 − p_a)`, and `H(A | T = z) = −(q ln q + (1−q) ln r)`
 /// for every truth `z`: `|L| + 2` logarithms, and no posterior is
 /// materialised.
-fn categorical_gain(p: &[f64], q: f64) -> f64 {
+pub(crate) fn categorical_gain(p: &[f64], q: f64) -> f64 {
     if p.len() <= 1 {
         return 0.0;
     }
@@ -108,32 +116,32 @@ fn categorical_gain(p: &[f64], q: f64) -> f64 {
     h_answer - h_answer_given_truth
 }
 
-/// Compute gains for many candidate cells, splitting across threads when the
-/// candidate set is large (the paper's §5.1 notes assignment parallelises
-/// trivially because cells are independent).
-pub fn compute_gains<F>(candidates: &[CellId], per_cell: F) -> Vec<f64>
-where
-    F: Fn(CellId) -> f64 + Sync,
-{
-    const PARALLEL_THRESHOLD: usize = 8192;
-    if candidates.len() < PARALLEL_THRESHOLD {
-        return candidates.iter().map(|&c| per_cell(c)).collect();
-    }
-    let threads =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(candidates.len());
-    let chunk = candidates.len().div_ceil(threads);
-    let mut out = vec![0.0; candidates.len()];
-    std::thread::scope(|scope| {
-        for (cells, slot) in candidates.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let per_cell = &per_cell;
-            scope.spawn(move || {
-                for (c, o) in cells.iter().zip(slot.iter_mut()) {
-                    *o = per_cell(*c);
-                }
-            });
+/// `ln(|L| − 1)` for a domain of `labels` labels (0 for a single label):
+/// the per-domain constant of [`entropy_ceiling`].
+pub(crate) fn ln_others(labels: usize) -> f64 {
+    ((labels.max(2) - 1) as f64).ln()
+}
+
+/// An upper bound on [`categorical_gain`]`(p, q)` for every `q`, with no
+/// logarithm; `ln_others` is [`ln_others`]`(p.len())`.
+///
+/// The gain is a mutual information, so it never exceeds the posterior
+/// entropy `H(p)`. With `rest = 1 − max p`, Fano's inequality bounds that by
+/// `H_b(max p) + rest·ln(|L| − 1)`, and `−x ln x ≤ 1 − x` and
+/// `−x ln x ≤ (2/e)√x` bound the binary entropy by `rest + (2/e)√rest`.
+/// The `1e-12` covers rounding in the computed gain. A NaN entry makes the
+/// ceiling NaN, which compares below nothing, so such a cell is always
+/// scored.
+pub(crate) fn entropy_ceiling(p: &[f64], ln_others: f64) -> f64 {
+    let mut top = 0.0f64;
+    for &pz in p {
+        if pz.is_nan() {
+            return f64::NAN;
         }
-    });
-    out
+        top = top.max(pz);
+    }
+    let rest = 1.0 - top;
+    rest * (1.0 + ln_others) + (2.0 / E) * rest.sqrt() + 1e-12
 }
 
 #[cfg(test)]
@@ -292,13 +300,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_gains_match_serial() {
-        let cells: Vec<CellId> =
-            (0..10_000).map(|i| CellId::new(i as u32 / 100, i as u32 % 100)).collect();
-        let f = |c: CellId| (c.row * 100 + c.col) as f64 * 0.5;
-        let par = compute_gains(&cells, f);
-        let ser: Vec<f64> = cells.iter().map(|&c| f(c)).collect();
-        assert_eq!(par, ser);
+    /// A posterior over `labels` labels of the given `shape`: uniform,
+    /// one-hot, two-point, near-one-hot (the other labels at masses down to
+    /// 1e-300, some exactly 0) or random (with exact zeros and 1e-300s).
+    fn shaped_posterior(labels: usize, shape: u8, r: &mut StdRng) -> Vec<f64> {
+        let top = r.gen_range(0..labels);
+        let mut p = vec![0.0; labels];
+        match shape {
+            0 => p.fill(1.0 / labels as f64),
+            1 => p[top] = 1.0,
+            2 => {
+                let other = (top + 1 + r.gen_range(0..labels.max(2) - 1)) % labels;
+                let a: f64 = r.gen();
+                p[top] = a;
+                p[other] += 1.0 - a;
+            }
+            3 => {
+                for (z, pz) in p.iter_mut().enumerate() {
+                    if z != top {
+                        *pz = match r.gen_range(0..3) {
+                            0 => 0.0,
+                            1 => 1e-300,
+                            _ => 10f64.powi(-r.gen_range(1..=300i32)),
+                        };
+                    }
+                }
+                p[top] = 1.0 - p.iter().sum::<f64>();
+            }
+            _ => {
+                for pz in &mut p {
+                    *pz = match r.gen_range(0..4) {
+                        0 => 0.0,
+                        1 => 1e-300,
+                        _ => r.gen::<f64>().powi(3),
+                    };
+                }
+                let total: f64 = p.iter().sum();
+                if total > 0.0 {
+                    p.iter_mut().for_each(|pz| *pz /= total);
+                } else {
+                    p[top] = 1.0;
+                }
+            }
+        }
+        p
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 2048, ..Default::default() })]
+        #[test]
+        fn categorical_gain_never_exceeds_the_entropy_ceiling(
+            labels in 1usize..=12,
+            shape in 0u8..5,
+            q_kind in 0u8..4,
+            u in 0.0f64..1.0,
+            seed in proptest::any::<u64>(),
+        ) {
+            use tcrowd_stat::EPS;
+            let p = shaped_posterior(labels, shape, &mut StdRng::seed_from_u64(seed));
+            let q = match q_kind {
+                0 => EPS + u * (1.0 - 2.0 * EPS),
+                1 => EPS + u * (1.0 / labels as f64 - EPS),
+                2 => 1.0 - EPS,
+                _ => 1.0 - 10f64.powi(-1 - (u * 11.0) as i32),
+            };
+            let gain = categorical_gain(&p, q);
+            let ceiling = entropy_ceiling(&p, ln_others(p.len()));
+            // The scorer skips a cell when `ceiling < τ`, so its own gain must
+            // never exceed the ceiling; a NaN on either side fails too.
+            proptest::prop_assert!(
+                gain <= ceiling,
+                "L={labels} q={q} p={p:?}: gain {gain} above ceiling {ceiling}"
+            );
+        }
     }
 }

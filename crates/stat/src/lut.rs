@@ -3,10 +3,11 @@
 //! The M-step objective evaluates `erf(ε/√(2v))` and `e^{-x²}` once per
 //! answer per objective pass — tens of millions of calls per
 //! inference on production-sized tables — and the exact Maclaurin-series
-//! [`crate::special::erf`] costs ~40 ns per call. These kernels replace the
-//! series with cubic **Hermite interpolation** on a uniform grid over
-//! `[0, 6]`, built once per process from the exact functions themselves (no
-//! external coefficients to trust):
+//! [`crate::special::erf`] costs ~45–140 ns per call on `[0, 3]`, more as
+//! `x` grows (2-vCPU Xeon). These kernels replace the series with cubic
+//! **Hermite interpolation** on a uniform grid over `[0, 6]`, built once per
+//! process from the exact functions themselves (no external coefficients to
+//! trust):
 //!
 //! * node values come from [`crate::special::erf`] / `exp`,
 //! * node derivatives are analytic (`erf'(x) = 2/√π · e^{-x²}`,
@@ -14,9 +15,9 @@
 //! * per-interval error of cubic Hermite interpolation is
 //!   `h⁴/384 · max|f⁗|`; with `h = 1/512` and `max|f⁗| ≤ 12` on `[0, 6]`
 //!   the interpolation itself contributes `< 1e-12`, and the reference
-//!   `erf`'s own accuracy (~3e-12 near the series/continued-fraction switch
-//!   at `x = 3`) dominates the total — unit-tested below `4e-12` against
-//!   the exact implementation on a dense grid.
+//!   `erf`'s own accuracy (~3e-12 near the switch from the series to the
+//!   Chebyshev `erfc` fit at `x = 3`) dominates the total — unit-tested
+//!   below `4e-12` against the exact implementation on a dense grid.
 //!
 //! Beyond the grid (`x > 6`) both functions are flat to ~1e-16
 //! (`erf → 1`, `e^{-x²} → 0`). Negative inputs are not needed by the
