@@ -16,7 +16,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use tcrowd_core::{AssignmentContext, AssignmentPolicy};
+use tcrowd_core::{AssignmentContext, AssignmentPolicy, TopK};
 use tcrowd_stat::describe::std_dev;
 use tcrowd_stat::entropy::shannon;
 use tcrowd_tabular::{CellId, ColumnType, WorkerId};
@@ -57,6 +57,7 @@ impl AssignmentPolicy for RandomPolicy {
 /// the previous call stopped.
 #[derive(Debug, Default)]
 pub struct LoopingPolicy {
+    /// Row-major slot of the first cell the next call may pick.
     cursor: usize,
 }
 
@@ -66,33 +67,16 @@ impl AssignmentPolicy for LoopingPolicy {
     }
 
     fn select(&mut self, worker: WorkerId, k: usize, ctx: &AssignmentContext<'_>) -> Vec<CellId> {
-        let total = ctx.answers.rows() * ctx.answers.cols();
-        if total == 0 {
-            return Vec::new();
-        }
         let cols = ctx.answers.cols();
-        // `k` is the caller's, unbounded; the loop never picks more than
-        // `total`.
-        let mut picked = Vec::with_capacity(k.min(total));
-        // One full lap at most, skipping ineligible cells.
-        for step in 0..total {
-            if picked.len() >= k {
-                break;
-            }
-            let slot = (self.cursor + step) % total;
-            let cell = CellId::new((slot / cols) as u32, (slot % cols) as u32);
-            if ctx.answers.has_answered(worker, cell) {
-                continue;
-            }
-            if let Some(cap) = ctx.max_answers_per_cell {
-                if ctx.answers.count_for_cell(cell) >= cap {
-                    continue;
-                }
-            }
-            picked.push(cell);
-        }
-        if let Some(last) = picked.last() {
-            self.cursor = (last.row as usize * cols + last.col as usize + 1) % total;
+        let slot = |c: CellId| c.row as usize * cols + c.col as usize;
+        // One lap at most: the candidates from the cursor on, then the ones
+        // before it. `k` is the caller's, unbounded.
+        let candidates = ctx.candidates(worker);
+        let (before, after) =
+            candidates.split_at(candidates.partition_point(|&c| slot(c) < self.cursor));
+        let picked: Vec<CellId> = after.iter().chain(before).take(k).copied().collect();
+        if let Some(&last) = picked.last() {
+            self.cursor = slot(last) + 1;
         }
         picked
     }
@@ -152,10 +136,11 @@ impl AssignmentPolicy for EntropyPolicy {
 
     fn select(&mut self, worker: WorkerId, k: usize, ctx: &AssignmentContext<'_>) -> Vec<CellId> {
         let candidates = ctx.candidates(worker);
-        let mut scored: Vec<(CellId, f64)> =
-            candidates.into_iter().map(|c| (c, raw_uncertainty(ctx, c))).collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN").then(a.0.cmp(&b.0)));
-        scored.into_iter().take(k).map(|(c, _)| c).collect()
+        let mut top = TopK::new(k, candidates.len());
+        for c in candidates {
+            top.push(raw_uncertainty(ctx, c), c);
+        }
+        top.into_picks()
     }
 }
 

@@ -16,13 +16,13 @@
 //! rate*, T-Crowd the full-distribution uncertainty. QASCA is defined for
 //! single/multi-choice tasks; for continuous cells we use the natural
 //! analogue — the expected reduction of the posterior standard deviation
-//! relative to the column spread — and note the adaptation in DESIGN.md
-//! (the original system has no continuous tasks).
+//! relative to the column spread. That is an adaptation: the original
+//! system has no continuous tasks.
 //!
 //! Requires a T-Crowd inference result in the context (QASCA likewise keeps
 //! per-worker quality online).
 
-use tcrowd_core::{AssignmentContext, AssignmentPolicy, TruthDist};
+use tcrowd_core::{AssignmentContext, AssignmentPolicy, TopK, TruthDist};
 use tcrowd_stat::clamp_var;
 use tcrowd_tabular::{CellId, Value, WorkerId};
 
@@ -71,31 +71,23 @@ impl AssignmentPolicy for QascaPolicy {
         let inference =
             ctx.inference.expect("QascaPolicy requires an inference result in the context");
         let candidates = ctx.candidates(worker);
-        let scores: Vec<f64> = candidates
-            .iter()
-            .map(|&c| {
-                let v = clamp_var(inference.effective_variance(worker, c));
-                let q = inference.cell_quality(worker, c);
-                match inference.truth_z(c) {
-                    t @ TruthDist::Categorical(p) => categorical_delta_accuracy(p, v, q, t),
-                    TruthDist::Continuous(n) => {
-                        // Posterior std shrinks deterministically; z-space
-                        // puts the drop on the column-spread scale, which is
-                        // commensurate with an accuracy delta in [0, 1].
-                        let var1 = 1.0 / (1.0 / n.var + 1.0 / v);
-                        n.var.sqrt() - var1.sqrt()
-                    }
+        let mut top = TopK::new(k, candidates.len());
+        for c in candidates {
+            let v = clamp_var(inference.effective_variance(worker, c));
+            let q = inference.cell_quality(worker, c);
+            let score = match inference.truth_z(c) {
+                t @ TruthDist::Categorical(p) => categorical_delta_accuracy(p, v, q, t),
+                TruthDist::Continuous(n) => {
+                    // Posterior std shrinks deterministically; z-space puts
+                    // the drop on the column-spread scale, which is
+                    // commensurate with an accuracy delta in [0, 1].
+                    let var1 = 1.0 / (1.0 / n.var + 1.0 / v);
+                    n.var.sqrt() - var1.sqrt()
                 }
-            })
-            .collect();
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .expect("NaN QASCA score")
-                .then(candidates[a].cmp(&candidates[b]))
-        });
-        order.into_iter().take(k).map(|i| candidates[i]).collect()
+            };
+            top.push(score, c);
+        }
+        top.into_picks()
     }
 }
 

@@ -1,45 +1,14 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for two design choices:
 //!
-//! * exact vs sampled expected-entropy for continuous gains,
-//! * learning vs freezing the row/column difficulties,
-//! * the cost of the assignment policies.
+//! * learning vs freezing the row/column difficulties (`EmOptions`'
+//!   `learn_row_difficulty` / `learn_col_difficulty`),
+//! * the cost of the assignment policies, the paper's two gain policies
+//!   against the entity-aware extension.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use criterion::{criterion_group, criterion_main, Criterion};
 use tcrowd_core::em::EmOptions;
-use tcrowd_core::gain::{gain_with_params, GainEstimator};
-use tcrowd_core::{
-    AssignmentContext, AssignmentPolicy, InherentGainPolicy, TCrowd, TCrowdOptions, TruthDist,
-};
-use tcrowd_stat::Normal;
+use tcrowd_core::{AssignmentContext, AssignmentPolicy, InherentGainPolicy, TCrowd, TCrowdOptions};
 use tcrowd_tabular::{generate_dataset, GeneratorConfig, WorkerId};
-
-fn gain_estimators(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_gain_estimator");
-    let truth = TruthDist::Continuous(Normal::new(0.2, 1.7));
-    group.bench_function("exact", |b| {
-        let mut rng = StdRng::seed_from_u64(1);
-        b.iter(|| {
-            std::hint::black_box(gain_with_params(&truth, 0.4, 0.8, GainEstimator::Exact, &mut rng))
-        })
-    });
-    for &samples in &[10usize, 100] {
-        group.bench_with_input(BenchmarkId::new("sampling", samples), &samples, |b, &s| {
-            let mut rng = StdRng::seed_from_u64(1);
-            b.iter(|| {
-                std::hint::black_box(gain_with_params(
-                    &truth,
-                    0.4,
-                    0.8,
-                    GainEstimator::Sampling { samples: s },
-                    &mut rng,
-                ))
-            })
-        });
-    }
-    group.finish();
-}
 
 fn difficulty_ablation(c: &mut Criterion) {
     let d = generate_dataset(
@@ -106,11 +75,11 @@ fn policy_cost(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(8));
     group.bench_function("inherent", |b| {
-        let mut policy = InherentGainPolicy::default();
+        let mut policy = InherentGainPolicy;
         b.iter(|| std::hint::black_box(policy.select(WorkerId(9_999), 6, &ctx)))
     });
     group.bench_function("structure_aware", |b| {
-        let mut policy = StructureAwarePolicy::default();
+        let mut policy = StructureAwarePolicy;
         b.iter(|| std::hint::black_box(policy.select(WorkerId(9_999), 6, &ctx)))
     });
     group.bench_function("entity_known", |b| {
@@ -125,5 +94,5 @@ fn policy_cost(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, gain_estimators, difficulty_ablation, policy_cost);
+criterion_group!(benches, difficulty_ablation, policy_cost);
 criterion_main!(benches);

@@ -26,11 +26,9 @@
 //! half the table's `full_us`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
-use tcrowd_core::gain::{gain_with_params, GainEstimator};
+use tcrowd_core::gain::gain_with_params;
 use tcrowd_core::{
     AssignmentContext, AssignmentPolicy, CorrelationModel, InherentGainPolicy,
     StructureAwarePolicy, TCrowd,
@@ -64,7 +62,7 @@ fn busiest_worker(m: &AnswerMatrix) -> WorkerId {
 
 /// The full-scoring reference: every candidate's inherent gain through the
 /// public per-cell API, then the top `K` in (gain desc, cell asc) order.
-fn full_scoring(ctx: &AssignmentContext<'_>, worker: WorkerId, rng: &mut StdRng) -> Vec<CellId> {
+fn full_scoring(ctx: &AssignmentContext<'_>, worker: WorkerId) -> Vec<CellId> {
     let fit = ctx.inference.expect("the bench passes a fit");
     let mut scored: Vec<(f64, CellId)> = ctx
         .candidates(worker)
@@ -72,7 +70,7 @@ fn full_scoring(ctx: &AssignmentContext<'_>, worker: WorkerId, rng: &mut StdRng)
         .map(|c| {
             let v = fit.effective_variance(worker, c);
             let q = fit.cell_quality(worker, c);
-            (gain_with_params(fit.truth_z(c), v, q, GainEstimator::Exact, rng), c)
+            (gain_with_params(fit.truth_z(c), v, q), c)
         })
         .collect();
     let rank = |a: &(f64, CellId), b: &(f64, CellId)| {
@@ -114,8 +112,8 @@ type MakePolicy = fn() -> Box<dyn AssignmentPolicy>;
 
 fn policies() -> [(&'static str, MakePolicy); 2] {
     [
-        ("inherent", || Box::new(InherentGainPolicy::default())),
-        ("structure_aware", || Box::new(StructureAwarePolicy::default())),
+        ("inherent", || Box::new(InherentGainPolicy)),
+        ("structure_aware", || Box::new(StructureAwarePolicy)),
     ]
 }
 
@@ -142,14 +140,13 @@ fn assignment_select(c: &mut Criterion) {
         };
         let seen = busiest_worker(&matrix);
         let (seen_n, unseen_n) = (ctx.candidates(seen).len(), ctx.candidates(UNSEEN).len());
-        let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(
-            full_scoring(&ctx, UNSEEN, &mut rng),
-            InherentGainPolicy::default().select(UNSEEN, K, &ctx),
+            full_scoring(&ctx, UNSEEN),
+            InherentGainPolicy.select(UNSEEN, K, &ctx),
             "the inherent policy's picks must equal full scoring's"
         );
         let mut calls: Vec<Box<dyn FnMut() + '_>> = vec![Box::new(|| {
-            black_box(full_scoring(&ctx, black_box(UNSEEN), &mut rng));
+            black_box(full_scoring(&ctx, black_box(UNSEEN)));
         })];
         for (_, make) in policies() {
             for worker in [seen, UNSEEN] {

@@ -65,7 +65,7 @@ fn main() {
                 stopping,
                 ..Default::default()
             });
-            let mut policy = StructureAwarePolicy::default();
+            let mut policy = StructureAwarePolicy;
             let backend = InferenceBackend::TCrowd(TCrowd::default_full());
             let r = runner.run(name, &mut pool, &mut policy, &backend);
             spent += r.total_answers as f64 / (d.rows() * d.cols()) as f64;

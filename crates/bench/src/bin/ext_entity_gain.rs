@@ -59,7 +59,7 @@ fn main() {
     for seed in 0..reps as u64 {
         for (li, label) in labels.iter().enumerate() {
             let (_, mut pool) = world(seed);
-            let mut sa = StructureAwarePolicy::default();
+            let mut sa = StructureAwarePolicy;
             let mut known_p = EntityAwarePolicy::new(RowGrouping::Known(known.clone()));
             let mut learned_p =
                 EntityAwarePolicy::new(RowGrouping::Learned { groups: GROUPS, seed: seed + 3 });

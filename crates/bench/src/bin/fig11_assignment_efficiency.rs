@@ -39,13 +39,13 @@ fn main() {
         let mut t_sa = 0.0;
         for rep in 0..reps {
             let worker = WorkerId(1000 + rep as u32); // fresh incoming worker
-            let mut inherent = InherentGainPolicy::default();
+            let mut inherent = InherentGainPolicy;
             let start = Instant::now();
             let picks = inherent.select(worker, 7, &ctx);
             t_inherent += start.elapsed().as_secs_f64();
             assert_eq!(picks.len(), 7);
 
-            let mut sa = StructureAwarePolicy::default();
+            let mut sa = StructureAwarePolicy;
             let start = Instant::now();
             let picks = sa.select(worker, 7, &ctx);
             t_sa += start.elapsed().as_secs_f64();

@@ -76,7 +76,7 @@ fn main() {
                 let mut cdas = CdasPolicy::seeded(seed * 7 + 1);
                 let mut random_crh = RandomPolicy::seeded(seed * 7 + 2);
                 let mut random_catd = RandomPolicy::seeded(seed * 7 + 3);
-                let mut sa = StructureAwarePolicy::default();
+                let mut sa = StructureAwarePolicy;
                 let (policy, backend): (&mut dyn AssignmentPolicy, InferenceBackend<'_>) =
                     match sys.label {
                         "AskIt!" => (&mut entropy, InferenceBackend::Baseline(&mv)),

@@ -48,8 +48,8 @@ fn main() {
             let mut random = RandomPolicy::seeded(seed + 11);
             let mut looping = LoopingPolicy::default();
             let mut entropy = EntropyPolicy;
-            let mut inherent = InherentGainPolicy::default();
-            let mut sa = StructureAwarePolicy::default();
+            let mut inherent = InherentGainPolicy;
+            let mut sa = StructureAwarePolicy;
             let mut qasca = QascaPolicy;
             let mut entity =
                 EntityAwarePolicy::new(RowGrouping::Learned { groups: 5, seed: seed + 1 });

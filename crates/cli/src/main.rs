@@ -22,7 +22,7 @@ use tcrowd_core::{
     AssignmentContext, AssignmentPolicy, InherentGainPolicy, RowGrouping, StructureAwarePolicy,
     TCrowd,
 };
-use tcrowd_service::make_policy;
+use tcrowd_service::{make_policy, POLICY_NAMES};
 use tcrowd_sim::{
     ExperimentConfig, InferenceBackend, Runner, StoppingRule, WorkerPool, WorkerPoolConfig,
 };
@@ -237,8 +237,8 @@ fn cmd_assign(args: &Args) -> Result<(), String> {
         terminated: None,
         correlation: None,
     };
-    let mut inherent = InherentGainPolicy::default();
-    let mut sa = StructureAwarePolicy::default();
+    let mut inherent = InherentGainPolicy;
+    let mut sa = StructureAwarePolicy;
     let policy: &mut dyn AssignmentPolicy =
         if args.has_switch("inherent") { &mut inherent } else { &mut sa };
     let picks = policy.select(worker, k, &ctx);
@@ -400,7 +400,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     let budget = args.get_parsed("budget", 4.0)?;
     let backend = InferenceBackend::TCrowd(TCrowd::default_full());
     let mut runs = Vec::new();
-    for name in ["structure-aware", "inherent", "entity", "qasca", "random", "looping", "entropy"] {
+    for &name in POLICY_NAMES {
         let (d, mut pool) = sim_world(args, seed)?;
         let mut policy = make_policy(name, d.rows(), seed)?;
         let runner = Runner::new(ExperimentConfig {

@@ -14,10 +14,13 @@
 //! distinct cells have independent posteriors, the sum in Eq. 9 decomposes
 //! and top-K is exactly the greedy optimum.
 //!
-//! The gain policies share one scorer (`select_by_gain`), which scores only
-//! the cells that can make the top k. The worker's parameters are resolved
-//! once per `select`, and the scorer walks the candidates row-major, holding
-//! the best k gains so far:
+//! Every policy draws its cells from [`AssignmentContext::candidates`], and
+//! every ranking policy keeps its picks in a [`TopK`], whose (score desc,
+//! cell asc) order makes them a full sort's first k. The gain policies (and
+//! the entity-aware one in [`crate::entity`]) share one scorer,
+//! `select_by_gain`, which scores only the cells that can make the top k.
+//! The worker's parameters are resolved once per `select`, and the scorer
+//! walks the candidates row-major:
 //!
 //! * a continuous cell is scored from the worker's answer variance alone,
 //!   `½ ln(1 + T^φ / v)`: one `ln` and no quality `erf`;
@@ -26,20 +29,20 @@
 //!   held. Its gain is a mutual information, which never exceeds the
 //!   posterior entropy, so it could not be picked. The cells that remain
 //!   pay for the quality `erf`, the structure-aware conditional and the
-//!   `|L| + 2` logarithms of the closed-form gain.
+//!   `|L| + 2` logarithms of the closed-form gain;
+//! * with a correlation model, Eq. 7 reads the worker's errors on the
+//!   cell's row from the by-(worker, row) view, once per row.
 //!
 //! On a settled table most categorical posteriors are nearly one-hot and
 //! are skipped. The picks are those of scoring every candidate, bit for bit:
-//! the survivors are scored by the same code, and only continuous cells
-//! read the sampling estimator's RNG.
+//! the survivors are scored by the same code.
 
 use crate::correlation::{observe_error, CorrelationModel, ErrorObservation, PredictedError};
-use crate::gain::{categorical_gain, continuous_gain, entropy_ceiling, ln_others, GainEstimator};
+use crate::gain::{categorical_gain, continuous_gain, entropy_ceiling, ln_others};
 use crate::inference::InferenceResult;
 use crate::model::quality_from_variance;
 use crate::truth::TruthDist;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use tcrowd_stat::clamp_prob;
@@ -72,14 +75,15 @@ pub struct AssignmentContext<'a> {
     /// [`Self::inference`]. The model is a pure function of the two, so
     /// callers serving many `select` calls per published state (the service
     /// layer caches one on each snapshot) fit it once here instead of
-    /// [`StructureAwarePolicy`] re-fitting per request. `None` keeps the
-    /// fit-per-select behaviour.
+    /// [`StructureAwarePolicy`] and [`crate::EntityAwarePolicy`] re-fitting
+    /// per request. `None` keeps the fit-per-select behaviour.
     pub correlation: Option<&'a CorrelationModel>,
 }
 
 impl<'a> AssignmentContext<'a> {
-    /// Cells the worker may be assigned: not yet answered by this worker and
-    /// under the redundancy cap. Enumerates the table in row-major order.
+    /// Cells the worker may be assigned: not yet answered by this worker,
+    /// under the redundancy cap and not terminated. Enumerates the table in
+    /// row-major order; every policy draws its cells from here.
     ///
     /// The worker is resolved once; each row's answered columns come from
     /// the by-(worker, row) view, so a slot costs a flag read, the cap's
@@ -110,6 +114,18 @@ impl<'a> AssignmentContext<'a> {
         }
         out
     }
+
+    /// [`Self::correlation`], or a model fitted from [`Self::answers`] and
+    /// `inference` when the context carries none.
+    pub(crate) fn correlation_or_fit(
+        &self,
+        inference: &InferenceResult,
+    ) -> Cow<'a, CorrelationModel> {
+        match self.correlation {
+            Some(cached) => Cow::Borrowed(cached),
+            None => Cow::Owned(CorrelationModel::fit_matrix(self.schema, self.answers, inference)),
+        }
+    }
 }
 
 /// An online task-assignment policy (Definition 4).
@@ -122,17 +138,17 @@ pub trait AssignmentPolicy {
     fn select(&mut self, worker: WorkerId, k: usize, ctx: &AssignmentContext<'_>) -> Vec<CellId>;
 }
 
-/// A scored candidate. Its order is the ranking's (gain desc, cell asc),
+/// A scored candidate. Its order is the ranking's (score desc, cell asc),
 /// so a better candidate compares less.
 #[derive(Debug, Clone, Copy)]
 struct Ranked {
-    gain: f64,
+    score: f64,
     cell: CellId,
 }
 
 impl Ord for Ranked {
     fn cmp(&self, other: &Self) -> Ordering {
-        other.gain.partial_cmp(&self.gain).expect("NaN gain").then(self.cell.cmp(&other.cell))
+        other.score.partial_cmp(&self.score).expect("NaN score").then(self.cell.cmp(&other.cell))
     }
 }
 
@@ -150,10 +166,12 @@ impl PartialEq for Ranked {
 
 impl Eq for Ranked {}
 
-/// The best `k` of a stream of scored candidates in (gain desc, cell asc)
+/// The best `k` of a stream of scored candidates in (score desc, cell asc)
 /// order: a total order over distinct cells, so the picks equal the first
-/// `k` of a full sort. The heap's root is the worst pick held.
-struct TopK {
+/// `k` of a full sort, whatever order the candidates arrive in. It holds at
+/// most `k` of them; the heap's root is the worst pick held.
+#[derive(Debug)]
+pub struct TopK {
     k: usize,
     held: BinaryHeap<Ranked>,
 }
@@ -161,22 +179,23 @@ struct TopK {
 impl TopK {
     /// Room for the best `k` of `n` candidates: at most `n` slots are
     /// reserved, whatever `k`.
-    fn new(k: usize, n: usize) -> Self {
+    pub fn new(k: usize, n: usize) -> Self {
         TopK { k, held: BinaryHeap::with_capacity(k.min(n)) }
     }
 
-    /// The `k`-th best gain held: a candidate whose gain is below it cannot
-    /// be picked. −∞ while fewer than `k` are held.
+    /// The `k`-th best score held: a candidate scored below it cannot be
+    /// picked. −∞ while fewer than `k` are held.
     fn threshold(&self) -> f64 {
         if self.held.len() < self.k {
             return f64::NEG_INFINITY;
         }
-        self.held.peek().map_or(f64::INFINITY, |worst| worst.gain)
+        self.held.peek().map_or(f64::INFINITY, |worst| worst.score)
     }
 
-    fn push(&mut self, gain: f64, cell: CellId) {
-        assert!(!gain.is_nan(), "NaN gain");
-        let next = Ranked { gain, cell };
+    /// Offer `cell` with its `score`. Panics on a NaN score.
+    pub fn push(&mut self, score: f64, cell: CellId) {
+        assert!(!score.is_nan(), "NaN score");
+        let next = Ranked { score, cell };
         if self.held.len() < self.k {
             self.held.push(next);
         } else if let Some(mut worst) = self.held.peek_mut() {
@@ -187,7 +206,7 @@ impl TopK {
     }
 
     /// The picks, best first.
-    fn into_picks(self) -> Vec<CellId> {
+    pub fn into_picks(self) -> Vec<CellId> {
         self.held.into_sorted_vec().into_iter().map(|r| r.cell).collect()
     }
 }
@@ -195,28 +214,48 @@ impl TopK {
 /// The gain policies' shared scorer: the `k` candidates with the highest
 /// information gain (Eq. 6), best first. See the module docs.
 ///
-/// `predict(c)` returns the worker's inherent answer variance on `c` and
-/// Eq. 7's structural prediction, if any; it is called only for the cells
-/// scored, in row-major order. A categorical survivor's quality is derived
-/// from that variance and blended as [`blend_structure`] does.
+/// `variance(c)` is the worker's inherent answer variance on `c`; it is
+/// called only for the cells scored, in row-major order. With a correlation
+/// `model`, Eq. 7's prediction from the worker's errors on the cell's row is
+/// blended in as [`blend_structure`] does. A categorical survivor's quality
+/// is derived from its variance.
 pub(crate) fn select_by_gain(
     ctx: &AssignmentContext<'_>,
     inference: &InferenceResult,
     worker: WorkerId,
     k: usize,
-    estimator: GainEstimator,
-    rng: &mut StdRng,
-    mut predict: impl FnMut(CellId) -> (f64, Option<PredictedError>),
+    model: Option<&CorrelationModel>,
+    variance: impl Fn(CellId) -> f64,
 ) -> Vec<CellId> {
+    let matrix = ctx.answers;
+    let seen = matrix.worker_index(worker);
+    // The worker's observed errors on the current candidate's row (L^u_i of
+    // Eq. 7), rebuilt only when the row changes: cells are scored in
+    // row-major order, so each row is read at most once.
+    let mut observed: Vec<(usize, ErrorObservation)> = Vec::new();
+    let mut observed_row = None;
+    let mut predict = |c: CellId| {
+        let model = model?;
+        if observed_row != Some(c.row) {
+            observed_row = Some(c.row);
+            observed.clear();
+            if let Some(w) = seen {
+                for &k in matrix.worker_row_answer_indices(w, c.row) {
+                    let a = matrix.to_answer(k as usize);
+                    observed.push((a.cell.col as usize, observe_error(inference, &a)));
+                }
+            }
+        }
+        model.conditional_error(c.col as usize, &observed)
+    };
     let candidates = ctx.candidates(worker);
     let mut top = TopK::new(k, candidates.len());
     // (label count, `ln(|L| − 1)`) per column, so the ceiling takes no log.
-    let mut domain = vec![(0, 0.0); ctx.answers.cols()];
+    let mut domain = vec![(0, 0.0); matrix.cols()];
     for c in candidates {
         let gain = match inference.truth_z(c) {
             TruthDist::Continuous(n) => {
-                let (v, prediction) = predict(c);
-                continuous_gain(n, blended_variance(prediction, v), estimator, rng)
+                continuous_gain(n, blended_variance(predict(c), variance(c)))
             }
             TruthDist::Categorical(p) => {
                 let memo = &mut domain[c.col as usize];
@@ -226,9 +265,9 @@ pub(crate) fn select_by_gain(
                 if entropy_ceiling(p, memo.1) < top.threshold() {
                     continue;
                 }
-                let (v, prediction) = predict(c);
+                let v = variance(c);
                 let q = quality_from_variance(inference.epsilon, v);
-                categorical_gain(p, blend_structure(prediction, v, q, inference.epsilon).1)
+                categorical_gain(p, blend_structure(predict(c), v, q, inference.epsilon).1)
             }
         };
         top.push(gain, c);
@@ -237,26 +276,8 @@ pub(crate) fn select_by_gain(
 }
 
 /// T-Crowd's inherent information-gain policy (§5.1).
-#[derive(Debug)]
-pub struct InherentGainPolicy {
-    /// Expected-entropy estimator for continuous cells.
-    pub estimator: GainEstimator,
-    rng: StdRng,
-}
-
-impl InherentGainPolicy {
-    /// Create with the given estimator (RNG only used by the sampling
-    /// estimator; seeded for reproducibility).
-    pub fn new(estimator: GainEstimator) -> Self {
-        InherentGainPolicy { estimator, rng: StdRng::seed_from_u64(0xC0FFEE) }
-    }
-}
-
-impl Default for InherentGainPolicy {
-    fn default() -> Self {
-        Self::new(GainEstimator::default())
-    }
-}
+#[derive(Debug, Default)]
+pub struct InherentGainPolicy;
 
 impl AssignmentPolicy for InherentGainPolicy {
     fn name(&self) -> &'static str {
@@ -267,9 +288,7 @@ impl AssignmentPolicy for InherentGainPolicy {
         let inference =
             ctx.inference.expect("InherentGainPolicy requires an inference result in the context");
         let params = inference.worker_params(worker);
-        select_by_gain(ctx, inference, worker, k, self.estimator, &mut self.rng, |c| {
-            (params.variance(c), None)
-        })
+        select_by_gain(ctx, inference, worker, k, None, |c| params.variance(c))
     }
 }
 
@@ -278,7 +297,7 @@ impl AssignmentPolicy for InherentGainPolicy {
 /// A categorical prediction averages the qualities; a continuous one takes
 /// the geometric mean of the variances and re-derives the quality from it.
 /// No prediction keeps the inherent pair.
-pub(crate) fn blend_structure(
+fn blend_structure(
     prediction: Option<PredictedError>,
     v_inherent: f64,
     q_inherent: f64,
@@ -308,30 +327,14 @@ fn blended_variance(prediction: Option<PredictedError>, v_inherent: f64) -> f64 
 
 /// T-Crowd's structure-aware information-gain policy (§5.2).
 ///
-/// Fits a [`CorrelationModel`] from the current state, then for each
-/// candidate cell conditions the incoming worker's predicted error on the
-/// errors the worker already made on the same row. Falls back to the
-/// inherent gain when no conditioning information exists (new worker, empty
-/// row, or unsupported pair).
-#[derive(Debug)]
-pub struct StructureAwarePolicy {
-    /// Expected-entropy estimator for continuous cells.
-    pub estimator: GainEstimator,
-    rng: StdRng,
-}
-
-impl StructureAwarePolicy {
-    /// Create with the given estimator.
-    pub fn new(estimator: GainEstimator) -> Self {
-        StructureAwarePolicy { estimator, rng: StdRng::seed_from_u64(0x5EED) }
-    }
-}
-
-impl Default for StructureAwarePolicy {
-    fn default() -> Self {
-        Self::new(GainEstimator::default())
-    }
-}
+/// Takes the context's [`CorrelationModel`] (or fits one from the current
+/// state when the context has none), then for each candidate cell
+/// conditions the incoming worker's predicted error on the errors the
+/// worker already made on the same row. Falls back to the inherent gain
+/// when no conditioning information exists (new worker, empty row, or
+/// unsupported pair).
+#[derive(Debug, Default)]
+pub struct StructureAwarePolicy;
 
 impl AssignmentPolicy for StructureAwarePolicy {
     fn name(&self) -> &'static str {
@@ -342,53 +345,9 @@ impl AssignmentPolicy for StructureAwarePolicy {
         let inference = ctx
             .inference
             .expect("StructureAwarePolicy requires an inference result in the context");
-        // The caller's freeze serves the correlation fit and the row-error
-        // scan (by-(worker, row) CSR view) — no per-HIT rebuild.
-        let matrix = ctx.answers;
-        let fitted_here;
-        let model = match ctx.correlation {
-            Some(cached) => cached,
-            None => {
-                fitted_here = CorrelationModel::fit_matrix(ctx.schema, matrix, inference);
-                &fitted_here
-            }
-        };
+        let model = ctx.correlation_or_fit(inference);
         let params = inference.worker_params(worker);
-        let seen = matrix.worker_index(worker);
-        // The worker's observed errors on the current candidate's row
-        // (L^u_i of Eq. 7), rebuilt only when the row changes: cells are
-        // scored in row-major order, so each row is read at most once.
-        let mut observed: Vec<(usize, ErrorObservation)> = Vec::new();
-        let mut observed_row = None;
-        select_by_gain(ctx, inference, worker, k, self.estimator, &mut self.rng, |c| {
-            if observed_row != Some(c.row) {
-                observed_row = Some(c.row);
-                observed.clear();
-                if let Some(w) = seen {
-                    for &k in matrix.worker_row_answer_indices(w, c.row) {
-                        let a = matrix.to_answer(k as usize);
-                        observed.push((a.cell.col as usize, observe_error(inference, &a)));
-                    }
-                }
-            }
-            (params.variance(c), model.conditional_error(c.col as usize, &observed))
-        })
-    }
-}
-
-/// Expected posterior after an answer whose value is not yet known — used by
-/// simulators that refresh cell posteriors between full inference runs.
-///
-/// Continuous: the variance shrinks deterministically, the mean is the prior
-/// mean in expectation. Categorical: `P'(z) = Σ_a P(a) P(z|a)` which equals
-/// the prior (posterior expectation is the prior), so the prior is returned —
-/// the entropy *reduction* is only realised once an actual answer arrives.
-pub fn expected_posterior(truth: &TruthDist, obs_var: f64, _q: f64) -> TruthDist {
-    match truth {
-        TruthDist::Continuous(n) => {
-            TruthDist::Continuous(n.posterior_with_observation(n.mean, obs_var))
-        }
-        TruthDist::Categorical(p) => TruthDist::Categorical(p.clone()),
+        select_by_gain(ctx, inference, worker, k, Some(&model), |c| params.variance(c))
     }
 }
 
@@ -419,6 +378,8 @@ mod tests {
     use crate::entity::{EntityAwarePolicy, EntityModel, RowGrouping};
     use crate::gain::gain_with_params;
     use crate::inference::TCrowd;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use std::collections::HashSet;
     use tcrowd_tabular::{generate_dataset, AnswerLog, GeneratorConfig, RowFamiliarity};
 
@@ -521,8 +482,8 @@ mod tests {
         };
         let w = WorkerId(9_999); // fresh worker
         for policy in [
-            &mut InherentGainPolicy::default() as &mut dyn AssignmentPolicy,
-            &mut StructureAwarePolicy::default() as &mut dyn AssignmentPolicy,
+            &mut InherentGainPolicy as &mut dyn AssignmentPolicy,
+            &mut StructureAwarePolicy as &mut dyn AssignmentPolicy,
         ] {
             let picks = policy.select(w, 7, &ctx);
             assert_eq!(picks.len(), 7, "{}", policy.name());
@@ -579,7 +540,6 @@ mod tests {
         structure_aware: bool,
     ) -> Vec<CellId> {
         let inference = ctx.inference.unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
         let candidates = ctx.candidates(worker);
         let gains: Vec<f64> = candidates
             .iter()
@@ -605,7 +565,7 @@ mod tests {
                 } else {
                     (v, q)
                 };
-                gain_with_params(inference.truth_z(c), v, q, GainEstimator::Exact, &mut rng)
+                gain_with_params(inference.truth_z(c), v, q)
             })
             .collect();
         full_ranking(&candidates, &gains).into_iter().take(k).collect()
@@ -620,7 +580,6 @@ mod tests {
         worker: WorkerId,
     ) -> Vec<CellId> {
         let inference = ctx.inference.unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
         let candidates = ctx.candidates(worker);
         let gains: Vec<f64> = candidates
             .iter()
@@ -640,20 +599,19 @@ mod tests {
                     .collect();
                 let prediction = model.conditional_error(c.col as usize, &observed);
                 let (v, q) = blend_structure(prediction, v, q, inference.epsilon);
-                gain_with_params(inference.truth_z(c), v, q, GainEstimator::Exact, &mut rng)
+                gain_with_params(inference.truth_z(c), v, q)
             })
             .collect();
         full_ranking(&candidates, &gains)
     }
 
     /// The pruned scorer picks exactly what ranking every candidate picks:
-    /// for k from 1 to past the candidate count, both estimators, all three
-    /// gain policies, with and without a redundancy cap and a terminated
-    /// set, on a mixed table and on all-categorical (pruned by the running
-    /// threshold alone) and all-continuous ones.
+    /// for k from 1 to past the candidate count, all three gain policies,
+    /// with and without a redundancy cap and a terminated set, on a mixed
+    /// table and on all-categorical (pruned by the running threshold alone)
+    /// and all-continuous ones.
     #[test]
     fn select_matches_per_cell_ranking() {
-        let sampling = GainEstimator::Sampling { samples: 3 };
         // (categorical share, seed, seen workers, unseen workers)
         for (categorical_ratio, seed, n_seen, n_unseen) in
             [(0.5, 14, 10, 10), (1.0, 15, 4, 2), (0.0, 16, 2, 1)]
@@ -712,22 +670,10 @@ mod tests {
                     };
                     for k in [1, 5, 25, n, 1 << 40] {
                         let head = |ranking: &[CellId]| ranking[..k.min(n)].to_vec();
-                        for estimator in [GainEstimator::Exact, sampling] {
-                            let picks = InherentGainPolicy::new(estimator).select(w, k, ctx);
-                            assert_eq!(
-                                picks,
-                                head(&inherent),
-                                "inherent {estimator:?}, {}",
-                                case(k)
-                            );
-                            let picks = StructureAwarePolicy::new(estimator).select(w, k, ctx);
-                            assert_eq!(
-                                picks,
-                                head(&structure),
-                                "structure {estimator:?}, {}",
-                                case(k)
-                            );
-                        }
+                        let picks = InherentGainPolicy.select(w, k, ctx);
+                        assert_eq!(picks, head(&inherent), "inherent, {}", case(k));
+                        let picks = StructureAwarePolicy.select(w, k, ctx);
+                        assert_eq!(picks, head(&structure), "structure, {}", case(k));
                         if let Some(ranking) = &entity_ranking {
                             let picks = entity_policy.select(w, k, ctx);
                             assert_eq!(picks, head(ranking), "entity, {}", case(k));
@@ -762,7 +708,7 @@ mod tests {
             terminated: None,
             correlation: None,
         };
-        let mut policy = InherentGainPolicy::default();
+        let mut policy = InherentGainPolicy;
         let picks = policy.select(WorkerId(9_999), 10, &ctx);
         assert!(!picks.contains(&target), "the heavily-answered cell should not be a top pick");
     }
@@ -782,7 +728,7 @@ mod tests {
             terminated: None,
             correlation: None,
         };
-        let mut policy = StructureAwarePolicy::default();
+        let mut policy = StructureAwarePolicy;
         let picks = policy.select(WorkerId(77_777), 4, &ctx);
         assert_eq!(picks.len(), 4);
     }
@@ -803,18 +749,5 @@ mod tests {
             after.confidence_in(&Value::Categorical(label))
                 >= before.confidence_in(&Value::Categorical(label))
         );
-    }
-
-    #[test]
-    fn expected_posterior_shrinks_continuous_variance_only() {
-        let t = TruthDist::Continuous(tcrowd_stat::Normal::new(1.0, 2.0));
-        if let TruthDist::Continuous(n) = expected_posterior(&t, 1.0, 0.8) {
-            assert!((n.mean - 1.0).abs() < 1e-12);
-            assert!(n.var < 2.0);
-        } else {
-            panic!("variant");
-        }
-        let c = TruthDist::Categorical(vec![0.6, 0.4]);
-        assert_eq!(expected_posterior(&c, 1.0, 0.8), c);
     }
 }

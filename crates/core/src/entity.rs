@@ -28,13 +28,9 @@
 //! conditioning of the structure-aware policy.
 
 use crate::assign::select_by_gain;
-use crate::correlation::{observe_error, CorrelationModel, ErrorObservation};
-use crate::gain::GainEstimator;
+use crate::correlation::{observe_error, ErrorObservation};
 use crate::inference::InferenceResult;
 use crate::model::{cat_answer_ln_likelihood, quality_from_variance};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::HashMap;
 use tcrowd_stat::cluster::kmeans;
 use tcrowd_stat::{clamp_prob, EPS};
 use tcrowd_tabular::{AnswerLog, AnswerMatrix, CellId, Schema, Value, WorkerId};
@@ -79,7 +75,8 @@ impl Default for EntityModelOptions {
 pub struct EntityModel {
     groups: Vec<usize>,
     n_groups: usize,
-    lambda: HashMap<(WorkerId, usize), f64>,
+    /// The fitted (non-unit) multipliers, sorted by (worker, group).
+    lambda: Vec<((WorkerId, usize), f64)>,
 }
 
 /// One answer reduced to the sufficient statistics `λ` fitting needs.
@@ -126,8 +123,9 @@ impl EntityModel {
 
         // Bucket likelihood terms by (worker, group): the worker view visits
         // workers in sorted-id order and rows ascending, so each worker's
-        // buckets are contiguous and the fit order is deterministic.
-        let mut lambda = HashMap::new();
+        // buckets are contiguous, the fit order is deterministic and the
+        // multipliers come out sorted by (worker, group).
+        let mut lambda = Vec::new();
         let mut buckets: Vec<Vec<LikelihoodTerm>> = (0..n_groups).map(|_| Vec::new()).collect();
         for w in 0..matrix.num_workers() {
             for b in &mut buckets {
@@ -166,7 +164,7 @@ impl EntityModel {
                 }
                 let fitted = fit_lambda(ts, result.epsilon, opts);
                 if (fitted - 1.0).abs() > 1e-3 {
-                    lambda.insert((matrix.worker_id(w), g), fitted);
+                    lambda.push(((matrix.worker_id(w), g), fitted));
                 }
             }
         }
@@ -190,7 +188,8 @@ impl EntityModel {
 
     /// Familiarity multiplier `λ_{u,g(row)}` — 1 when no effect was fitted.
     pub fn lambda(&self, worker: WorkerId, row: u32) -> f64 {
-        self.lambda.get(&(worker, self.groups[row as usize])).copied().unwrap_or(1.0)
+        let key = (worker, self.groups[row as usize]);
+        self.lambda.binary_search_by_key(&key, |&(k, _)| k).map_or(1.0, |i| self.lambda[i].1)
     }
 
     /// Number of (worker, group) pairs with a fitted (non-unit) multiplier.
@@ -198,9 +197,10 @@ impl EntityModel {
         self.lambda.len()
     }
 
-    /// Iterate over the fitted (worker, group) → `λ` multipliers.
+    /// Iterate over the fitted (worker, group) → `λ` multipliers, sorted by
+    /// (worker, group).
     pub fn multipliers(&self) -> impl Iterator<Item = ((WorkerId, usize), f64)> + '_ {
-        self.lambda.iter().map(|(&k, &v)| (k, v))
+        self.lambda.iter().copied()
     }
 }
 
@@ -323,8 +323,6 @@ fn learn_groups(
 /// gain extended with per-(worker, group) familiarity multipliers.
 #[derive(Debug)]
 pub struct EntityAwarePolicy {
-    /// Expected-entropy estimator for continuous cells.
-    pub estimator: GainEstimator,
     /// Row partition source.
     pub grouping: RowGrouping,
     /// Model-fitting knobs.
@@ -333,7 +331,6 @@ pub struct EntityAwarePolicy {
     /// effects compose: `λ` rescales the inherent variance, the row
     /// conditional then blends in the same-row evidence).
     pub use_attribute_correlation: bool,
-    rng: StdRng,
 }
 
 impl EntityAwarePolicy {
@@ -341,11 +338,9 @@ impl EntityAwarePolicy {
     /// conditioning defaults to on.
     pub fn new(grouping: RowGrouping) -> Self {
         EntityAwarePolicy {
-            estimator: GainEstimator::default(),
             grouping,
             options: EntityModelOptions::default(),
             use_attribute_correlation: true,
-            rng: StdRng::seed_from_u64(0xE7717),
         }
     }
 
@@ -362,6 +357,10 @@ impl crate::assign::AssignmentPolicy for EntityAwarePolicy {
         "entity-aware-gain"
     }
 
+    /// Fits the [`EntityModel`] from the context's answers, then scores as
+    /// [`crate::StructureAwarePolicy`] does with each inherent variance
+    /// scaled by `λ`. Like it, this takes the context's correlation model
+    /// and fits one only when the context has none.
     fn select(
         &mut self,
         worker: WorkerId,
@@ -370,38 +369,17 @@ impl crate::assign::AssignmentPolicy for EntityAwarePolicy {
     ) -> Vec<CellId> {
         let inference =
             ctx.inference.expect("EntityAwarePolicy requires an inference result in the context");
-        // The caller's freeze serves both model fits and the row-error
-        // scan — no per-HIT rebuild.
-        let matrix = ctx.answers;
-        let entity =
-            EntityModel::fit_matrix(ctx.schema, matrix, inference, &self.grouping, &self.options);
-        let corr = if self.use_attribute_correlation {
-            Some(CorrelationModel::fit_matrix(ctx.schema, matrix, inference))
-        } else {
-            None
-        };
-        let mut row_errors: HashMap<u32, Vec<(usize, ErrorObservation)>> = HashMap::new();
-        if corr.is_some() {
-            if let Some(w) = matrix.worker_index(worker) {
-                for a in matrix.worker_answers(w) {
-                    let answer =
-                        tcrowd_tabular::Answer { worker: a.worker, cell: a.cell, value: a.value };
-                    row_errors
-                        .entry(a.cell.row)
-                        .or_default()
-                        .push((a.cell.col as usize, observe_error(inference, &answer)));
-                }
-            }
-        }
-        let empty: Vec<(usize, ErrorObservation)> = Vec::new();
+        let entity = EntityModel::fit_matrix(
+            ctx.schema,
+            ctx.answers,
+            inference,
+            &self.grouping,
+            &self.options,
+        );
+        let correlation = self.use_attribute_correlation.then(|| ctx.correlation_or_fit(inference));
         let params = inference.worker_params(worker);
-        select_by_gain(ctx, inference, worker, k, self.estimator, &mut self.rng, |c| {
-            let v_inherent = entity.lambda(worker, c.row) * params.variance(c);
-            let prediction = corr.as_ref().and_then(|m| {
-                let observed = row_errors.get(&c.row).unwrap_or(&empty);
-                m.conditional_error(c.col as usize, observed)
-            });
-            (v_inherent, prediction)
+        select_by_gain(ctx, inference, worker, k, correlation.as_deref(), |c| {
+            entity.lambda(worker, c.row) * params.variance(c)
         })
     }
 }
@@ -412,7 +390,7 @@ pub fn familiarity_strength(model: &EntityModel) -> f64 {
     if model.lambda.is_empty() {
         return 0.0;
     }
-    model.lambda.values().map(|l| l.ln().abs()).sum::<f64>() / model.lambda.len() as f64
+    model.multipliers().map(|(_, l)| l.ln().abs()).sum::<f64>() / model.lambda.len() as f64
 }
 
 #[cfg(test)]
@@ -479,7 +457,7 @@ mod tests {
             &EntityModelOptions::default(),
         );
         assert!(m.fitted_pairs() > 0, "some multipliers must be fitted");
-        let max = m.lambda.values().cloned().fold(0.0, f64::max);
+        let max = m.multipliers().map(|(_, l)| l).fold(0.0, f64::max);
         assert!(max > 2.0, "unfamiliar pairs should fit λ ≫ 1, max = {max}");
         assert!(familiarity_strength(&m) > 0.1);
     }
@@ -507,7 +485,7 @@ mod tests {
             &RowGrouping::Known(labels),
             &EntityModelOptions::default(),
         );
-        for (&(w, g), &l) in &m.lambda {
+        for ((w, g), l) in m.multipliers() {
             assert!(
                 (0.2..=5.0).contains(&l),
                 "λ[{w:?},{g}] = {l} drifted far from 1 without a group effect"

@@ -7,88 +7,39 @@
 //! enter, the measure is comparable across datatypes (the paper's Δ-binning
 //! argument, verified in `tcrowd_stat::entropy` tests).
 //!
-//! Both datatypes have a closed form, so the default estimator needs no
-//! sampling and scores a cell with no allocation: for a Gaussian posterior
-//! the updated variance `(1/T^φ + 1/v)⁻¹` does not depend on the answer's
-//! value (`continuous_gain` reads only `v`), and for a categorical one the
-//! expected entropy drop is the mutual information between truth and answer
+//! Both datatypes have a closed form, so a cell is scored exactly, with no
+//! sampling and no allocation. For a Gaussian posterior the updated variance
+//! `(1/T^φ + 1/v)⁻¹` does not depend on the answer's value, so the paper's
+//! Monte-Carlo average over hypothetical answers is a constant
+//! (`continuous_gain` reads only `v`). For a categorical one the expected
+//! entropy drop is the mutual information between truth and answer
 //! (`categorical_gain` reads only `q`). A mutual information never exceeds
 //! the posterior entropy, and `entropy_ceiling` bounds that entropy without
 //! a logarithm, so the assignment scorer skips a categorical cell whose
-//! ceiling is below the gains it already holds. A sampling estimator
-//! mirroring the paper's Monte-Carlo description is provided for the
-//! ablation study.
+//! ceiling is below the gains it already holds.
 
 use crate::truth::TruthDist;
-use rand::rngs::StdRng;
 use std::f64::consts::E;
 use tcrowd_stat::{clamp_prob, clamp_var, Normal};
-
-/// How the expected posterior entropy of a *continuous* cell is estimated.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum GainEstimator {
-    /// Closed form (default): for Gaussians the post-update variance is
-    /// answer-independent, so `E_a[H_d]` is exact.
-    #[default]
-    Exact,
-    /// Monte-Carlo over sampled hypothetical answers (`s_cont` in the
-    /// paper's complexity analysis). Agreement with `Exact` is tested; kept
-    /// for the ablation bench.
-    Sampling {
-        /// Number of hypothetical answers drawn.
-        samples: usize,
-    },
-}
 
 /// Information gain of one more answer on a cell whose z-space posterior is
 /// `truth`, answered with effective variance `obs_var` (continuous) or
 /// quality `q` (categorical).
 ///
 /// This is the primitive both the inherent and the structure-aware policies
-/// reduce to; they differ only in how `obs_var`/`q` are predicted. `rng` is
-/// read only by the sampling estimator on a continuous cell; every other
-/// case is the closed form.
-pub fn gain_with_params(
-    truth: &TruthDist,
-    obs_var: f64,
-    q: f64,
-    estimator: GainEstimator,
-    rng: &mut StdRng,
-) -> f64 {
+/// reduce to; they differ only in how `obs_var`/`q` are predicted.
+pub fn gain_with_params(truth: &TruthDist, obs_var: f64, q: f64) -> f64 {
     match truth {
-        TruthDist::Continuous(n) => continuous_gain(n, obs_var, estimator, rng),
+        TruthDist::Continuous(n) => continuous_gain(n, obs_var),
         TruthDist::Categorical(p) => categorical_gain(p, q),
     }
 }
 
 /// Eq. 6 for a continuous cell with posterior `n`, answered with variance
-/// `obs_var`.
-///
-/// The post-update variance `(1/T^φ + 1/v)⁻¹` does not depend on the
-/// answer, so [`GainEstimator::Exact`] is `H − H' = ½ ln(1 + T^φ / v)`
-/// exactly; the sampling estimator averages `H'` over answers drawn from
-/// `rng`.
-pub(crate) fn continuous_gain(
-    n: &Normal,
-    obs_var: f64,
-    estimator: GainEstimator,
-    rng: &mut StdRng,
-) -> f64 {
-    let v = clamp_var(obs_var);
-    match estimator {
-        GainEstimator::Exact => 0.5 * (1.0 + n.var / v).ln(),
-        GainEstimator::Sampling { samples } => {
-            let predictive = n.predictive(v);
-            let h0 = n.differential_entropy();
-            let mut total = 0.0;
-            for _ in 0..samples.max(1) {
-                let a = predictive.sample(rng);
-                let post = n.posterior_with_observation(a, v);
-                total += post.differential_entropy();
-            }
-            h0 - total / samples.max(1) as f64
-        }
-    }
+/// `obs_var`: the post-update variance `(1/T^φ + 1/v)⁻¹` does not depend on
+/// the answer, so the gain is `H − H' = ½ ln(1 + T^φ / v)` exactly.
+pub(crate) fn continuous_gain(n: &Normal, obs_var: f64) -> f64 {
+    0.5 * (1.0 + n.var / clamp_var(obs_var)).ln()
 }
 
 /// Eq. 6 for a categorical cell with posterior `p`, answered with quality `q`.
@@ -148,64 +99,45 @@ pub(crate) fn entropy_ceiling(p: &[f64], ln_others: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::model::cat_answer_likelihood;
+    use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tcrowd_stat::normal::Normal;
     use tcrowd_tabular::Value;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(99)
-    }
-
-    #[test]
-    fn continuous_gain_exact_matches_sampling() {
-        let t = TruthDist::Continuous(Normal::new(0.3, 2.0));
-        let mut r = rng();
-        let exact = gain_with_params(&t, 0.5, 0.8, GainEstimator::Exact, &mut r);
-        let sampled =
-            gain_with_params(&t, 0.5, 0.8, GainEstimator::Sampling { samples: 50 }, &mut r);
-        // For Gaussians the sampled entropy is answer-independent, so even a
-        // small sample agrees to machine precision.
-        assert!((exact - sampled).abs() < 1e-9, "{exact} vs {sampled}");
-        assert!(exact > 0.0);
-    }
-
     #[test]
     fn better_worker_means_larger_gain() {
         let t = TruthDist::Continuous(Normal::new(0.0, 1.0));
-        let mut r = rng();
-        let good = gain_with_params(&t, 0.1, 0.9, GainEstimator::Exact, &mut r);
-        let bad = gain_with_params(&t, 5.0, 0.3, GainEstimator::Exact, &mut r);
+        let good = gain_with_params(&t, 0.1, 0.9);
+        let bad = gain_with_params(&t, 5.0, 0.3);
         assert!(good > bad);
         let tc = TruthDist::uniform(4);
-        let good_c = gain_with_params(&tc, 0.1, 0.9, GainEstimator::Exact, &mut r);
-        let bad_c = gain_with_params(&tc, 5.0, 0.3, GainEstimator::Exact, &mut r);
+        let good_c = gain_with_params(&tc, 0.1, 0.9);
+        let bad_c = gain_with_params(&tc, 5.0, 0.3);
         assert!(good_c > bad_c);
     }
 
     #[test]
     fn uncertain_cell_gains_more_than_settled_cell() {
-        let mut r = rng();
         let uncertain = TruthDist::uniform(3);
         let settled = TruthDist::Categorical(vec![0.98, 0.01, 0.01]);
-        let g_unc = gain_with_params(&uncertain, 0.3, 0.8, GainEstimator::Exact, &mut r);
-        let g_set = gain_with_params(&settled, 0.3, 0.8, GainEstimator::Exact, &mut r);
+        let g_unc = gain_with_params(&uncertain, 0.3, 0.8);
+        let g_set = gain_with_params(&settled, 0.3, 0.8);
         assert!(g_unc > g_set);
 
         let wide = TruthDist::Continuous(Normal::new(0.0, 4.0));
         let tight = TruthDist::Continuous(Normal::new(0.0, 0.01));
-        let g_wide = gain_with_params(&wide, 0.5, 0.8, GainEstimator::Exact, &mut r);
-        let g_tight = gain_with_params(&tight, 0.5, 0.8, GainEstimator::Exact, &mut r);
+        let g_wide = gain_with_params(&wide, 0.5, 0.8);
+        let g_tight = gain_with_params(&tight, 0.5, 0.8);
         assert!(g_wide > g_tight);
     }
 
     #[test]
     fn categorical_gain_is_nonnegative_and_bounded_by_entropy() {
-        let mut r = rng();
         for probs in [vec![0.25; 4], vec![0.7, 0.2, 0.05, 0.05], vec![0.5, 0.5]] {
             let t = TruthDist::Categorical(probs);
             let h = t.entropy();
             for q in [0.3, 0.6, 0.95] {
-                let g = gain_with_params(&t, 0.3, q, GainEstimator::Exact, &mut r);
+                let g = gain_with_params(&t, 0.3, q);
                 assert!(g >= -1e-12, "gain must be non-negative, got {g}");
                 assert!(g <= h + 1e-12, "gain cannot exceed prior entropy");
             }
@@ -216,24 +148,21 @@ mod tests {
     fn uninformative_worker_gains_nothing_categorical() {
         // q = 1/|L| makes every answer equally likely under all hypotheses.
         let t = TruthDist::Categorical(vec![0.4, 0.3, 0.3]);
-        let mut r = rng();
-        let g = gain_with_params(&t, 1.0, 1.0 / 3.0, GainEstimator::Exact, &mut r);
+        let g = gain_with_params(&t, 1.0, 1.0 / 3.0);
         assert!(g.abs() < 1e-9, "gain = {g}");
     }
 
     #[test]
     fn single_label_domain_gains_zero() {
         let t = TruthDist::Categorical(vec![1.0]);
-        let mut r = rng();
-        assert_eq!(gain_with_params(&t, 0.5, 0.9, GainEstimator::Exact, &mut r), 0.0);
+        assert_eq!(gain_with_params(&t, 0.5, 0.9), 0.0);
     }
 
     #[test]
     fn continuous_gain_formula() {
         // IG = ½ ln(1 + T^φ/v) exactly.
         let t = TruthDist::Continuous(Normal::new(1.0, 3.0));
-        let mut r = rng();
-        let g = gain_with_params(&t, 1.5, 0.5, GainEstimator::Exact, &mut r);
+        let g = gain_with_params(&t, 1.5, 0.5);
         assert!((g - 0.5 * (1.0f64 + 3.0 / 1.5).ln()).abs() < 1e-12);
     }
 
@@ -261,7 +190,7 @@ mod tests {
 
     #[test]
     fn categorical_gain_matches_posterior_expectation() {
-        let mut r = rng();
+        let mut r = StdRng::seed_from_u64(99);
         for l in 2..=10usize {
             let mut one_hot = vec![0.0; l];
             one_hot[l / 2] = 1.0;
@@ -289,7 +218,7 @@ mod tests {
             for p in posteriors {
                 let t = TruthDist::Categorical(p);
                 for q in qs {
-                    let closed = gain_with_params(&t, 1.0, q, GainEstimator::Exact, &mut r);
+                    let closed = gain_with_params(&t, 1.0, q);
                     let oracle = posterior_expectation_gain(&t, q);
                     assert!(
                         (closed - oracle).abs() < 1e-9,

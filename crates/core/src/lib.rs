@@ -73,13 +73,12 @@ pub(crate) mod pool;
 pub mod truth;
 
 pub use assign::{
-    apply_answer_incrementally, expected_posterior, AssignmentContext, AssignmentPolicy,
-    InherentGainPolicy, StructureAwarePolicy,
+    apply_answer_incrementally, AssignmentContext, AssignmentPolicy, InherentGainPolicy,
+    StructureAwarePolicy, TopK,
 };
 pub use correlation::{CorrelationModel, ErrorObservation, PredictedError};
 pub use em::{EmOptions, EmTimings};
 pub use entity::{EntityAwarePolicy, EntityModel, EntityModelOptions, RowGrouping};
-pub use gain::GainEstimator;
 pub use inference::{
     ColumnFilter, EpsilonSpec, FitParams, InferenceResult, Seed, TCrowd, TCrowdOptions,
 };

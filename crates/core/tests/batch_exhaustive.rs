@@ -2,9 +2,7 @@
 //! additive across distinct cells (Eq. 9 decomposes), the greedy top-K
 //! selection equals the exhaustively-optimal K-subset.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tcrowd_core::gain::{gain_with_params, GainEstimator};
+use tcrowd_core::gain::gain_with_params;
 use tcrowd_core::{AssignmentContext, AssignmentPolicy, InherentGainPolicy, TCrowd};
 use tcrowd_tabular::{generate_dataset, CellId, GeneratorConfig, WorkerId};
 
@@ -59,11 +57,10 @@ fn top_k_equals_exhaustive_optimum() {
     let candidates = ctx.candidates(worker);
     assert_eq!(candidates.len(), 12);
 
-    let mut rng = StdRng::seed_from_u64(1);
-    let gain_of = |c: CellId, rng: &mut StdRng| {
+    let gain_of = |c: CellId| {
         let v = inference.effective_variance(worker, c);
         let q = inference.cell_quality(worker, c);
-        gain_with_params(inference.truth_z(c), v, q, GainEstimator::Exact, rng)
+        gain_with_params(inference.truth_z(c), v, q)
     };
 
     for k in [1usize, 2, 3, 5] {
@@ -71,16 +68,16 @@ fn top_k_equals_exhaustive_optimum() {
         let mut best_total = f64::NEG_INFINITY;
         let mut best_set: Vec<CellId> = Vec::new();
         for subset in k_subsets(&candidates, k) {
-            let total: f64 = subset.iter().map(|&c| gain_of(c, &mut rng)).sum();
+            let total: f64 = subset.iter().map(|&c| gain_of(c)).sum();
             if total > best_total {
                 best_total = total;
                 best_set = subset;
             }
         }
         // Greedy top-K from the policy.
-        let mut policy = InherentGainPolicy::default();
+        let mut policy = InherentGainPolicy;
         let picked = policy.select(worker, k, &ctx);
-        let picked_total: f64 = picked.iter().map(|&c| gain_of(c, &mut rng)).sum();
+        let picked_total: f64 = picked.iter().map(|&c| gain_of(c)).sum();
         assert!(
             (picked_total - best_total).abs() < 1e-9,
             "k={k}: greedy total {picked_total} vs exhaustive {best_total} ({best_set:?})"

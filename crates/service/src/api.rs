@@ -719,7 +719,7 @@ mod tests {
     fn create_applies_every_setting_and_rejects_values_that_do_not_parse() {
         let registry = TableRegistry::new();
         let every = r#""policy": "entropy", "refit_every": 17, "refresh_interval_ms": 321,
-            "warm_refits": true, "max_answers_per_cell": 9, "seed": 42, "max_pending": 1000,
+            "max_answers_per_cell": 9, "seed": 42, "max_pending": 1000,
             "trust_auto": true, "trust_min_answers": 5, "trust_suspect_enter": 0.61,
             "trust_suspect_exit": 0.77, "trust_quarantine_enter": 0.33,
             "trust_quarantine_exit": 0.52, "trust_collusion_overlap": 4,
@@ -730,7 +730,6 @@ mod tests {
             policy: "entropy".into(),
             refit_every: 17,
             refresh_interval: std::time::Duration::from_millis(321),
-            warm_refits: true,
             max_answers_per_cell: Some(9),
             seed: 42,
             max_pending: Some(1000),
@@ -751,11 +750,11 @@ mod tests {
         let got = &registry.get("every").unwrap().config;
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
 
-        // The clamps, a null left at its default, numbers sent as strings and
-        // an unknown key.
+        // The clamps, a null left at its default, numbers sent as strings,
+        // an unknown key and a deleted one (`warm_refits`).
         let edge = r#""refit_every": 0, "refresh_interval_ms": 3600000,
             "max_answers_per_cell": null, "seed": "7", "worker_rate": "0.5",
-            "future_knob": [1]"#;
+            "future_knob": [1], "warm_refits": true"#;
         assert_eq!(create_with(&registry, "edge", edge).status, 201);
         let want = TableConfig {
             refit_every: 1,
@@ -770,7 +769,6 @@ mod tests {
         for (key, value) in [
             ("refit_every", r#""abc""#),
             ("worker_burst", "0.5"),
-            ("warm_refits", r#""yes""#),
             ("max_pending", "0"),
             ("seed", "-1"),
             ("trust_min_answers", "[5]"),

@@ -15,7 +15,9 @@
 //! thread, never another connection's turn. The server's `threads` bound how
 //! many requests run the handler at once: a request takes a permit just
 //! before the handler call and returns it when the call ends, by return or by
-//! panic, so a panicking handler ends only its own connection.
+//! panic, so a panicking handler ends only its own connection. `GET /healthz`
+//! and `GET /metrics` take no permit: they read only gauges, and slow
+//! handlers holding every permit must not hold a health probe off.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -460,7 +462,7 @@ fn serve_request(reader: &mut BufReader<DeadlineRead>, shared: &Shared) -> bool 
         Ok(Some(req)) => {
             let keep = req.keep_alive;
             let mut resp = {
-                let _permit = shared.permit();
+                let _permit = takes_permit(&req).then(|| shared.permit());
                 (shared.handler)(&req)
             };
             // Echo the correlation id so clients can match responses to
@@ -479,6 +481,12 @@ fn serve_request(reader: &mut BufReader<DeadlineRead>, shared: &Shared) -> bool 
         }
         Err(_) => false, // timeout or reset
     }
+}
+
+/// Whether `req` waits for a handler permit: every request but the probes
+/// (`GET /healthz`, `GET /metrics`) does.
+fn takes_permit(req: &Request) -> bool {
+    !(req.method == "GET" && matches!(req.path.as_str(), "/healthz" | "/metrics"))
 }
 
 #[cfg(test)]
@@ -751,6 +759,62 @@ mod tests {
         }
         let most = most.load(Ordering::SeqCst);
         assert!((1..=2).contains(&most), "{most} handler calls ran at once");
+        server.shutdown();
+    }
+
+    /// `GET /healthz` and `GET /metrics` answer while slow handlers hold
+    /// every permit.
+    #[test]
+    fn probes_answer_while_slow_handlers_hold_every_permit() {
+        let (entered, handlers) = std::sync::mpsc::channel();
+        let released = Arc::new((Mutex::new(false), Condvar::new()));
+        let r = Arc::clone(&released);
+        let server = serve(
+            "127.0.0.1:0",
+            2,
+            Arc::new(move |req: &Request| {
+                if req.path == "/slow" {
+                    entered.send(()).unwrap();
+                    let (lock, cvar) = &*r;
+                    let mut open = lock.lock().unwrap();
+                    while !*open {
+                        open = cvar.wait(open).unwrap();
+                    }
+                }
+                Response::json(200, "{}")
+            }),
+        )
+        .expect("bind");
+        let addr = server.addr();
+        let get = move |path: &str| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            let request = format!("GET {path} HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n");
+            s.write_all(request.as_bytes()).unwrap();
+            let mut reply = String::new();
+            s.read_to_string(&mut reply).map(|_| reply)
+        };
+        let slow: Vec<_> = (0..2).map(|_| std::thread::spawn(move || get("/slow"))).collect();
+        for _ in 0..2 {
+            handlers
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a slow request reached the handler");
+        }
+        // Both permits are taken until the slow handlers are released.
+        let probes = ["/healthz", "/metrics"].map(|path| {
+            let started = Instant::now();
+            (path, get(path), started.elapsed())
+        });
+        *released.0.lock().unwrap() = true;
+        released.1.notify_all();
+        for (path, reply, elapsed) in probes {
+            assert!(matches!(&reply, Ok(r) if r.starts_with("HTTP/1.1 200")), "{path}: {reply:?}");
+            assert!(elapsed < Duration::from_secs(1), "{path} took {elapsed:?}");
+        }
+        for client in slow {
+            let reply = client.join().unwrap();
+            assert!(matches!(&reply, Ok(r) if r.starts_with("HTTP/1.1 200")), "/slow: {reply:?}");
+        }
         server.shutdown();
     }
 

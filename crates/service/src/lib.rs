@@ -150,7 +150,6 @@
 //!   "policy": "structure-aware",    // assignment default; see policy names
 //!   "refit_every": 64,              // pending answers that wake the refresher
 //!   "refresh_interval_ms": 200,     // refresher cadence
-//!   "warm_refits": false,           // warm-start re-fits (latency over replayability)
 //!   "max_answers_per_cell": null,   // optional redundancy cap
 //!   "seed": 1                       // stochastic-policy seed
 //! }

@@ -20,8 +20,8 @@ pub fn make_policy(
     seed: u64,
 ) -> Result<Box<dyn AssignmentPolicy>, String> {
     Ok(match name {
-        "structure-aware" => Box::new(StructureAwarePolicy::default()),
-        "inherent" => Box::new(InherentGainPolicy::default()),
+        "structure-aware" => Box::new(StructureAwarePolicy),
+        "inherent" => Box::new(InherentGainPolicy),
         "entity" => Box::new(EntityAwarePolicy::new(RowGrouping::Learned {
             groups: (rows / 10).clamp(2, 8),
             seed,

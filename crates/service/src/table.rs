@@ -99,11 +99,6 @@ pub struct TableConfig {
     /// Refresher cadence: every tick with pending answers re-fits and
     /// publishes, threshold reached or not.
     pub refresh_interval: Duration,
-    /// Warm-start re-fits from the previous published fit (see
-    /// `tcrowd_core::Seed::Warm`). Off by default: cold re-fits make the
-    /// published state a pure function of the collected log, which the
-    /// determinism tests and the bench's offline-agreement gate rely on.
-    pub warm_refits: bool,
     /// Optional per-cell redundancy cap enforced at assignment time.
     pub max_answers_per_cell: Option<usize>,
     /// Seed for stochastic policies (random baseline, entity grouping).
@@ -136,7 +131,6 @@ impl Default for TableConfig {
             policy: "structure-aware".to_string(),
             refit_every: 64,
             refresh_interval: Duration::from_millis(200),
-            warm_refits: false,
             max_answers_per_cell: None,
             seed: 1,
             max_pending: None,
@@ -180,7 +174,6 @@ impl TableConfig {
             ("trust_quarantine_exit".to_string(), self.trust.quarantine_exit.to_string()),
             ("trust_suspect_enter".to_string(), self.trust.suspect_enter.to_string()),
             ("trust_suspect_exit".to_string(), self.trust.suspect_exit.to_string()),
-            ("warm_refits".to_string(), self.warm_refits.to_string()),
             ("worker_burst".to_string(), self.worker_burst.to_string()),
             ("worker_rate".to_string(), self.worker_rate.to_string()),
         ];
@@ -216,7 +209,6 @@ impl TableConfig {
                 let ms = parse::<u64>(key, text)?.clamp(1, 60_000);
                 self.refresh_interval = Duration::from_millis(ms);
             }
-            "warm_refits" => self.warm_refits = parse(key, text)?,
             "max_answers_per_cell" if text.is_empty() => self.max_answers_per_cell = None,
             "max_answers_per_cell" => self.max_answers_per_cell = Some(parse(key, text)?),
             "seed" => self.seed = parse(key, text)?,
@@ -814,11 +806,9 @@ impl TableState {
     ///    Stored parameters fitted over other workers than the recovered
     ///    quarantine set leaves (a quarantine record newer than the stored
     ///    fit) take a cold fit instead.
-    /// 2. **A WAL tail extends past the chain**: the same refit the
-    ///    refresher would have run for those pending answers — cold by
-    ///    default (published state stays a pure function of the log),
-    ///    warm-seeded from the chain's fit when the table is configured
-    ///    with `warm_refits`.
+    /// 2. **A WAL tail extends past the chain**: the same cold refit the
+    ///    refresher would have run for those pending answers, so the
+    ///    published state stays a pure function of the log.
     /// 3. **No usable snapshot**: a cold fit of the replayed log.
     pub fn recover(
         rec: Recovered,
@@ -847,7 +837,6 @@ impl TableState {
         let excluded: Vec<WorkerId> = quarantine.iter().map(|q| q.worker).collect();
         let seed = match &fit {
             Some(params) if replayed_tail == 0 => Seed::Evaluate(params),
-            Some(params) if config.warm_refits => Seed::Warm(params),
             _ => Seed::Cold,
         };
         let fit_state =
@@ -1399,7 +1388,7 @@ impl TableState {
         let fit_attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.maybe_inject_refit_panic();
             pipe.absorb(&tail);
-            pipe.fit.refit(self.config.warm_refits);
+            pipe.fit.refit(false);
             self.apply_trust(&mut pipe)
         }));
         let trust_report = match fit_attempt {
@@ -1575,7 +1564,7 @@ impl TableState {
         let excluded: Vec<WorkerId> = set.iter().map(|q| q.worker).collect();
         if pipe.fit.set_exclusions(excluded) {
             self.trust_seq.fetch_add(1, Ordering::SeqCst);
-            pipe.fit.refit(self.config.warm_refits);
+            pipe.fit.refit(false);
             // Re-score over the filtered fit so the published report agrees
             // with the published result (quarantined workers show shadow
             // scores, not stale fitted qualities). States advanced above
@@ -2258,7 +2247,6 @@ mod tests {
             policy: "entropy".into(),
             refit_every: 17,
             refresh_interval: Duration::from_millis(321),
-            warm_refits: true,
             max_answers_per_cell: Some(9),
             seed: 42,
             max_pending: Some(1_000),
@@ -2280,7 +2268,6 @@ mod tests {
         assert_eq!(back.policy, config.policy);
         assert_eq!(back.refit_every, config.refit_every);
         assert_eq!(back.refresh_interval, config.refresh_interval);
-        assert_eq!(back.warm_refits, config.warm_refits);
         assert_eq!(back.max_answers_per_cell, config.max_answers_per_cell);
         assert_eq!(back.seed, config.seed);
         assert_eq!(back.max_pending, config.max_pending);

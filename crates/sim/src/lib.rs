@@ -4,8 +4,8 @@
 //!
 //! The paper's end-to-end experiments (§6.3, Figs. 2/5/11) ran on Amazon
 //! Mechanical Turk with live workers assigned dynamically through the
-//! "external-HIT" facility. This crate substitutes that deployment (see
-//! DESIGN.md §3): a [`WorkerPool`] draws a long-tail quality population and
+//! "external-HIT" facility, which cannot be replayed. This crate substitutes
+//! that deployment: a [`WorkerPool`] draws a long-tail quality population and
 //! answers assigned cells through the paper's own worker model, and a
 //! [`Runner`] plays out Algorithm 2 — seed answers, worker arrivals, policy
 //! selection, answer collection, periodic truth inference — recording Error
@@ -24,7 +24,7 @@
 //! let mut pool = WorkerPool::new(&data.schema, &data.truth,
 //!     WorkerPoolConfig { num_workers: 8, ..Default::default() }, 1);
 //! let runner = Runner::new(ExperimentConfig { budget_avg_answers: 2.0, ..Default::default() });
-//! let mut policy = StructureAwarePolicy::default();
+//! let mut policy = StructureAwarePolicy;
 //! let backend = InferenceBackend::TCrowd(TCrowd::default_full());
 //! let result = runner.run("T-Crowd", &mut pool, &mut policy, &backend);
 //! assert!(!result.points.is_empty());

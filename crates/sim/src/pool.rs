@@ -1,8 +1,8 @@
 //! The simulated crowd: a worker pool with long-tail quality, an arrival
 //! process, and an answer oracle.
 //!
-//! This is the substitution for the paper's live AMT deployment (see
-//! DESIGN.md §3): workers draw their inherent variance `φ_u` from the same
+//! This substitutes the paper's live AMT deployment, which cannot be
+//! replayed: workers draw their inherent variance `φ_u` from the same
 //! long-tail population as the data generator, arrive in a reproducible
 //! sequence, and answer any cell they are assigned through the paper's own
 //! worker model (Eq. 1/3) with per-row/column difficulty and an optional

@@ -386,7 +386,7 @@ mod tests {
             inference_every: 3,
             ..Default::default()
         });
-        let mut policy = StructureAwarePolicy::default();
+        let mut policy = StructureAwarePolicy;
         let backend = InferenceBackend::TCrowd(TCrowd::default_full());
         let result = runner.run("t-crowd", &mut pool, &mut policy, &backend);
         assert!(!result.points.is_empty());
@@ -442,14 +442,14 @@ mod tests {
             inference_every: 2,
             ..Default::default()
         });
-        let mut policy = StructureAwarePolicy::default();
+        let mut policy = StructureAwarePolicy;
         let backend = InferenceBackend::TCrowd(TCrowd::default_full());
         let adaptive = lenient.run("adaptive", &mut pool, &mut policy, &backend);
         assert!(adaptive.terminated_cells > 0, "some cells must settle");
 
         let mut pool2 = small_pool(9);
         let fixed = Runner::new(ExperimentConfig { budget_avg_answers: 8.0, ..Default::default() });
-        let mut policy2 = StructureAwarePolicy::default();
+        let mut policy2 = StructureAwarePolicy;
         let fixed_run = fixed.run("fixed", &mut pool2, &mut policy2, &backend);
         assert!(
             adaptive.total_answers <= fixed_run.total_answers,
@@ -518,8 +518,7 @@ mod tests {
             }),
             ..Default::default()
         });
-        let stopped =
-            runner.run("structure-stop", &mut pool, &mut StructureAwarePolicy::default(), &backend);
+        let stopped = runner.run("structure-stop", &mut pool, &mut StructureAwarePolicy, &backend);
         check(
             &stopped,
             (177, 46, 60),
@@ -539,8 +538,7 @@ mod tests {
             inference_every: 3,
             ..Default::default()
         });
-        let inherent =
-            runner.run("inherent", &mut pool, &mut InherentGainPolicy::default(), &backend);
+        let inherent = runner.run("inherent", &mut pool, &mut InherentGainPolicy, &backend);
         check(
             &inherent,
             (212, 53, 0),

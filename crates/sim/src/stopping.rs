@@ -184,14 +184,26 @@ mod tests {
         assert_eq!(state.len(), first);
     }
 
+    /// Every shipped policy keeps off terminated cells, at a small `k` and
+    /// at one far past the table: with `k` at least the open cell count, a
+    /// worker the fit has not seen gets exactly the open cells.
     #[test]
     fn terminated_set_plugs_into_assignment_context() {
-        use tcrowd_core::{AssignmentContext, AssignmentPolicy, InherentGainPolicy};
+        use tcrowd_baselines::{
+            CdasPolicy, EntropyPolicy, LoopingPolicy, QascaPolicy, RandomPolicy,
+        };
+        use tcrowd_core::{
+            AssignmentContext, AssignmentPolicy, EntityAwarePolicy, InherentGainPolicy,
+            RowGrouping, StructureAwarePolicy,
+        };
+        use tcrowd_tabular::WorkerId;
         let (d, m, r) = inference(5, 2);
         let mut state = TerminationState::new();
         // Terminate roughly half the table with a moderate rule.
         let rule = StoppingRule { p_stop: 0.5, max_std: 1.0, min_answers: 1 };
         state.update(&r, &rule, |c| m.count_for_cell(c));
+        let open: Vec<CellId> = d.answers.cells().filter(|&c| !state.contains(c)).collect();
+        assert!(!state.is_empty() && !open.is_empty(), "the rule must split the table");
         let ctx = AssignmentContext {
             schema: &d.schema,
             answers: &m,
@@ -201,10 +213,29 @@ mod tests {
             terminated: Some(state.set()),
             correlation: None,
         };
-        let mut policy = InherentGainPolicy::default();
-        let picks = policy.select(tcrowd_tabular::WorkerId(42_000), 80, &ctx);
-        for c in picks {
-            assert!(!state.contains(c), "terminated cell {c:?} was assigned");
+        for k in [80, 1 << 40] {
+            let policies: Vec<Box<dyn AssignmentPolicy>> = vec![
+                Box::new(InherentGainPolicy),
+                Box::new(StructureAwarePolicy),
+                Box::new(EntityAwarePolicy::new(RowGrouping::Learned { groups: 2, seed: 1 })),
+                Box::new(QascaPolicy),
+                Box::new(RandomPolicy::seeded(1)),
+                Box::new(LoopingPolicy::default()),
+                Box::new(EntropyPolicy),
+                Box::new(CdasPolicy::seeded(1)),
+            ];
+            for mut policy in policies {
+                let mut picks = policy.select(WorkerId(42_000), k, &ctx);
+                for &c in &picks {
+                    assert!(
+                        !state.contains(c),
+                        "{} k {k}: terminated {c:?} assigned",
+                        policy.name()
+                    );
+                }
+                picks.sort();
+                assert_eq!(picks, open, "{} k {k}", policy.name());
+            }
         }
     }
 }

@@ -113,7 +113,7 @@ fn runner_with_warm_refits_produces_sound_estimates() {
         inference_every: 3,
         ..Default::default()
     });
-    let mut policy = tcrowd_core::StructureAwarePolicy::default();
+    let mut policy = tcrowd_core::StructureAwarePolicy;
     let backend = InferenceBackend::TCrowd(TCrowd::default_full());
     let result = runner.run("warm-runner", &mut pool, &mut policy, &backend);
     assert!(!result.points.is_empty());

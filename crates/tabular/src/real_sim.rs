@@ -1,13 +1,13 @@
 //! Simulated stand-ins for the paper's three real AMT datasets.
 //!
 //! The original Celebrity/Restaurant/Emotion answer sets were collected from
-//! live Amazon Mechanical Turk workers and are not redistributable; per the
-//! substitution policy in `DESIGN.md` we synthesise datasets with the same
-//! *shape* (rows, columns, datatypes, answers-per-task — paper Table 6), a
-//! long-tailed worker-quality population, a row-familiarity effect (a worker
-//! who does not recognise an entity errs across the whole row, §1), and the
-//! inter-attribute error correlations the paper measured (§6.4.3: Restaurant
-//! StartTarget/EndTarget errors are strongly positively correlated).
+//! live Amazon Mechanical Turk workers and are not redistributable, so we
+//! synthesise datasets with the same *shape* (rows, columns, datatypes,
+//! answers-per-task — paper Table 6), a long-tailed worker-quality
+//! population, a row-familiarity effect (a worker who does not recognise an
+//! entity errs across the whole row, §1), and the inter-attribute error
+//! correlations the paper measured (§6.4.3: Restaurant StartTarget/EndTarget
+//! errors are strongly positively correlated).
 //!
 //! Everything the evaluation compares — method rankings, convergence speed,
 //! calibration — depends on these distributional properties, not on the

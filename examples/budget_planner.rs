@@ -42,7 +42,7 @@ fn main() {
             23,
         );
         let backend = InferenceBackend::TCrowd(TCrowd::default_full());
-        let mut sa = StructureAwarePolicy::default();
+        let mut sa = StructureAwarePolicy;
         let mut entropy = EntropyPolicy;
         let mut random = RandomPolicy::seeded(5);
         let policy: &mut dyn AssignmentPolicy = match label {

@@ -40,7 +40,7 @@ fn main() {
         let backend = InferenceBackend::TCrowd(TCrowd::default_full());
         let result = match label {
             "T-Crowd (structure-aware)" => {
-                let mut policy = StructureAwarePolicy::default();
+                let mut policy = StructureAwarePolicy;
                 runner.run(label, &mut pool, &mut policy, &backend)
             }
             _ => {

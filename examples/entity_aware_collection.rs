@@ -99,7 +99,7 @@ fn main() {
     );
 
     // ---- 2. Structure-aware vs entity-aware at equal budget.
-    let mut structure = StructureAwarePolicy::default();
+    let mut structure = StructureAwarePolicy;
     let sa = run(&mut structure, None, seed);
     let mut entity = EntityAwarePolicy::new(RowGrouping::Known(truth_groups.clone()));
     let ea = run(&mut entity, None, seed);

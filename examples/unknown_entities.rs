@@ -65,7 +65,7 @@ fn main() {
         stopping: Some(StoppingRule::default()),
         ..Default::default()
     });
-    let mut policy = StructureAwarePolicy::default();
+    let mut policy = StructureAwarePolicy;
     let backend = InferenceBackend::TCrowd(TCrowd::default_full());
     let result = runner.run("fill", &mut pool, &mut policy, &backend);
     println!(

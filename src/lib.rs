@@ -64,8 +64,8 @@ pub use tcrowd_tabular as tabular;
 pub mod prelude {
     pub use tcrowd_core::{
         AssignmentPolicy, CorrelationModel, EmOptions, EntityAwarePolicy, EntityModel, FitState,
-        GainEstimator, InferenceResult, InherentGainPolicy, RowGrouping, Seed,
-        StructureAwarePolicy, TCrowd, TCrowdOptions,
+        InferenceResult, InherentGainPolicy, RowGrouping, Seed, StructureAwarePolicy, TCrowd,
+        TCrowdOptions,
     };
     pub use tcrowd_sim::{
         ExperimentConfig, Runner, StoppingRule, TerminationState, WorkerPool, WorkerPoolConfig,

@@ -52,7 +52,7 @@ fn gain_policy_at_least_matches_random_at_equal_budget() {
     let mut gain_err = 0.0;
     let mut rand_err = 0.0;
     for seed in 0..3 {
-        let g = run_policy(seed, 3.0, || Box::new(StructureAwarePolicy::default()));
+        let g = run_policy(seed, 3.0, || Box::new(StructureAwarePolicy));
         let r = run_policy(seed, 3.0, || Box::new(RandomPolicy::seeded(seed)));
         gain_err += g.final_report.error_rate.unwrap();
         rand_err += r.final_report.error_rate.unwrap();
@@ -67,7 +67,7 @@ fn gain_policy_at_least_matches_random_at_equal_budget() {
 
 #[test]
 fn inherent_gain_runs_and_improves_over_budget() {
-    let result = run_policy(1, 4.0, || Box::new(InherentGainPolicy::default()));
+    let result = run_policy(1, 4.0, || Box::new(InherentGainPolicy));
     let first = result.points.first().unwrap();
     let last = result.points.last().unwrap();
     assert!(last.avg_answers > first.avg_answers);

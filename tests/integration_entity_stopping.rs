@@ -67,7 +67,7 @@ fn entity_policy_matches_structure_aware_on_grouped_data() {
             None,
             Box::new(EntityAwarePolicy::new(RowGrouping::Known(known.clone()))),
         );
-        let s = run(seed, 3.0, None, Box::new(StructureAwarePolicy::default()));
+        let s = run(seed, 3.0, None, Box::new(StructureAwarePolicy));
         entity_err += e.final_report.error_rate.unwrap();
         structure_err += s.final_report.error_rate.unwrap();
     }
@@ -98,8 +98,8 @@ fn adaptive_stopping_saves_answers_without_wrecking_quality() {
     let mut adaptive_err = 0.0;
     let mut fixed_err = 0.0;
     for seed in 20..23 {
-        let a = run(seed, 6.0, Some(rule), Box::new(StructureAwarePolicy::default()));
-        let f = run(seed, 6.0, None, Box::new(StructureAwarePolicy::default()));
+        let a = run(seed, 6.0, Some(rule), Box::new(StructureAwarePolicy));
+        let f = run(seed, 6.0, None, Box::new(StructureAwarePolicy));
         saved += f.total_answers as i64 - a.total_answers as i64;
         adaptive_err += a.final_report.error_rate.unwrap();
         fixed_err += f.final_report.error_rate.unwrap();
@@ -118,7 +118,7 @@ fn adaptive_stopping_saves_answers_without_wrecking_quality() {
 #[test]
 fn stopping_terminates_cells_by_budget_end() {
     let rule = StoppingRule { p_stop: 0.7, max_std: 0.6, min_answers: 2 };
-    let r = run(20, 5.0, Some(rule), Box::new(StructureAwarePolicy::default()));
+    let r = run(20, 5.0, Some(rule), Box::new(StructureAwarePolicy));
     assert!(
         r.terminated_cells > 0,
         "a 5-answer budget should settle at least one cell under a lenient rule"

@@ -132,8 +132,8 @@ proptest! {
         };
         let fresh = WorkerId(1_000_000);
         for policy in [
-            &mut InherentGainPolicy::default() as &mut dyn AssignmentPolicy,
-            &mut StructureAwarePolicy::default() as &mut dyn AssignmentPolicy,
+            &mut InherentGainPolicy as &mut dyn AssignmentPolicy,
+            &mut StructureAwarePolicy as &mut dyn AssignmentPolicy,
         ] {
             let picks = policy.select(fresh, k, &ctx);
             prop_assert_eq!(picks.len(), k.min(d.rows() * d.cols()));
