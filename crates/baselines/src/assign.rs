@@ -51,6 +51,10 @@ impl AssignmentPolicy for RandomPolicy {
         candidates.truncate(k);
         candidates
     }
+
+    fn stateful(&self) -> bool {
+        true
+    }
 }
 
 /// Round-robin assignment: walk the table in row-major order, resuming where
@@ -79,6 +83,10 @@ impl AssignmentPolicy for LoopingPolicy {
             self.cursor = slot(last) + 1;
         }
         picked
+    }
+
+    fn stateful(&self) -> bool {
+        true
     }
 }
 

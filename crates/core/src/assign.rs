@@ -129,13 +129,20 @@ impl<'a> AssignmentContext<'a> {
 }
 
 /// An online task-assignment policy (Definition 4).
-pub trait AssignmentPolicy {
+pub trait AssignmentPolicy: Send {
     /// Human-readable policy name (used in experiment output).
     fn name(&self) -> &'static str;
 
     /// Select up to `k` cells for the incoming worker. Fewer than `k` cells
     /// are returned only when the candidate pool is smaller than `k`.
     fn select(&mut self, worker: WorkerId, k: usize, ctx: &AssignmentContext<'_>) -> Vec<CellId>;
+
+    /// Whether the policy carries state from one call to the next (a random
+    /// stream, a cursor), so a caller serving a stream of requests keeps
+    /// one instance instead of building one per request.
+    fn stateful(&self) -> bool {
+        false
+    }
 }
 
 /// A scored candidate. Its order is the ranking's (score desc, cell asc),

@@ -74,7 +74,6 @@ impl Default for EntityModelOptions {
 #[derive(Debug, Clone)]
 pub struct EntityModel {
     groups: Vec<usize>,
-    n_groups: usize,
     /// The fitted (non-unit) multipliers, sorted by (worker, group).
     lambda: Vec<((WorkerId, usize), f64)>,
 }
@@ -168,17 +167,12 @@ impl EntityModel {
                 }
             }
         }
-        EntityModel { groups, n_groups, lambda }
+        EntityModel { groups, lambda }
     }
 
     /// The group of a row.
     pub fn group_of(&self, row: u32) -> usize {
         self.groups[row as usize]
-    }
-
-    /// Number of groups in the partition.
-    pub fn num_groups(&self) -> usize {
-        self.n_groups
     }
 
     /// The learned/assigned row partition.
@@ -384,15 +378,6 @@ impl crate::assign::AssignmentPolicy for EntityAwarePolicy {
     }
 }
 
-/// Ground-truth-free diagnostic: mean absolute log-multiplier per group — how
-/// much entity structure the model found. 0 means "no effect anywhere".
-pub fn familiarity_strength(model: &EntityModel) -> f64 {
-    if model.lambda.is_empty() {
-        return 0.0;
-    }
-    model.multipliers().map(|(_, l)| l.ln().abs()).sum::<f64>() / model.lambda.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,7 +423,6 @@ mod tests {
             &EntityModelOptions::default(),
         );
         assert_eq!(m.groups(), labels.as_slice());
-        assert_eq!(m.num_groups(), 3);
     }
 
     #[test]
@@ -459,7 +443,6 @@ mod tests {
         assert!(m.fitted_pairs() > 0, "some multipliers must be fitted");
         let max = m.multipliers().map(|(_, l)| l).fold(0.0, f64::max);
         assert!(max > 2.0, "unfamiliar pairs should fit λ ≫ 1, max = {max}");
-        assert!(familiarity_strength(&m) > 0.1);
     }
 
     #[test]

@@ -387,18 +387,6 @@ fn same_kind_for_name(map: &BTreeMap<SeriesKey, Metric>, name: &str) -> bool {
     true
 }
 
-impl Registry {
-    /// Fetch an existing counter's value without creating it (testing aid).
-    pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        let key = series_key(name, labels);
-        let map = self.series.read().unwrap_or_else(|p| p.into_inner());
-        match map.get(&key) {
-            Some(Metric::Counter(c)) => Some(c.get()),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,7 +401,6 @@ mod tests {
         // Same (name, labels) returns the same underlying series.
         assert_eq!(r.counter("c_total", &[("table", "t1")]).get(), 5);
         assert_eq!(r.counter_sum("c_total"), 5);
-        assert_eq!(r.counter_value("c_total", &[("table", "t1")]), Some(5));
 
         let g = r.gauge("g", &[]);
         g.set(7);
@@ -479,7 +466,8 @@ mod tests {
         r.counter("c_total", &[("table", "b")]).inc();
         r.remove_where("table", "a");
         assert_eq!(r.counter_sum("c_total"), 1);
-        assert!(r.counter_value("c_total", &[("table", "a")]).is_none());
+        let key = series_key("c_total", &[("table", "a")]);
+        assert!(!r.series.read().unwrap().contains_key(&key));
     }
 
     #[test]

@@ -53,7 +53,9 @@
 //! a full base periodically), and boot recovers every table — torn WAL
 //! tails truncated at the first bad checksum, the pre-crash served state
 //! republished without re-running EM when the snapshot chain covers the
-//! log (see [`table::TableState::recover`]). `GET …/stats` reports
+//! log (see [`table::TableState::recover`]). What a table's files hold is
+//! decided by its [`tcrowd_store::TableStore`]; this crate decides when
+//! they change and how each outcome shows. `GET …/stats` reports
 //! `durable`, `store_snapshot_epoch` and `store_snapshot_links`; a WAL
 //! failure turns `POST …/answers` into a 503 with nothing ingested, so
 //! clients may retry verbatim.
@@ -193,9 +195,7 @@ pub use json::Json;
 pub use obs::{ServiceObs, TableObs};
 pub use policy::{make_policy, POLICY_NAMES};
 pub use registry::{RecoveryReport, TableRegistry, MAX_LABELS, MAX_POSTERIOR_ENTRIES};
-pub use table::{
-    Durability, HealthView, Snapshot, TableConfig, TableState, TrustView, WorkerStatus,
-};
+pub use table::{HealthView, Snapshot, TableConfig, TableState, TrustView, WorkerStatus};
 
 use std::sync::Arc;
 

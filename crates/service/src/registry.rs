@@ -5,12 +5,12 @@
 //! recover-on-boot.
 
 use crate::obs::ServiceObs;
-use crate::table::{Durability, TableConfig, TableState};
+use crate::table::{TableConfig, TableState};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
-use tcrowd_store::{Store, TableMeta};
+use tcrowd_store::{Store, TableMeta, TableStore};
 use tcrowd_tabular::{ColumnType, Schema};
 
 /// Most labels a categorical column may declare, in either the `labels` or
@@ -188,24 +188,20 @@ impl TableRegistry {
         if tables.contains_key(&id) {
             return Err(format!("table '{id}' already exists"));
         }
-        let durability = match &self.store {
+        let created = match &self.store {
             Some(store) => {
                 let meta = TableMeta { rows, schema: schema.clone(), config: config.to_kv() };
                 let wal = store
                     .create_table(&id, &meta)
                     .map_err(|e| format!("cannot persist table '{id}': {e}"))?;
-                Some(Durability::new(wal, store.table_dir(&id), meta, store.io_handle()))
+                Some((wal, meta, store.io_handle()))
             }
             None => None,
         };
-        let table = TableState::create_with_obs(
-            id.clone(),
-            schema,
-            rows,
-            config,
-            durability,
-            self.obs.table(&id),
-        );
+        let obs = self.obs.table(&id);
+        let files =
+            created.map(|(wal, meta, io)| TableStore::open(wal, meta, None, io, obs.store_sink()));
+        let table = TableState::create_with_obs(id.clone(), schema, rows, config, files, obs);
         tables.insert(id, Arc::clone(&table));
         Ok(table)
     }

@@ -1,6 +1,6 @@
 //! Per-table service state: lock-split ingest/read/fit paths, the
-//! background refresher thread, and the durability hooks into
-//! `tcrowd-store`.
+//! background refresher thread, and the policy around the table's files
+//! (a [`TableStore`], which owns what they hold).
 //!
 //! Each hosted table runs the paper's online loop (Fig. 1 / Algorithm 2)
 //! with the request path split in **three**:
@@ -15,7 +15,9 @@
 //!   behind an `RwLock<Arc<…>>`: the [`SharedLog`] prefix at the snapshot
 //!   epoch, the frozen [`AnswerMatrix`] (behind an `Arc`), the last
 //!   published [`InferenceResult`] and a pre-fitted [`CorrelationModel`].
-//!   Readers clone the `Arc` and never contend with ingestion.
+//!   Readers clone the `Arc` and never contend with ingestion. Each
+//!   assignment builds its policy, except the two that keep state between
+//!   requests (`random`, `looping`): the table keeps one of each.
 //! * **Fits** run under a separate *fitter* mutex and **never hold the
 //!   ingest lock while EM runs**. A refresh holds the ingest lock only for
 //!   `O(Δ)` work — twice, briefly:
@@ -31,9 +33,8 @@
 //!        ▼
 //!   catch-up merge (freeze + §5.1 incremental posterior per answer)
 //!        │
-//!   publish Arc<Snapshot> atomically ── persist an incremental store
-//!                                        snapshot (answers since the last
-//!                                        one + chained WAL offset)
+//!   publish Arc<Snapshot> atomically ── TableStore::persist (a chain
+//!                                        delta, or a fresh base)
 //! ```
 //!
 //! The publish itself is `O(Δ)` too: the snapshot's log is a structurally
@@ -48,13 +49,13 @@
 //! answers entered the freeze and the posterior incrementally (§5.1) and
 //! become exact at the next refit.
 //!
-//! Durability is `O(Δ)` as well: each publish appends an incremental store
-//! snapshot *delta* (the answers since the last snapshot plus the chained
-//! WAL offset — zero answers when a refresh republished at an unchanged
-//! epoch with a new fit); the chain is collapsed into a fresh full base
-//! once it grows past [`SNAPSHOT_CHAIN_MAX_LINKS`] links or as many answers
-//! as the base itself (geometric, so amortised cost stays linear in the
-//! delta).
+//! Durability is `O(Δ)` as well. This module decides *when* the table's
+//! files change: a publish is persisted after every refresh, on recovery,
+//! on shutdown and by the background re-attempt; a poisoned WAL is rebuilt
+//! from the ingest log by the refresher. The [`TableStore`] decides *what*
+//! they hold (a delta with the answers since the chain tip, or a collapse
+//! into a fresh base past 32 links or base-sized growth), and this module
+//! maps each outcome to health, events and gauges.
 //!
 //! Deletion uses a **tombstone guard**: `TableRegistry::remove` marks the
 //! table deleted *before* joining the refresher, so a refresh that is
@@ -64,30 +65,18 @@
 use crate::obs::{TableObs, HEALTH_DEGRADED, HEALTH_HEALTHY, HEALTH_RECOVERING};
 use crate::policy::make_policy;
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::{Duration, Instant};
 use tcrowd_core::{
-    AssignmentContext, CorrelationModel, FitParams, FitState, InferenceResult, Seed, TCrowd,
+    AssignmentContext, AssignmentPolicy, CorrelationModel, FitState, InferenceResult, Seed, TCrowd,
 };
 use tcrowd_store::{
-    compact_cold_segments, count_segments, remove_snapshot, remove_snapshot_deltas, rewrite_wal,
-    write_snapshot_delta_observed, write_snapshot_observed, ChainInfo, CommitSink, CommitStatsView,
-    CommittedBatch, DurableMark, GroupCommit, IoHandle, QuarantineEntry, Recovered, SnapshotDelta,
-    TableMeta, TableSnapshot, Wal, WalPosition, WAL_FILE,
+    CommitSink, CommitStatsView, CommittedBatch, IoHandle, Persisted, Publish, QuarantineEntry,
+    Recovered, TableStore, WalPosition,
 };
 use tcrowd_tabular::{Answer, AnswerLog, AnswerMatrix, CellId, Schema, SharedLog, WorkerId};
 use tcrowd_trust::{advance, score_workers, TrustConfig, TrustState, WorkerTrust};
-
-/// Chain links after which the next store snapshot collapses into a full
-/// base (bounds recovery's chain walk and the table directory's file
-/// count).
-pub const SNAPSHOT_CHAIN_MAX_LINKS: u64 = 32;
-/// Collapse is also triggered once the chain carries at least this many
-/// answers *and* as many as the base — geometric growth, so the amortised
-/// serialization cost per published answer stays constant.
-const SNAPSHOT_CHAIN_MIN_COLLAPSE: u64 = 1024;
 
 /// Per-table service policy knobs (the `POST /tables` request body).
 #[derive(Debug, Clone)]
@@ -389,167 +378,21 @@ pub struct Snapshot {
     pub trust: Arc<TrustView>,
 }
 
-/// The store-snapshot chain position of a durable table: what the next
-/// incremental write chains from.
-#[derive(Debug, Clone, Copy)]
-struct SnapChain {
-    /// Whether a full base snapshot exists on disk.
-    has_base: bool,
-    /// Epoch the chain (base + links) covers.
-    epoch: u64,
-    /// [`Snapshot::refreshes`] of the publish the chain tip persists: a
-    /// refresh can republish at an unchanged epoch with a different fit
-    /// (after a quarantine change, or the settling refit after a catch-up
-    /// publish), and that fit must reach the chain too.
-    refreshes: u64,
-    /// Delta links on top of the base.
-    links: u64,
-    /// Next free delta sequence number.
-    next_seq: u64,
-    /// Answers in the base snapshot.
-    base_answers: u64,
-    /// Answers across the chain's links.
-    chain_answers: u64,
-    /// Force the next write to collapse into a full base (set when recovery
-    /// found a broken chain — the orphan links get cleaned up with it).
-    force_full: bool,
-}
-
-impl SnapChain {
-    fn fresh() -> SnapChain {
-        SnapChain {
-            has_base: false,
-            epoch: 0,
-            refreshes: 0,
-            links: 0,
-            next_seq: 1,
-            base_answers: 0,
-            chain_answers: 0,
-            force_full: false,
-        }
-    }
-
-    /// The chain recovery found, which the recovered table's initial
-    /// snapshot (publish count 0) republishes.
-    fn from_recovery(info: &ChainInfo, epoch: u64) -> SnapChain {
-        SnapChain {
-            has_base: true,
-            epoch,
-            refreshes: 0,
-            links: info.links,
-            next_seq: info.max_seq_on_disk + 1,
-            base_answers: info.base_answers,
-            chain_answers: info.chain_answers,
-            force_full: info.broken.is_some(),
-        }
-    }
-}
-
-/// The durable half of a table: its open WAL (shared with the per-table
-/// commit thread), its snapshot directory, the metadata the store
-/// persists, and the incremental-snapshot chain position.
-///
-/// Lock order: the ingest `Mutex` is always taken before the `wal` mutex
-/// by direct appenders (quarantine records,
-/// tombstones, the rebuild path); the commit thread takes the WAL mutex
-/// *alone* and its sink takes the ingest mutex *alone* — neither nests,
-/// so the commit thread can never deadlock against a direct appender.
-/// The chain mutex is leaf-level (nothing else is acquired under it).
-pub struct Durability {
-    wal: Arc<Mutex<Wal>>,
-    dir: PathBuf,
-    meta: TableMeta,
-    chain: Mutex<SnapChain>,
-    /// The commit thread coalescing concurrent `submit` batches into one
-    /// `write+fsync` each ([`GroupCommit`]). `None` until
-    /// [`Durability::start_committer`] runs in `spawn`, and again after
-    /// [`Durability::shutdown_committer`] on the deletion path.
-    committer: Mutex<Option<Arc<GroupCommit>>>,
-    /// The commit thread's durable watermark: the WAL position whose
-    /// answers are both committed and in the in-memory log. Snapshots pin
-    /// to this instead of syncing the WAL under the ingest lock.
-    mark: DurableMark,
-    /// The store's I/O handle, kept so snapshot writes and the WAL-rebuild
-    /// repair path go through the same (possibly fault-injected) layer the
-    /// WAL does.
-    io: IoHandle,
-}
-
-impl Durability {
-    /// Wrap a freshly-created WAL (no snapshot on disk yet — the first
-    /// persisted snapshot writes a full base). `io` must be the handle of
-    /// the store that created the WAL.
-    pub fn new(wal: Wal, dir: PathBuf, meta: TableMeta, io: IoHandle) -> Durability {
-        Durability::recovered(wal, dir, meta, SnapChain::fresh(), io)
-    }
-
-    fn recovered(
-        wal: Wal,
-        dir: PathBuf,
-        meta: TableMeta,
-        chain: SnapChain,
-        io: IoHandle,
-    ) -> Durability {
-        let mark = DurableMark::starting_at(wal.position());
-        Durability {
-            wal: Arc::new(Mutex::new(wal)),
-            dir,
-            meta,
-            chain: Mutex::new(chain),
-            committer: Mutex::new(None),
-            mark,
-            io,
-        }
-    }
-
-    /// Start the table's commit thread: committed batches are pushed into
-    /// `log` (under its lock) and the durable mark advanced before any
-    /// submitter is acked. Called once from `spawn`, after the ingest log
-    /// exists behind its `Arc`.
-    fn start_committer(&self, log: Arc<Mutex<AnswerLog>>, obs: tcrowd_store::ObsHandle) {
-        let sink = Arc::new(ServiceSink { log, mark: self.mark.clone() });
-        let committer = GroupCommit::spawn(Arc::clone(&self.wal), sink, obs);
-        *lock_recover(&self.committer) = Some(Arc::new(committer));
-    }
-
-    /// A clone of the live commit-thread handle, if any.
-    fn committer(&self) -> Option<Arc<GroupCommit>> {
-        lock_recover(&self.committer).clone()
-    }
-
-    /// Drain the submission queue, commit what is queued, and join the
-    /// commit thread. After this returns no new batch can be acked — the
-    /// deletion path calls it *before* appending the tombstone so the
-    /// `Delete` frame is provably the last answer-bearing record.
-    /// Idempotent. Must not be called with the ingest or WAL lock held
-    /// (the committer takes both while draining).
-    fn shutdown_committer(&self) {
-        let committer = lock_recover(&self.committer).take();
-        if let Some(c) = committer {
-            c.shutdown();
-        }
-    }
-}
-
-/// The service's [`CommitSink`]: delivers each durably-committed group
-/// into the in-memory log and advances the durable mark in the same
-/// ingest-lock hold, so "log length == mark.answers == acked prefix" is
-/// an invariant every ingest-lock holder can rely on.
-struct ServiceSink {
-    log: Arc<Mutex<AnswerLog>>,
-    mark: DurableMark,
-}
-
-impl CommitSink for ServiceSink {
-    fn committed(&self, batches: &[CommittedBatch<'_>]) {
-        let mut log = lock_recover(&self.log);
+/// The service's commit sink: delivers each durably committed group into
+/// the in-memory log and advances `store`'s durable mark in the same
+/// ingest-lock hold, so "log length == mark.answers == acked prefix" is an
+/// invariant every ingest-lock holder can rely on.
+fn service_sink(log: Arc<Mutex<AnswerLog>>, store: &TableStore) -> impl CommitSink {
+    let mark = store.mark().clone();
+    move |batches: &[CommittedBatch<'_>]| {
+        let mut log = lock_recover(&log);
         for batch in batches {
             for &a in batch.answers {
                 log.push(a);
             }
         }
         if let Some(last) = batches.last() {
-            self.mark.set(last.position);
+            mark.set(last.position);
         }
     }
 }
@@ -563,10 +406,9 @@ struct RefreshCtl {
 /// Recover a mutex guard even when a sibling thread panicked while holding
 /// the lock. Safe for every lock it is used on: the ingest log is
 /// append-only (a panicked pusher leaves a valid, possibly shorter log —
-/// and WAL-before-ack means nothing un-acked is served), the WAL carries
-/// its own poison flag, the chain/health/ctl/refresher structs are plain
-/// bookkeeping, and the fitter pipeline is re-validated via
-/// `fitter_dirty`/rebuild before use.
+/// and WAL-before-ack means nothing un-acked is served), the
+/// health/ctl/refresher structs are plain bookkeeping, and the fitter
+/// pipeline is re-validated via `fitter_dirty`/rebuild before use.
 fn lock_recover<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -734,7 +576,11 @@ pub struct TableState {
     /// Deletion tombstone: set by the registry before the refresher is
     /// joined, checked before every publish and store-snapshot write.
     deleted: AtomicBool,
-    durability: Option<Durability>,
+    /// The table's files (`None` keeps it memory-only). Direct WAL appends
+    /// (quarantine records, the tombstone, a rebuild) take the ingest lock
+    /// or the trust lock first, never after; the commit thread takes the
+    /// WAL lock alone and its sink the ingest lock alone.
+    store: Option<TableStore>,
     ctl: Arc<RefreshCtl>,
     refresher: Mutex<Option<std::thread::JoinHandle<()>>>,
     created_at: Instant,
@@ -756,39 +602,30 @@ pub struct TableState {
     rate_limited: AtomicU64,
     /// Per-worker token buckets (leaf lock; only `submit` touches it).
     buckets: Mutex<HashMap<u32, Bucket>>,
+    /// The one instance, by name, of each policy that keeps state between
+    /// requests (`random`'s stream, `looping`'s cursor). Leaf lock.
+    policies: Mutex<HashMap<String, Box<dyn AssignmentPolicy>>>,
     /// Per-table metrics and the lifecycle event ring ([`crate::obs`]).
     obs: Arc<TableObs>,
 }
 
 impl TableState {
     /// Create a table (empty log, initial fit published) and start its
-    /// refresher thread. `durability` carries the freshly-created WAL for
-    /// durable tables, `None` keeps the table memory-only.
-    pub fn create(
-        id: String,
-        schema: Schema,
-        rows: usize,
-        config: TableConfig,
-        durability: Option<Durability>,
-    ) -> Arc<TableState> {
-        let obs = TableObs::standalone(&id);
-        Self::create_with_obs(id, schema, rows, config, durability, obs)
-    }
-
-    /// [`TableState::create`] with an externally-registered observability
-    /// bundle (the registry path, so the table's series appear in the
-    /// shared `/metrics` registry).
+    /// refresher thread. `store` holds the freshly-created WAL of a durable
+    /// table, `None` keeps the table memory-only; `obs` is the table's
+    /// observability bundle (the registry's, so its series appear in the
+    /// shared `/metrics`, or [`TableObs::standalone`]).
     pub fn create_with_obs(
         id: String,
         schema: Schema,
         rows: usize,
         config: TableConfig,
-        durability: Option<Durability>,
+        store: Option<TableStore>,
         obs: Arc<TableObs>,
     ) -> Arc<TableState> {
         let log = AnswerLog::new(rows, schema.num_columns());
         let fit = FitState::empty(TCrowd::default_full(), schema.clone(), rows);
-        Self::spawn(id, schema, rows, config, log, fit, durability, Vec::new(), obs)
+        Self::spawn(id, schema, rows, config, log, fit, store, Vec::new(), obs)
     }
 
     /// Resurrect a table from its recovered durable state: the WAL-replayed
@@ -816,54 +653,32 @@ impl TableState {
         io: IoHandle,
         obs: Arc<TableObs>,
     ) -> Arc<TableState> {
-        let Recovered {
-            id,
-            meta,
-            log,
-            fit,
-            wal,
-            replayed_tail,
-            snapshot_epoch,
-            chain,
-            quarantine,
-            ..
-        } = rec;
-        let schema = meta.schema.clone();
-        let rows = meta.rows;
         // A recovered quarantine set means the persisted fit parameters were
         // computed over the *filtered* matrix: the first fit runs over the
         // same filtered view, while the freeze keeps covering the full log
         // (exclusion is a property of the fit, never the data).
-        let excluded: Vec<WorkerId> = quarantine.iter().map(|q| q.worker).collect();
-        let seed = match &fit {
-            Some(params) if replayed_tail == 0 => Seed::Evaluate(params),
-            _ => Seed::Cold,
+        let excluded: Vec<WorkerId> = rec.quarantine.iter().map(|q| q.worker).collect();
+        let seed = match rec.covering_fit() {
+            Some(params) => Seed::Evaluate(params),
+            None => Seed::Cold,
         };
-        let fit_state =
-            FitState::new(TCrowd::default_full(), schema.clone(), log.to_matrix(), excluded, seed);
-        let wal = wal.expect("recovered live table carries an open WAL");
-        let dir = wal.path().parent().expect("wal lives in a table dir").to_path_buf();
-        // Seed the chain position from the on-disk chain: the follow-up
-        // persist_store_snapshot then appends one O(tail) delta for the
-        // replayed tail (or is a no-op when the chain already covers
-        // everything) instead of rewriting a byte-identical full snapshot
-        // on every restart.
-        let chain_state = match &chain {
-            Some(info) => SnapChain::from_recovery(info, snapshot_epoch.unwrap_or(0)),
-            None => SnapChain::fresh(),
-        };
-        let durability = Durability::recovered(wal, dir, meta, chain_state, io);
-        let table = Self::spawn(
-            id,
-            schema,
-            rows,
-            config,
-            log,
-            fit_state,
-            Some(durability),
-            quarantine,
-            obs,
+        let schema = rec.meta.schema.clone();
+        let fit_state = FitState::new(
+            TCrowd::default_full(),
+            schema.clone(),
+            rec.log.to_matrix(),
+            excluded,
+            seed,
         );
+        let Recovered { id, meta, log, wal, chain, quarantine, .. } = rec;
+        let rows = meta.rows;
+        let wal = wal.expect("recovered live table carries an open WAL");
+        // The store extends the on-disk chain: the persist below appends one
+        // O(tail) delta for a replayed tail, or nothing when the chain
+        // already covers the log.
+        let store = TableStore::open(wal, meta, chain.as_ref(), io, obs.store_sink());
+        let table =
+            Self::spawn(id, schema, rows, config, log, fit_state, Some(store), quarantine, obs);
         // Persist right away: the recovery fit is exactly what a next crash
         // would want to seed from, and it re-establishes the fast path when
         // a tail was replayed.
@@ -879,7 +694,7 @@ impl TableState {
         config: TableConfig,
         log: AnswerLog,
         fit: FitState,
-        durability: Option<Durability>,
+        store: Option<TableStore>,
         quarantine: Vec<QuarantineEntry>,
         obs: Arc<TableObs>,
     ) -> Arc<TableState> {
@@ -915,14 +730,12 @@ impl TableState {
         });
         let seed = config.seed;
         let ingest = Arc::new(Mutex::new(log));
-        // Route WAL append/fsync timings into this table's histograms, seed
-        // the gauges `/healthz` and `/metrics` read before the first
-        // transition or publish, and start the commit thread — it needs the
-        // ingest log behind its `Arc`, which only exists from here on.
-        if let Some(d) = &durability {
-            lock_recover(&d.wal).set_obs(obs.store_sink());
-            d.start_committer(Arc::clone(&ingest), obs.store_sink());
-            obs.store_sink().wal_segments(count_segments(&d.dir));
+        // Start the commit thread — its sink needs the ingest log behind its
+        // `Arc`, which only exists from here on — and seed the gauges
+        // `/healthz` and `/metrics` read before the first transition or
+        // publish.
+        if let Some(store) = &store {
+            store.start_committer(Arc::new(service_sink(Arc::clone(&ingest), store)));
         }
         obs.set_health(HEALTH_HEALTHY);
         obs.set_trust(0, quarantine.len(), 0);
@@ -936,7 +749,7 @@ impl TableState {
             published: RwLock::new(snapshot),
             ingested: AtomicU64::new(ingested),
             deleted: AtomicBool::new(false),
-            durability,
+            store,
             ctl: Arc::new(RefreshCtl { stop: Mutex::new(false), wake: Condvar::new() }),
             refresher: Mutex::new(None),
             created_at: Instant::now(),
@@ -947,6 +760,7 @@ impl TableState {
             trust_seq: AtomicU64::new(0),
             rate_limited: AtomicU64::new(0),
             buckets: Mutex::new(HashMap::new()),
+            policies: Mutex::new(HashMap::new()),
             obs,
         });
         let weak: Weak<TableState> = Arc::downgrade(&table);
@@ -1099,46 +913,45 @@ impl TableState {
     /// memory-only tables). Callers hold the trust lock — the documented
     /// trust → wal order.
     fn append_quarantine_record(&self, set: &[QuarantineEntry]) -> Result<(), String> {
-        let Some(d) = &self.durability else { return Ok(()) };
-        let mut wal = lock_recover(&d.wal);
-        wal.append_quarantine(set).map(|_| ()).map_err(|e| e.to_string())
+        let Some(store) = &self.store else { return Ok(()) };
+        store.append_quarantine(set).map_err(|e| e.to_string())
     }
 
     /// Whether this table persists to a WAL.
     pub fn durable(&self) -> bool {
-        self.durability.is_some()
+        self.store.is_some()
     }
 
     /// Group-commit coalescing counters (`None` for memory-only tables or
     /// after the commit thread shut down on the deletion path).
     pub fn commit_stats(&self) -> Option<CommitStatsView> {
-        self.durability.as_ref().and_then(|d| d.committer().map(|c| c.stats()))
+        self.store.as_ref().and_then(|s| s.committer().map(|c| c.stats()))
     }
 
     /// Live WAL segments on disk (`None` for memory-only tables).
     pub fn wal_segments(&self) -> Option<u64> {
-        self.durability.as_ref().map(|d| count_segments(&d.dir))
+        self.store.as_ref().map(|s| s.segments())
     }
 
     /// Drain, commit, and join the commit thread (idempotent; no-op for
     /// memory-only tables). The registry calls this on shutdown so queued
     /// batches are on disk before the process exits.
     pub fn shutdown_committer(&self) {
-        if let Some(d) = &self.durability {
-            d.shutdown_committer();
+        if let Some(s) = &self.store {
+            s.shutdown_committer();
         }
     }
 
     /// Epoch of the store-snapshot chain written for this table (`None` for
     /// memory-only tables, `Some(0)` before the first write).
     pub fn last_store_snapshot_epoch(&self) -> Option<u64> {
-        self.durability.as_ref().map(|d| lock_recover(&d.chain).epoch)
+        self.store.as_ref().map(|s| s.chain_epoch())
     }
 
     /// Incremental links in the store-snapshot chain (`None` for
     /// memory-only tables, `Some(0)` right after a full base write).
     pub fn store_snapshot_links(&self) -> Option<u64> {
-        self.durability.as_ref().map(|d| lock_recover(&d.chain).links)
+        self.store.as_ref().map(|s| s.chain_links())
     }
 
     /// Whether the deletion tombstone is set.
@@ -1160,11 +973,10 @@ impl TableState {
     /// WAL. Must not be called with the ingest or WAL lock held (the
     /// drain takes both).
     pub(crate) fn append_tombstone(&self) -> Result<(), String> {
-        if let Some(d) = &self.durability {
-            d.shutdown_committer();
+        if let Some(s) = &self.store {
+            s.shutdown_committer();
             let _log = lock_recover(&self.ingest);
-            let mut wal = lock_recover(&d.wal);
-            wal.append_delete().map_err(|e| format!("tombstone append failed: {e}"))?;
+            s.append_delete().map_err(|e| format!("tombstone append failed: {e}"))?;
         }
         Ok(())
     }
@@ -1238,8 +1050,8 @@ impl TableState {
             }
         }
         self.check_rate_limit(answers)?;
-        match &self.durability {
-            Some(d) => {
+        match &self.store {
+            Some(store) => {
                 // Group-commit path: enqueue and park on the ticket with no
                 // lock held. The commit thread pushes the batch into the
                 // ingest log (under the ingest lock, in WAL order) before
@@ -1247,7 +1059,7 @@ impl TableState {
                 // are both durable and readable. The deletion path shuts
                 // the committer down *before* writing its tombstone, so a
                 // post-tombstone submit fails here rather than acking.
-                let Some(committer) = d.committer() else {
+                let Some(committer) = store.committer() else {
                     return Err(format!("table '{}' was deleted", self.id));
                 };
                 if self.is_deleted() {
@@ -1409,7 +1221,7 @@ impl TableState {
         let (catch, wal_pos) = {
             let log = lock_recover(&self.ingest);
             let catch = log.slice_since(pipe.fit.epoch());
-            let wal_pos = self.durability.as_ref().map(|d| d.mark.get());
+            let wal_pos = self.store.as_ref().map(|s| s.mark().get());
             if let Some(pos) = wal_pos {
                 debug_assert_eq!(pos.answers as usize, log.len());
             }
@@ -1419,12 +1231,8 @@ impl TableState {
         // will refer to them — under the WAL lock alone, with ingestion
         // flowing (under `fsync=always` this fsync finds nothing new).
         let wal_pos = wal_pos.and_then(|pos| {
-            let d = self.durability.as_ref().expect("wal_pos implies durability");
-            let sync = {
-                let mut wal = lock_recover(&d.wal);
-                wal.sync()
-            };
-            match sync {
+            let store = self.store.as_ref().expect("wal_pos implies a store");
+            match store.sync() {
                 Ok(()) => Some(pos),
                 Err(e) => {
                     // The publish still proceeds (readers get the fresh
@@ -1579,31 +1387,27 @@ impl TableState {
     /// alone — never under ingest). Used by recovery and shutdown to
     /// re-establish the snapshot fast path.
     pub fn persist_store_snapshot(&self) {
-        let Some(d) = &self.durability else { return };
+        let Some(store) = &self.store else { return };
         let pos = {
             let log = lock_recover(&self.ingest);
-            let pos = d.mark.get();
+            let pos = store.mark().get();
             debug_assert_eq!(pos.answers as usize, log.len());
             pos
         };
-        let sync = {
-            let mut wal = lock_recover(&d.wal);
-            wal.sync()
-        };
-        match sync {
+        match store.sync() {
             Ok(()) => self.write_store_snapshot(pos),
             Err(e) => self.record_wal_failure(format!("WAL sync failed: {e}")),
         }
     }
 
-    /// Write the published snapshot to disk if it advances the persisted
-    /// chain and matches `pos` — as an `O(Δ)` chain delta normally, as a
-    /// full base when the chain is new, broken, or due for collapse.
-    /// Failures degrade the table (`persist_failures` + background
-    /// re-attempt), never stop serving: the store snapshot is a recovery
-    /// accelerator, the WAL already holds the data.
+    /// Hand the published snapshot to the store if it matches `pos`; the
+    /// store writes it as a chain delta or a full base, or nothing when the
+    /// chain already holds it. Failures degrade the table
+    /// (`persist_failures` + background re-attempt), never stop serving:
+    /// the store snapshot is a recovery accelerator, the WAL already holds
+    /// the data.
     fn write_store_snapshot(&self, pos: WalPosition) {
-        let Some(d) = &self.durability else { return };
+        let Some(store) = &self.store else { return };
         if self.is_deleted() {
             return;
         }
@@ -1613,119 +1417,35 @@ impl TableState {
             // position matches its snapshot will write the pair.
             return;
         }
-        // The chain mutex serialises check → write → advance, so a slower
-        // writer can never chain a delta from (or rename a base over) a
-        // position the faster one already superseded.
-        let mut chain = lock_recover(&d.chain);
-        // Already persisted (possibly by the background re-attempt) when the
-        // chain tip is this publish or a later one. A republish at the same
-        // epoch appends a zero-answer delta carrying its fit and quarantine
-        // set; recovery and shutdown publish nothing, so a restart never
-        // grows the chain. At epoch 0 a broken chain still collapses.
-        let persisted = (chain.epoch, chain.refreshes) >= (snap.epoch as u64, snap.refreshes);
-        if chain.has_base && persisted && !(snap.epoch == 0 && chain.force_full) {
-            drop(chain);
-            self.note_persist_success();
-            return;
-        }
-        let delta_answers = snap.epoch as u64 - chain.epoch;
-        let fit = Some(FitParams::of(&snap.result));
-        let collapse =
-            !chain.has_base || chain.force_full || chain.links + 1 > SNAPSHOT_CHAIN_MAX_LINKS || {
-                let grown = chain.chain_answers + delta_answers;
-                grown >= SNAPSHOT_CHAIN_MIN_COLLAPSE && grown >= chain.base_answers
-            };
-        let outcome = if collapse {
-            let table_snap = TableSnapshot {
-                epoch: snap.epoch as u64,
-                wal_offset: pos.offset,
-                meta: d.meta.clone(),
-                log: snap.log.to_log(),
-                fit,
-                quarantine: snap.trust.quarantine.clone(),
-            };
-            match write_snapshot_observed(&d.dir, &table_snap, &d.io, &self.obs.store_sink()) {
-                Ok(()) => {
-                    // Old links chain from epochs below the new base, so they
-                    // are unreachable the moment the base rename lands;
-                    // removing them afterwards is pure cleanup (crash-safe in
-                    // either order).
-                    if let Err(e) = remove_snapshot_deltas(&d.dir) {
-                        eprintln!(
-                            "tcrowd-service: stale snapshot deltas for table '{}' not removed: {e}",
-                            self.id
-                        );
-                    }
-                    *chain = SnapChain {
-                        has_base: true,
-                        epoch: snap.epoch as u64,
-                        refreshes: snap.refreshes,
-                        links: 0,
-                        next_seq: 1,
-                        base_answers: snap.epoch as u64,
-                        chain_answers: 0,
-                        force_full: false,
-                    };
-                    // The new base covers every answer at or below
-                    // `pos.offset`: rotated WAL segments wholly below it are
-                    // replay-dead weight — delete the cold prefix so
-                    // recovery's replay stays bounded by the live tail.
-                    match compact_cold_segments(&d.dir, pos.offset) {
-                        Ok(removed) if removed > 0 => {
-                            self.obs.event(
-                                "wal_compacted",
-                                format!(
-                                    "{removed} cold segment(s) removed below offset {}",
-                                    pos.offset
-                                ),
-                                None,
-                            );
-                            self.obs.store_sink().wal_segments(count_segments(&d.dir));
-                        }
-                        Ok(_) => {}
-                        // Best-effort: a failed unlink costs replay time, not
-                        // correctness — the next collapse retries.
-                        Err(e) => eprintln!(
-                            "tcrowd-service: cold WAL segments for table '{}' not compacted: {e}",
-                            self.id
-                        ),
-                    }
-                    Ok(())
-                }
-                Err(e) => Err(format!("snapshot write failed: {e}")),
-            }
-        } else {
-            let delta = SnapshotDelta {
-                seq: chain.next_seq,
-                parent_epoch: chain.epoch,
-                epoch: snap.epoch as u64,
-                wal_offset: pos.offset,
-                answers: snap.log.range_vec(chain.epoch as usize, snap.epoch),
-                fit,
-                quarantine: snap.trust.quarantine.clone(),
-            };
-            match write_snapshot_delta_observed(&d.dir, &delta, &d.io, &self.obs.store_sink()) {
-                Ok(()) => {
-                    chain.epoch = snap.epoch as u64;
-                    chain.refreshes = snap.refreshes;
-                    chain.links += 1;
-                    chain.next_seq += 1;
-                    chain.chain_answers += delta_answers;
-                    Ok(())
-                }
-                Err(e) => Err(format!("snapshot delta write failed: {e}")),
+        let publish = Publish {
+            seq: snap.refreshes,
+            wal_offset: pos.offset,
+            log: &snap.log,
+            fit: &snap.result,
+            quarantine: &snap.trust.quarantine,
+        };
+        let (kind, written) = match store.persist(&publish) {
+            Persisted::Current => return self.note_persist_success(),
+            Persisted::Delta(written) => (
+                "chain delta",
+                written.map(|()| 0).map_err(|e| format!("snapshot delta write failed: {e}")),
+            ),
+            Persisted::Base(written) => {
+                ("full base", written.map_err(|e| format!("snapshot write failed: {e}")))
             }
         };
-        drop(chain);
-        match outcome {
-            Ok(()) => {
+        match written {
+            Ok(compacted) => {
+                if compacted > 0 {
+                    self.obs.event(
+                        "wal_compacted",
+                        format!("{compacted} cold segment(s) removed below offset {}", pos.offset),
+                        None,
+                    );
+                }
                 self.obs.event(
                     "snapshot_persisted",
-                    format!(
-                        "epoch {} ({})",
-                        snap.epoch,
-                        if collapse { "full base" } else { "chain delta" }
-                    ),
+                    format!("epoch {} ({kind})", snap.epoch),
                     None,
                 );
                 self.note_persist_success()
@@ -1738,9 +1458,11 @@ impl TableState {
     }
 
     /// Select up to `k` cells for `worker` from the published snapshot,
-    /// using `policy` (or the table's configured default). Returns the
-    /// snapshot the decision was made from alongside the picks, so callers
-    /// can report the decision epoch.
+    /// using `policy` (or the table's configured default). A policy that
+    /// keeps state between requests is the table's one instance of it; the
+    /// others are built per request. Returns the snapshot the decision was
+    /// made from alongside the picks, so callers can report the decision
+    /// epoch.
     pub fn assign(
         &self,
         worker: tcrowd_tabular::WorkerId,
@@ -1759,7 +1481,12 @@ impl TableState {
             terminated: None,
             correlation: Some(&snap.correlation),
         };
-        let picks = policy.select(worker, k, &ctx);
+        let picks = if policy.stateful() {
+            let mut kept = lock_recover(&self.policies);
+            kept.entry(name.clone()).or_insert(policy).select(worker, k, &ctx)
+        } else {
+            policy.select(worker, k, &ctx)
+        };
         Ok((snap, picks, name))
     }
 
@@ -1955,12 +1682,11 @@ impl TableState {
     /// Sound because of WAL-before-ack: an append either committed before
     /// its batch entered the log, or errored before the log was touched —
     /// so the in-memory log is *exactly* the acknowledged answer set, and a
-    /// log rewritten from it loses nothing and invents nothing. The stale
-    /// snapshot chain (whose offsets describe the old byte layout) is
-    /// removed first; the chain resets and the next persist writes a fresh
-    /// full base.
+    /// log rewritten from it loses nothing and invents nothing. The store
+    /// drops the stale snapshot chain and restarts it; the next persist
+    /// writes a fresh full base.
     fn try_rebuild_wal(&self) {
-        let Some(d) = &self.durability else { return };
+        let Some(store) = &self.store else { return };
         if self.is_deleted() {
             return;
         }
@@ -1969,31 +1695,10 @@ impl TableState {
         // order). A decision racing the rebuild re-appends on the next
         // refresh — the record is a full replacement, so that is benign.
         let quarantine = self.quarantine_entries();
-        let result: Result<(), String> = (|| {
-            let log = lock_recover(&self.ingest);
-            let mut wal = lock_recover(&d.wal);
-            if !wal.is_poisoned() {
-                // Already healthy (e.g. a racing repair, or the failure was
-                // an fsync refused by a poisoned WAL that a restart fixed).
-                return Ok(());
-            }
-            let policy = wal.fsync_policy();
-            remove_snapshot(&d.dir).map_err(|e| format!("stale snapshot removal: {e}"))?;
-            let pos = rewrite_wal(&d.dir, &d.meta, log.all(), &quarantine, &d.io)
-                .map_err(|e| format!("log rewrite: {e}"))?;
-            debug_assert_eq!(pos.answers as usize, log.len());
-            let fresh =
-                Wal::open_for_append_with_io(d.dir.join(WAL_FILE), pos, policy, d.io.clone())
-                    .map_err(|e| format!("rebuilt log reopen: {e}"))?;
-            *wal = fresh;
-            // Reset the durable mark under the same ingest-lock hold: the
-            // rewritten log's byte layout replaces the old one, and `pos`
-            // covers exactly the in-memory (acked) prefix.
-            d.mark.set(pos);
-            *lock_recover(&d.chain) = SnapChain::fresh();
-            Ok(())
-        })();
-        match result {
+        // Under the ingest lock, so the durable mark moves to the rewritten
+        // log's end in the same hold as the answers it covers.
+        let rebuilt = store.rebuild_wal(lock_recover(&self.ingest).all(), &quarantine);
+        match rebuilt {
             Ok(()) => {
                 eprintln!("tcrowd-service: table '{}' WAL rebuilt; ingest re-enabled", self.id);
                 self.obs.event(
@@ -2001,8 +1706,6 @@ impl TableState {
                     "log rewritten from the acknowledged prefix; ingest re-enabled".to_string(),
                     None,
                 );
-                // The rewrite collapses the chain to a single segment.
-                self.obs.store_sink().wal_segments(count_segments(&d.dir));
                 self.mutate_health(|h| {
                     h.wal_broken = false;
                     // The chain was reset — persist a fresh base on the next
@@ -2012,7 +1715,7 @@ impl TableState {
                     h.retry_at = Some(Instant::now());
                 });
             }
-            Err(msg) => self.record_wal_failure(format!("WAL rebuild failed: {msg}")),
+            Err(e) => self.record_wal_failure(format!("WAL rebuild failed: {e}")),
         }
     }
 }
@@ -2062,7 +1765,14 @@ mod tests {
             refresh_interval: Duration::from_millis(10),
             ..Default::default()
         };
-        let t = TableState::create("t".into(), d.schema.clone(), d.rows(), config, None);
+        let t = TableState::create_with_obs(
+            "t".into(),
+            d.schema.clone(),
+            d.rows(),
+            config,
+            None,
+            TableObs::standalone("t"),
+        );
         (t, d)
     }
 
@@ -2163,6 +1873,23 @@ mod tests {
         assert_eq!(t.snapshot().epoch, 8, "refresher should publish pending answers");
         assert!(t.snapshot().refreshes >= 1);
         t.stop_refresher();
+    }
+
+    #[test]
+    fn random_and_looping_keep_their_state_between_requests() {
+        let (t, _) = make_table(usize::MAX);
+        t.stop_refresher();
+        // `random` draws every request from one stream, so fresh workers on
+        // an empty table do not all get the same cells.
+        let picks: Vec<Vec<CellId>> = (90_001..=90_003)
+            .map(|w| t.assign(WorkerId(w), 5, Some("random")).unwrap().1)
+            .collect();
+        assert!(picks.windows(2).any(|p| p[0] != p[1]), "{picks:?}");
+        // `looping` continues the lap where the previous request stopped.
+        let first = t.assign(WorkerId(1), 3, Some("looping")).unwrap().1;
+        let second = t.assign(WorkerId(2), 3, Some("looping")).unwrap().1;
+        let lap: Vec<CellId> = (0..6).map(|i| CellId::new(i / 3, i % 3)).collect();
+        assert_eq!([first, second].concat(), lap);
     }
 
     #[test]
@@ -2339,7 +2066,14 @@ mod tests {
             worker_burst: 4,
             ..Default::default()
         };
-        let t = TableState::create("rl".into(), d.schema.clone(), d.rows(), config, None);
+        let t = TableState::create_with_obs(
+            "rl".into(),
+            d.schema.clone(),
+            d.rows(),
+            config,
+            None,
+            TableObs::standalone("rl"),
+        );
         let by_worker = |w: u32| -> Vec<Answer> {
             d.answers.all().iter().copied().filter(|a| a.worker == WorkerId(w)).collect()
         };
@@ -2382,7 +2116,14 @@ mod tests {
             trust: tcrowd_trust::TrustConfig { min_answers: 8, ..Default::default() },
             ..Default::default()
         };
-        let t = TableState::create("spam".into(), d.schema.clone(), d.rows(), config, None);
+        let t = TableState::create_with_obs(
+            "spam".into(),
+            d.schema.clone(),
+            d.rows(),
+            config,
+            None,
+            TableObs::standalone("spam"),
+        );
         t.submit(d.answers.all()).unwrap();
         // A spammer answering uniformly at random over every cell.
         let mut rng = StdRng::seed_from_u64(77);

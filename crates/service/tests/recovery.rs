@@ -301,6 +301,158 @@ fn recovery_without_snapshot_is_exact_cold_replay() {
 }
 
 #[test]
+fn compacting_after_a_crash_drops_a_fit_that_misses_the_wal_tail() {
+    // A crash leaves acknowledged answers past the last store snapshot, and
+    // `tcrowd store compact` folds them into a fresh base. The stored fit
+    // never saw them, so the base must not carry it: the next boot would
+    // evaluate it over the whole log and serve it as settled.
+    let dir = fresh_dir("compact_after_crash");
+    let d = generate_dataset(
+        &GeneratorConfig {
+            rows: 20,
+            columns: 4,
+            num_workers: 12,
+            answers_per_task: 4,
+            ..Default::default()
+        },
+        21,
+    );
+    let half = d.answers.len() / 2;
+    {
+        let reg = TableRegistry::with_store(store(&dir));
+        let t = reg.create(Some("t".into()), d.schema.clone(), d.rows(), manual_config()).unwrap();
+        t.submit(&d.answers.all()[..half]).unwrap();
+        assert!(t.refresh_now());
+        t.submit(&d.answers.all()[half..]).unwrap();
+        t.stop_refresher();
+    }
+    store(&dir).compact_table("t").unwrap();
+    let reg = TableRegistry::with_store(store(&dir));
+    reg.recover().unwrap();
+    let t = reg.get("t").unwrap();
+    let snap = t.snapshot();
+    assert_eq!(snap.log.to_vec(), d.answers.all());
+    let offline = TCrowd::default_full().infer(&d.schema, &snap.log.to_log());
+    let gap = max_z_discrepancy(&snap.result, &offline);
+    assert!(gap < 1e-6, "served truth after compaction is a stale fit: {gap:.3e}");
+    reg.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `name:size` of every file in a table directory: the other files by
+/// name, then the snapshot deltas by sequence number, with each run of
+/// consecutive deltas of one size folded into `snapshot.delta.A..=B:size`.
+fn layout(dir: &std::path::Path) -> String {
+    let mut files: Vec<(Option<u64>, String, u64)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().into_string().unwrap();
+            let seq = name.strip_prefix("snapshot.delta.").and_then(|s| s.parse().ok());
+            (seq, name, e.metadata().unwrap().len())
+        })
+        .collect();
+    files.sort();
+    let mut out: Vec<String> = Vec::new();
+    let mut run: Option<(u64, u64, u64)> = None;
+    for (seq, name, len) in files {
+        if let (Some(s), Some((_, last, size))) = (seq, run.as_mut()) {
+            if s == *last + 1 && len == *size {
+                *last = s;
+                continue;
+            }
+        }
+        if let Some((first, last, size)) = run.take() {
+            out.push(format!("snapshot.delta.{first}..={last}:{size}"));
+        }
+        match seq {
+            Some(s) => run = Some((s, s, len)),
+            None => out.push(format!("{name}:{len}")),
+        }
+    }
+    if let Some((first, last, size)) = run {
+        out.push(format!("snapshot.delta.{first}..={last}:{size}"));
+    }
+    out.join(" ")
+}
+
+#[test]
+fn a_durable_tables_files_follow_a_fixed_history() {
+    // Pins the on-disk layout a publish history leaves: a base on the first
+    // persist, one delta per publish (zero answers for a republish at an
+    // unchanged epoch), a collapse into a fresh base past 32 links that
+    // drops the deltas and the cold WAL segments, and WAL rotation.
+    let dir = fresh_dir("layout");
+    let d = generate_dataset(
+        &GeneratorConfig {
+            rows: 20,
+            columns: 4,
+            num_workers: 12,
+            answers_per_task: 4,
+            ..Default::default()
+        },
+        28,
+    );
+    let answers = d.answers.all();
+    let s = Arc::new(Store::open(&dir, FsyncPolicy::Flush).unwrap().with_segment_max(2048));
+    let reg = TableRegistry::with_store(Arc::clone(&s));
+    let t = reg.create(Some("t".into()), d.schema.clone(), d.rows(), manual_config()).unwrap();
+    t.stop_refresher();
+    let tdir = s.table_dir("t");
+    let mut seen = vec![layout(&tdir)];
+    let publish = |range: std::ops::Range<usize>| {
+        t.submit(&answers[range]).unwrap();
+        assert!(t.refresh_now());
+    };
+    publish(0..100);
+    seen.push(layout(&tdir));
+    publish(100..140);
+    seen.push(layout(&tdir));
+    t.set_worker_quarantine(answers[0].worker, true).unwrap();
+    assert!(t.refresh_now());
+    seen.push(layout(&tdir));
+    for i in 0..30 {
+        publish(140 + 5 * i..145 + 5 * i);
+    }
+    seen.push(layout(&tdir));
+    publish(290..300);
+    seen.push(layout(&tdir));
+    publish(300..answers.len());
+    seen.push(layout(&tdir));
+    reg.shutdown();
+    seen.push(layout(&tdir));
+    assert_eq!(t.store_snapshot_links(), Some(1));
+    let links = "snapshot.delta.1..=1:1221 snapshot.delta.2..=2:454 \
+                 snapshot.delta.3..=4:547 snapshot.delta.5..=6:551 snapshot.delta.7..=8:547 \
+                 snapshot.delta.9..=10:551 snapshot.delta.11..=12:547 \
+                 snapshot.delta.13..=14:551 snapshot.delta.15..=16:547 \
+                 snapshot.delta.17..=18:551 snapshot.delta.19..=20:547 \
+                 snapshot.delta.21..=22:551 snapshot.delta.23..=24:547 \
+                 snapshot.delta.25..=26:551 snapshot.delta.27..=28:547 \
+                 snapshot.delta.29..=30:551 snapshot.delta.31..=32:547";
+    let expected = [
+        // Created: the Create record alone.
+        "wal.log:649".to_string(),
+        // First publish: a base; wal.log rotated and, wholly below the
+        // base, was compacted away.
+        "snapshot.snap:3001 wal.00000001.log:33".to_string(),
+        "snapshot.snap:3001 wal.00000001.log:806 snapshot.delta.1..=1:1221".to_string(),
+        // The quarantine record, and a zero-answer link for its republish.
+        "snapshot.snap:3001 wal.00000001.log:824 snapshot.delta.1..=1:1221 \
+         snapshot.delta.2..=2:454"
+            .to_string(),
+        format!("snapshot.snap:3001 wal.00000001.log:2120 wal.00000002.log:1973 {links}"),
+        // The 33rd link collapses the chain into a base.
+        "snapshot.snap:6794 wal.00000003.log:33".to_string(),
+        "snapshot.snap:6794 wal.00000003.log:426 snapshot.delta.1..=1:834".to_string(),
+        // Shutdown persists nothing new.
+        "snapshot.snap:6794 wal.00000003.log:426 snapshot.delta.1..=1:834".to_string(),
+    ];
+    assert_eq!(seen, expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn deleted_tables_do_not_come_back() {
     let dir = fresh_dir("deleted");
     let d = generate_dataset(&GeneratorConfig { rows: 8, columns: 3, ..Default::default() }, 23);

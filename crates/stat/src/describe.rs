@@ -23,15 +23,6 @@ pub fn variance(data: &[f64]) -> f64 {
     data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / data.len() as f64
 }
 
-/// Sample variance (divides by `n−1`); `0.0` for fewer than two points.
-pub fn sample_variance(data: &[f64]) -> f64 {
-    if data.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(data);
-    data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (data.len() - 1) as f64
-}
-
 /// Population standard deviation.
 pub fn std_dev(data: &[f64]) -> f64 {
     variance(data).sqrt()
@@ -51,14 +42,6 @@ pub fn median(data: &[f64]) -> f64 {
     } else {
         0.5 * (v[n / 2 - 1] + v[n / 2])
     }
-}
-
-/// Weighted mean `Σ wᵢxᵢ / Σ wᵢ`; panics if the total weight is not positive.
-pub fn weighted_mean(values: &[f64], weights: &[f64]) -> f64 {
-    assert_eq!(values.len(), weights.len());
-    let total: f64 = weights.iter().sum();
-    assert!(total > 0.0, "total weight must be positive");
-    values.iter().zip(weights).map(|(x, w)| x * w).sum::<f64>() / total
 }
 
 /// Population covariance of two equally long slices.
@@ -109,7 +92,6 @@ mod tests {
         let d = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&d), 2.5);
         assert!((variance(&d) - 1.25).abs() < 1e-12);
-        assert!((sample_variance(&d) - 5.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -118,7 +100,6 @@ mod tests {
         assert_eq!(variance(&[]), 0.0);
         assert_eq!(median(&[]), 0.0);
         assert_eq!(rmse(&[], &[]), 0.0);
-        assert_eq!(sample_variance(&[1.0]), 0.0);
     }
 
     #[test]
@@ -126,18 +107,6 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
         assert_eq!(median(&[7.0]), 7.0);
-    }
-
-    #[test]
-    fn weighted_mean_matches_manual() {
-        let v = weighted_mean(&[1.0, 3.0], &[1.0, 3.0]);
-        assert!((v - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "total weight")]
-    fn weighted_mean_rejects_zero_weight() {
-        weighted_mean(&[1.0], &[0.0]);
     }
 
     #[test]

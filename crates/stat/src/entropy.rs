@@ -7,8 +7,6 @@
 //! discretising a continuous variable with bin width Δ gives
 //! `H_s(X^Δ) ≈ H_d(X) − ln Δ`, so the Δ terms cancel in an entropy delta.
 
-use crate::normal::Normal;
-
 /// Shannon entropy (nats) of a discrete distribution given as probabilities.
 ///
 /// Zero-probability entries contribute nothing (the `p ln p → 0` limit).
@@ -23,35 +21,29 @@ pub fn shannon(probs: &[f64]) -> f64 {
     h
 }
 
-/// Differential entropy (nats) of a Gaussian: `½ ln(2πe·var)`.
-#[inline]
-pub fn gaussian_differential(var: f64) -> f64 {
-    Normal::new(0.0, var).differential_entropy()
-}
-
-/// Shannon entropy of a discretisation of `N(0, var)` with bin width `delta`.
-///
-/// Exists to *test* the paper's comparability argument
-/// (`H_s(X^Δ) + ln Δ → H_d(X)` as Δ → 0); the production gain computation
-/// uses the closed forms directly.
-pub fn discretized_gaussian_shannon(var: f64, delta: f64, half_width_sigmas: f64) -> f64 {
-    let n = Normal::new(0.0, var);
-    let sd = var.sqrt();
-    let half = half_width_sigmas * sd;
-    let bins = (2.0 * half / delta).ceil() as usize;
-    let mut probs = Vec::with_capacity(bins);
-    let mut x = -half;
-    while x < half {
-        let p = n.cdf(x + delta) - n.cdf(x);
-        probs.push(p);
-        x += delta;
-    }
-    shannon(&probs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::normal::Normal;
+
+    /// Differential entropy (nats) of `N(0, var)`: `½ ln(2πe·var)`.
+    fn gaussian_differential(var: f64) -> f64 {
+        Normal::new(0.0, var).differential_entropy()
+    }
+
+    /// Shannon entropy of a discretisation of `N(0, var)` with bin width
+    /// `delta`, over ±`half_width_sigmas` standard deviations.
+    fn discretized_gaussian_shannon(var: f64, delta: f64, half_width_sigmas: f64) -> f64 {
+        let n = Normal::new(0.0, var);
+        let half = half_width_sigmas * var.sqrt();
+        let mut probs = Vec::new();
+        let mut x = -half;
+        while x < half {
+            probs.push(n.cdf(x + delta) - n.cdf(x));
+            x += delta;
+        }
+        shannon(&probs)
+    }
 
     #[test]
     fn uniform_maximises_shannon() {

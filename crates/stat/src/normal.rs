@@ -96,15 +96,6 @@ impl Normal {
         Normal::new(weighted * var, var)
     }
 
-    /// Predictive distribution of a new observation with noise variance
-    /// `obs_var`: `N(mean, var + obs_var)`.
-    ///
-    /// Used by the information-gain computation to enumerate an incoming
-    /// worker's likely answers (§5.1).
-    pub fn predictive(&self, obs_var: f64) -> Normal {
-        Normal::new(self.mean, self.var + clamp_var(obs_var))
-    }
-
     /// Draw one sample.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.mean + self.std() * sample_std_normal(rng)
@@ -229,13 +220,6 @@ mod tests {
         let constant = fit(&[2.0, 2.0, 2.0]);
         assert_eq!(constant.mean, 2.0);
         assert!(constant.var <= 1e-10);
-    }
-
-    #[test]
-    fn predictive_adds_variances() {
-        let n = Normal::new(1.0, 2.0).predictive(3.0);
-        assert_eq!(n.mean, 1.0);
-        assert!((n.var - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -142,12 +142,6 @@ pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / SQRT_2)
 }
 
-/// Standard normal probability density function `φ(x)`.
-#[inline]
-pub fn std_normal_pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// Standard normal quantile function `Φ⁻¹(p)`.
 ///
 /// `p` outside `(0, 1)` maps to `±∞`/NaN consistently with the CDF limits.

@@ -74,6 +74,13 @@ pub trait CommitSink: Send + Sync {
     fn committed(&self, batches: &[CommittedBatch<'_>]);
 }
 
+/// A closure over each group's batches is a sink too.
+impl<F: Fn(&[CommittedBatch<'_>]) + Send + Sync> CommitSink for F {
+    fn committed(&self, batches: &[CommittedBatch<'_>]) {
+        self(batches)
+    }
+}
+
 /// A sink that only advances a [`DurableMark`] (store-level tests and
 /// benches that keep no in-memory log).
 pub struct MarkSink(pub DurableMark);

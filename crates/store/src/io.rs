@@ -249,11 +249,6 @@ impl FaultyIo {
         self.lock().fired
     }
 
-    /// One-shot faults still armed (sticky windows not included).
-    pub fn pending_faults(&self) -> usize {
-        self.lock().schedule.len()
-    }
-
     /// Count the call, consume a matching scheduled fault or match the
     /// sticky window, and return what should happen.
     fn next_fault(&self, op: FaultOp, path: &Path) -> Option<FaultKind> {
@@ -345,7 +340,7 @@ mod tests {
         assert!(io.write_all(&path, &mut f, b"three").is_ok());
         assert_eq!(io.counts().0, 3);
         assert_eq!(io.fired(), 1);
-        assert_eq!(io.pending_faults(), 0);
+        assert!(io.lock().schedule.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -391,7 +386,7 @@ mod tests {
         let a = FaultyIo::seeded(42, 8, 100);
         let b = FaultyIo::seeded(42, 8, 100);
         assert_eq!(a.lock().schedule, b.lock().schedule);
-        assert_eq!(a.pending_faults(), 8);
+        assert_eq!(a.lock().schedule.len(), 8);
         let c = FaultyIo::seeded(43, 8, 100);
         assert_ne!(a.lock().schedule, c.lock().schedule);
     }

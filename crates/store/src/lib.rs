@@ -7,26 +7,35 @@
 //!
 //! * a per-table append-only **write-ahead log** ([`wal`]) of
 //!   length-prefixed, CRC-32-checksummed binary records (table create,
-//!   answer-batch append, deletion tombstone) with group-commit batching and
-//!   a configurable [`FsyncPolicy`];
-//! * periodic **snapshot files** ([`snapshot`]) of `(log@epoch,
-//!   warm-startable fit parameters, WAL offset)` so recovery replays only
-//!   the WAL tail and seeds EM at the previous optimum instead of
-//!   re-running it from scratch;
+//!   answer-batch append, quarantine set, deletion tombstone), rotated into
+//!   segments ([`segment`]), with a group-commit thread ([`commit`]) and a
+//!   configurable [`FsyncPolicy`];
+//! * an incremental **snapshot chain** ([`snapshot`]): a base of
+//!   `(log@epoch, warm-startable fit parameters, WAL offset)` plus delta
+//!   links holding only the answers since the previous element, so
+//!   recovery replays only the WAL tail and republishes the stored fit
+//!   instead of re-running EM;
+//! * one owner of a live table's files ([`TableStore`], in [`table`]): the
+//!   open WAL and its commit thread, the durable watermark, and the chain's
+//!   writer — delta or base, stale-delta removal, cold-segment compaction
+//!   and the rewrite of a poisoned WAL;
 //! * **crash recovery** ([`Store::recover_all`]) that tolerates torn tails
 //!   (truncate at the first bad checksum) and reconstructs a bit-identical
-//!   [`tcrowd_tabular::AnswerLog`] — exactly the acknowledged prefix.
+//!   [`tcrowd_tabular::AnswerLog`] — exactly the acknowledged prefix — and
+//!   the offline tools behind `tcrowd store {inspect,verify,compact}`.
 //!
 //! ```text
-//! ingest batch ──▶ wal.append_answers (frame + CRC + flush/fsync) ──▶ ack
-//!                        │                       refresher, after publish:
-//!                        │                  snapshot.write (log@epoch, fit,
-//!                        ▼                        wal offset; tmp+rename)
+//! ingest batch ──▶ commit thread: wal.append_group (frame + CRC +
+//!                  flush/fsync) ──▶ sink ──▶ ack
+//!                        │           refresher, after publish:
+//!                        │           TableStore::persist (chain delta, or
+//!                        ▼           a fresh base; tmp+rename)
 //!        crash ▶ Store::recover_table:
-//!          read snapshot ──▶ replay WAL tail from snapshot.wal_offset
+//!          fold the snapshot chain ──▶ replay WAL tail from its offset
 //!          (none/corrupt ──▶ full replay from byte 0)
 //!          truncate torn tail at first bad checksum
-//!          AnswerLog (bit-identical) + FitParams (warm EM restart)
+//!          AnswerLog (bit-identical) + FitParams (Recovered::covering_fit:
+//!          republished only when no WAL tail was replayed)
 //! ```
 //!
 //! Everything is `std`-only and hand-rolled (the build environment has no
@@ -35,10 +44,10 @@
 //! in-memory answer types.
 //!
 //! The store is deliberately **service-agnostic**: it persists a
-//! [`TableMeta`] (shape + schema + opaque config key/values) and batches of
-//! answers, and knows nothing about HTTP, policies or refresh cadences —
-//! `tcrowd-service` threads a [`Wal`] through its ingest path and calls
-//! [`snapshot::write_snapshot`] after each publish.
+//! [`TableMeta`] (shape + schema + opaque config key/values), batches of
+//! answers and published fits, and knows nothing about HTTP, policies or
+//! refresh cadences — `tcrowd-service` holds one [`TableStore`] per
+//! durable table and decides when to persist.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +59,7 @@ pub mod obs;
 pub mod segment;
 pub mod snapshot;
 pub mod store;
+pub mod table;
 pub mod wal;
 
 pub use commit::{
@@ -66,11 +76,11 @@ pub use segment::{
 };
 pub use snapshot::{
     read_snapshot, read_snapshot_chain, remove_snapshot, remove_snapshot_deltas, write_snapshot,
-    write_snapshot_delta, write_snapshot_delta_observed, write_snapshot_delta_with_io,
-    write_snapshot_observed, write_snapshot_with_io, ChainInfo, SnapshotDelta, TableSnapshot,
-    DELTA_PREFIX, SNAPSHOT_FILE,
+    write_snapshot_delta, write_snapshot_delta_with_io, write_snapshot_with_io, ChainInfo,
+    SnapshotDelta, TableSnapshot, DELTA_PREFIX, SNAPSHOT_FILE,
 };
-pub use store::{rewrite_wal, CompactReport, Recovered, SnapshotCheck, Store, VerifyReport};
+pub use store::{CompactReport, Recovered, SnapshotCheck, Store, VerifyReport};
+pub use table::{Persisted, Publish, TableStore};
 pub use wal::{
     record_kind_name, replay, replay_tail, truncate_to_valid, FsyncPolicy, QuarantineEntry,
     RecordInfo, TableMeta, TornTail, Wal, WalPosition, WalReplay, WAL_FILE,

@@ -411,20 +411,6 @@ pub fn write_snapshot_with_io(
     write_atomically(dir, TMP_FILE, SNAPSHOT_FILE, &encode(snap), io)
 }
 
-/// [`write_snapshot_with_io`] that reports the duration of a successful
-/// persist (encode + write + fsync + rename) to `obs`.
-pub fn write_snapshot_observed(
-    dir: &Path,
-    snap: &TableSnapshot,
-    io: &IoHandle,
-    obs: &crate::obs::ObsHandle,
-) -> Result<(), StoreError> {
-    let t = std::time::Instant::now();
-    write_snapshot_with_io(dir, snap, io)?;
-    obs.snapshot_persist_ns(t.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    Ok(())
-}
-
 /// Atomically write one chain link as `snapshot.delta.<seq>`. The caller
 /// owns chain discipline: `parent_epoch` must equal the epoch already
 /// durable (base + applied deltas) and `seq` must exceed every sequence on
@@ -446,20 +432,6 @@ pub fn write_snapshot_delta_with_io(
         &encode_delta(delta),
         io,
     )
-}
-
-/// [`write_snapshot_delta_with_io`] that reports the duration of a
-/// successful persist to `obs`.
-pub fn write_snapshot_delta_observed(
-    dir: &Path,
-    delta: &SnapshotDelta,
-    io: &IoHandle,
-    obs: &crate::obs::ObsHandle,
-) -> Result<(), StoreError> {
-    let t = std::time::Instant::now();
-    write_snapshot_delta_with_io(dir, delta, io)?;
-    obs.snapshot_persist_ns(t.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    Ok(())
 }
 
 /// The delta files present in `dir`, sorted by sequence number ascending.

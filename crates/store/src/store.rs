@@ -73,6 +73,15 @@ pub struct Recovered {
     pub wal: Option<Wal>,
 }
 
+impl Recovered {
+    /// The stored fit, when it covers the whole recovered log: recovery
+    /// replayed no WAL tail past the snapshot chain. A fit that missed the
+    /// tail must not be republished, or persisted as the table's fit.
+    pub fn covering_fit(&self) -> Option<&FitParams> {
+        self.fit.as_ref().filter(|_| self.replayed_tail == 0)
+    }
+}
+
 /// What `compact` did to one table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactReport {
@@ -395,27 +404,12 @@ impl Store {
                         s.wal_offset
                     ),
                 };
-                // Same crash-safe order as compaction: drop the stale
-                // snapshot chain (whose wal_offsets describe the OLD layout)
-                // before the rewrite, then persist a fresh full base
-                // matching the new layout. Leaving the stale chain in place
-                // would make the next recovery take this branch again —
-                // rebuilding from epoch `s.epoch` and destroying any answers
-                // acknowledged in between.
-                snapshot::remove_snapshot(&dir)?;
-                let pos = rewrite_wal(&dir, &s.meta, s.log.all(), &s.quarantine, &self.io)?;
-                snapshot::write_snapshot_with_io(
-                    &dir,
-                    &TableSnapshot {
-                        epoch: s.epoch,
-                        wal_offset: pos.offset,
-                        meta: s.meta.clone(),
-                        log: s.log.clone(),
-                        fit: s.fit.clone(),
-                        quarantine: s.quarantine.clone(),
-                    },
-                    &self.io,
-                )?;
+                // The stale chain's wal_offsets describe the OLD layout:
+                // left in place, it would make the next recovery take this
+                // branch again, rebuilding from epoch `s.epoch` and
+                // destroying any answers acknowledged in between.
+                let pos =
+                    self.rewrite_with_base(&dir, &s.meta, &s.log, s.fit.clone(), &s.quarantine)?;
                 snapshot_epoch = Some(s.epoch);
                 chain = Some(ChainInfo {
                     base_epoch: s.epoch,
@@ -544,9 +538,9 @@ impl Store {
     }
 
     /// Rewrite one table's WAL as `Create + a few large Appends` (defragmenting every
-    /// per-batch frame) and write a fresh snapshot at the full epoch. Crash
-    /// safe at every step: the snapshot is removed *before* the WAL rename
-    /// so no stale offset can ever point into the new layout.
+    /// per-batch frame) and write a fresh snapshot at the full epoch. The
+    /// snapshot keeps the stored fit only when that fit covers the whole
+    /// log ([`Recovered::covering_fit`]).
     pub fn compact_table(&self, id: &str) -> Result<CompactReport, StoreError> {
         let dir = self.table_dir(id);
         let wal_path = dir.join(WAL_FILE);
@@ -561,7 +555,9 @@ impl Store {
         // implements snapshot-vs-WAL preference, head-compacted chains and
         // torn tails. Re-deriving those rules here would be a second
         // codepath to keep correct.
-        let Recovered { meta, log, fit, quarantine, wal, deleted, .. } = self.recover_table(id)?;
+        let rec = self.recover_table(id)?;
+        let fit = rec.covering_fit().cloned();
+        let Recovered { meta, log, quarantine, wal, deleted, .. } = rec;
         drop(wal);
         if deleted {
             return Err(StoreError::corrupt(
@@ -570,20 +566,8 @@ impl Store {
                 "cannot compact a deleted table".to_string(),
             ));
         }
-        snapshot::remove_snapshot(&dir)?;
-        let pos = rewrite_wal(&dir, &meta, log.all(), &quarantine, &self.io)?;
-        snapshot::write_snapshot_with_io(
-            &dir,
-            &TableSnapshot {
-                epoch: log.len() as u64,
-                wal_offset: pos.offset,
-                meta: meta.clone(),
-                log: log.clone(),
-                fit: fit.clone(),
-                quarantine: quarantine.clone(),
-            },
-            &self.io,
-        )?;
+        let fit_preserved = fit.is_some();
+        let pos = self.rewrite_with_base(&dir, &meta, &log, fit, &quarantine)?;
         Ok(CompactReport {
             wal_bytes_before,
             wal_bytes_after: pos.offset,
@@ -592,10 +576,33 @@ impl Store {
                 + log.len().div_ceil(REWRITE_CHUNK)
                 + usize::from(!quarantine.is_empty()),
             answers: log.len() as u64,
-            fit_preserved: fit.is_some(),
+            fit_preserved,
             segments_before,
             segments_after: 1,
         })
+    }
+
+    /// [`rewrite_wal`], then a fresh base snapshot of `log` pinned to the
+    /// rewritten layout.
+    fn rewrite_with_base(
+        &self,
+        dir: &Path,
+        meta: &TableMeta,
+        log: &AnswerLog,
+        fit: Option<FitParams>,
+        quarantine: &[QuarantineEntry],
+    ) -> Result<WalPosition, StoreError> {
+        let pos = rewrite_wal(dir, meta, log.all(), quarantine, &self.io)?;
+        let base = TableSnapshot {
+            epoch: log.len() as u64,
+            wal_offset: pos.offset,
+            meta: meta.clone(),
+            log: log.clone(),
+            fit,
+            quarantine: quarantine.to_vec(),
+        };
+        snapshot::write_snapshot_with_io(dir, &base, &self.io)?;
+        Ok(pos)
     }
 
     /// Full integrity scan of one table: WAL framing, snapshot/WAL
@@ -796,19 +803,21 @@ impl Store {
 /// record would make the rewritten WAL read back as corrupt.
 const REWRITE_CHUNK: usize = 1 << 20;
 
-/// Replace `dir`'s WAL with a freshly-written `Create + chunked Appends
-/// (+ Quarantine)` sequence holding `answers` and the current quarantined
-/// set, atomically (tmp + rename + dir sync). Public so the service's
-/// degraded-WAL repair path can rebuild a poisoned log from the in-memory
-/// answer set (which, by WAL-before-ack, is exactly the acknowledged
-/// prefix).
-pub fn rewrite_wal(
+/// Drop `dir`'s snapshot chain, then replace its WAL with a freshly-written
+/// `Create + chunked Appends (+ Quarantine)` sequence holding `answers` and
+/// the current quarantined set, atomically (tmp + rename + dir sync). The
+/// one way a table's WAL is rewritten: by compaction, by recovery when the
+/// WAL ends before the snapshot, and by the repair of a poisoned WAL. The
+/// chain goes first, so a crash at any step can never pair a stale snapshot
+/// offset with the new layout; the caller writes a fresh base afterwards.
+pub(crate) fn rewrite_wal(
     dir: &Path,
     meta: &TableMeta,
     answers: &[Answer],
     quarantine: &[QuarantineEntry],
     io: &IoHandle,
 ) -> Result<WalPosition, StoreError> {
+    snapshot::remove_snapshot(dir)?;
     let tmp_dir = dir.join("wal.rewrite.tmp");
     fs::remove_dir_all(&tmp_dir).ok();
     let mut wal = Wal::create_with_io(&tmp_dir, meta, FsyncPolicy::Always, io.clone())?;

@@ -440,6 +440,11 @@ impl Wal {
         self.segment_max = max.max(1);
     }
 
+    /// The rotation threshold (bytes of the active segment).
+    pub(crate) fn segment_max(&self) -> u64 {
+        self.segment_max
+    }
+
     /// The committed position (grows with every append).
     pub fn position(&self) -> WalPosition {
         WalPosition { offset: self.offset, answers: self.answers }

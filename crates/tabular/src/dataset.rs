@@ -117,12 +117,6 @@ impl Dataset {
             workers: self.answers.all().iter().map(|a| a.worker).collect::<HashSet<_>>().len(),
         }
     }
-
-    /// Ground-truth continuous values of column `j` (panics on a categorical
-    /// column) — used for metric denominators.
-    pub fn continuous_truth_column(&self, j: usize) -> Vec<f64> {
-        self.truth.iter().map(|row| row[j].expect_continuous()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -188,17 +182,5 @@ mod tests {
         assert_eq!(s.answers, 2);
         assert_eq!(s.workers, 1);
         assert!((s.answers_per_task - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn continuous_truth_column_extracts() {
-        let d = tiny_dataset();
-        assert_eq!(d.continuous_truth_column(1), vec![1.0, 9.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "datatype mismatch")]
-    fn continuous_truth_column_panics_on_categorical() {
-        tiny_dataset().continuous_truth_column(0);
     }
 }

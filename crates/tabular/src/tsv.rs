@@ -29,14 +29,6 @@ impl TsvTable {
         self.rows.push(cells);
     }
 
-    /// Append a row of floats rendered with 6 significant digits.
-    pub fn push_floats(&mut self, label: &str, values: &[f64]) {
-        let mut cells = Vec::with_capacity(values.len() + 1);
-        cells.push(label.to_string());
-        cells.extend(values.iter().map(|v| format!("{v:.6}")));
-        self.push_row(cells);
-    }
-
     /// Write the table to `path`, creating parent directories as needed.
     pub fn write(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         let path = path.as_ref();
@@ -80,7 +72,7 @@ mod tests {
     #[test]
     fn roundtrip_write_and_shape() {
         let mut t = TsvTable::new(&["method", "error", "mnad"]);
-        t.push_floats("T-Crowd", &[0.044, 0.634]);
+        t.push_row(vec!["T-Crowd".into(), "0.044000".into(), "0.634000".into()]);
         t.push_row(vec!["MV".into(), "0.057".into(), "-".into()]);
         let dir = std::env::temp_dir().join("tcrowd_tsv_test");
         let path = dir.join("nested/out.tsv");
